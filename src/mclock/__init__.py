@@ -47,7 +47,6 @@ from .operational import (
     EstimateReport,
     JointOutcome,
     JointOutcomeDistribution,
-    TrialRecord,
     joint_distribution,
     sample_trials,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "RNG_ALGORITHM",
     "JointOutcome",
     "JointOutcomeDistribution",
-    "TrialRecord",
     "EstimateReport",
     "joint_distribution",
     "sample_trials",

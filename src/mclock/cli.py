@@ -11,8 +11,8 @@ parse, validation), 3 numerical failure, 4 a check failed. Summary text
 goes to stdout; data goes to files only, written atomically.
 
 The environment variable MCLOCK_TOL_SCALE (float, default 1) uniformly
-scales the check tolerances for exploratory use; leave it unset for
-acceptance runs.
+scales the check tolerances (the ``*_check`` fields of TOL) for
+exploratory use; leave it unset for acceptance runs.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ import numpy as np
 
 from .dynamics import trajectory
 from .errors import MClockError, ParseError, ValidationError
-from .measurement import (
-    MeasurementModel,
-    happened_projector,
-    premeasurement_check,
-    rate_operator,
-)
+from .measurement import happened_projector, premeasurement_check, rate_operator
 from .operational import sample_trials
 from .scenario_io import (
     ScenarioSpec,
@@ -41,16 +36,12 @@ from .scenario_io import (
     initial_state,
     parse_scenario,
 )
+from .tolerances import TOL
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
-
-# Declared check tolerances (scaled by MCLOCK_TOL_SCALE).
-PROJECTOR_CHECK_TOL = 1e-12
-PREMEASUREMENT_CHECK_TOL = 1e-9
-DERIVATIVE_CHECK_BASE_TOL = 1e-4
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -98,10 +89,9 @@ def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
     if spec.sampling is None:
         print("error: scenario has no sampling block", file=sys.stderr)
         return EXIT_INPUT
-    model, h, _, _, psi0 = _prepare(spec)
-    _, report = sample_trials(
-        model, h, psi0, spec.sampling.t, spec.sampling.n_trials, spec.sampling.seed
-    )
+    model = build_model(spec)
+    h, psi0, sampling = model.interaction_hamiltonian, initial_state(spec, model), spec.sampling
+    _, report = sample_trials(model, h, psi0, sampling.t, sampling.n_trials, sampling.seed)
     _atomic_write(out_path, emit_sampling_csv(report))
     print(
         f"estimate = {report.estimate:.6g} +/- {report.std_error:.3g} "
@@ -112,44 +102,39 @@ def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
     return EXIT_OK
 
 
-def _run_checks(spec: ScenarioSpec, model: MeasurementModel, scale: float):
-    """Yield (name, passed, detail) for each model check, in order."""
+def _run_checks(spec: ScenarioSpec, scale: float, model, h, happened, rate, psi0):
+    """Yield (name, passed, detail) for each check of ``_prepare``'s output, in order."""
     report = premeasurement_check(model)
-    threshold = model.fidelity - PREMEASUREMENT_CHECK_TOL * scale
+    threshold = model.fidelity - TOL.premeasurement_check * scale
     yield (
         "premeasurement",
         report.qualifies(threshold),
         f"min fidelity {min(report.fidelities):.12g}, declared {model.fidelity:.12g}",
     )
 
-    happened = happened_projector(model)
     m = happened.matrix
-    tol = PROJECTOR_CHECK_TOL * scale
+    tol = TOL.projector_check * scale
     idem = float(np.max(np.abs(m @ m - m)))
     yield ("projector idempotence", idem < tol, f"max |M^2 - M| = {idem:.3e} (tol {tol:.3e})")
     herm = float(np.max(np.abs(m - m.conj().T)))
     yield ("projector hermiticity", herm < tol, f"max |M - M^H| = {herm:.3e} (tol {tol:.3e})")
 
-    h = model.interaction_hamiltonian
-    rate = rate_operator(model, h)
-    psi0 = initial_state(spec, model)
     traj = trajectory(h, psi0, spec.grid, happened, rate)
     step = spec.grid.step
     # Central-difference truncation grows like |P'''| h^2 / 6 <= (2/3) g^3 h^2
     # for these models, so the tolerance widens on coarse grids.
     widening = spec.coupling_g**3 * step**2
-    fd_tol = max(DERIVATIVE_CHECK_BASE_TOL, widening) * scale
+    fd_tol = max(TOL.derivative_check, widening) * scale
     diffs = (traj.prob_happened[2:] - traj.prob_happened[:-2]) / (2.0 * step)
     err = float(np.max(np.abs(diffs - traj.rate[1:-1])))
     detail = f"max |dP/dt - p| = {err:.3e} (tol {fd_tol:.3e})"
-    if widening > DERIVATIVE_CHECK_BASE_TOL:
+    if widening > TOL.derivative_check:
         detail += f"; tolerance widened for coarse step h = {step:.3g}"
     yield ("derivative identity", err < fd_tol, detail)
 
 
 def cmd_check(spec: ScenarioSpec, scale: float) -> int:
-    model = build_model(spec)
-    for name, passed, detail in _run_checks(spec, model, scale):
+    for name, passed, detail in _run_checks(spec, scale, *_prepare(spec)):
         if not passed:
             print(f"check {name}: FAILED ({detail})", file=sys.stderr)
             return EXIT_CHECK_FAILED

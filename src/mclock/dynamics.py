@@ -1,8 +1,9 @@
 """Unitary Schrodinger evolution under a time-independent Hamiltonian.
 
 Evolution is computed from one exact spectral decomposition rather than a
-step-wise integrator: at the target dimensions (<= 64) this is cheap and
-keeps integrator error out of every downstream tolerance.
+step-wise integrator, which keeps integrator error out of every downstream
+tolerance. Trajectories evaluate the grid in blocks of points, because one
+dimension x points array for the whole grid would dominate peak memory.
 """
 
 from __future__ import annotations
@@ -12,8 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
-from .hilbert import HermitianOperator, SpectralDecomposition, StateVector, expectation, spectral
+from .hilbert import (
+    HermitianOperator, SpectralDecomposition, StateVector, check_unit_norm, expectations, spectral,
+)
 from .tolerances import TOL
+
+# Complex amplitudes held per block of grid points in ``trajectory``.
+BLOCK_AMPLITUDES = 2**16
 
 
 @dataclass(frozen=True)
@@ -41,14 +47,13 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class TimingTrajectory:
-    """States and measurement-timing curves sampled on a time grid.
+    """Measurement-timing curves sampled on a time grid.
 
     prob_happened[k] is the probability that the measurement has happened
     by times[k]; rate[k] is its time density.
     """
 
     grid: TimeGrid
-    states: tuple[StateVector, ...]
     prob_happened: np.ndarray
     rate: np.ndarray
 
@@ -56,29 +61,30 @@ class TimingTrajectory:
         prob = np.array(self.prob_happened, dtype=np.float64).reshape(-1)
         rate = np.array(self.rate, dtype=np.float64).reshape(-1)
         n = self.grid.n_points
-        if not (len(self.states) == prob.size == rate.size == n):
-            raise DimensionMismatch("states, prob_happened and rate must all have n_points entries")
+        if not (prob.size == rate.size == n):
+            raise DimensionMismatch("prob_happened and rate must both have n_points entries")
         slack = TOL.trajectory_prob
         if np.any(prob < -slack) or np.any(prob > 1.0 + slack):
             raise NumericalError("probability curve leaves [0, 1] beyond tolerance")
         prob.setflags(write=False)
         rate.setflags(write=False)
-        object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "prob_happened", prob)
         object.__setattr__(self, "rate", rate)
 
 
-def _propagate(dec: SpectralDecomposition, psi0: StateVector, t: float) -> StateVector:
+def _propagate(dec: SpectralDecomposition, psi0: StateVector, times: np.ndarray) -> np.ndarray:
+    """Amplitude columns exp(-iHt) psi0, one per entry of times."""
     coeffs = dec.eigenvectors.conj().T @ psi0.amplitudes
-    amps = dec.eigenvectors @ (np.exp(-1j * dec.eigenvalues * t) * coeffs)
-    return StateVector(psi0.dims, amps)
+    phases = np.exp(-1j * np.multiply.outer(dec.eigenvalues, times))
+    return dec.eigenvectors @ (phases * coeffs[:, None])
 
 
 def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
     """exp(-iHt) psi0 via the spectral decomposition of H."""
     if hamiltonian.dims != psi0.dims:
         raise DimensionMismatch(f"H dims {hamiltonian.dims} != state dims {psi0.dims}")
-    return _propagate(spectral(hamiltonian), psi0, t)
+    amps = _propagate(spectral(hamiltonian), psi0, np.array([t]))
+    return StateVector(psi0.dims, amps[:, 0])
 
 
 def trajectory(
@@ -88,10 +94,11 @@ def trajectory(
     happened_op: HermitianOperator,
     rate_op: HermitianOperator,
 ) -> TimingTrajectory:
-    """Sample psi(t), <happened_op> and <rate_op> on every grid point.
+    """Sample <happened_op> and <rate_op> in psi(t) on every grid point.
 
     One spectral decomposition of H is reused for all points, so there is
-    no error accumulation between samples.
+    no error accumulation between samples. Points are evaluated in blocks
+    of at most BLOCK_AMPLITUDES amplitudes, each state checked for unit norm.
     """
     for op in (happened_op, rate_op):
         if op.dims != hamiltonian.dims:
@@ -100,7 +107,14 @@ def trajectory(
         raise DimensionMismatch(f"state dims {psi0.dims} != H dims {hamiltonian.dims}")
 
     dec = spectral(hamiltonian)
-    states = [_propagate(dec, psi0, t) for t in grid.times]
-    prob = np.array([expectation(happened_op, s) for s in states])
-    rate = np.array([expectation(rate_op, s) for s in states])
-    return TimingTrajectory(grid, tuple(states), prob, rate)
+    times = grid.times
+    prob = np.empty(times.size)
+    rate = np.empty(times.size)
+    block = max(1, BLOCK_AMPLITUDES // psi0.dim)
+    for start in range(0, times.size, block):
+        points = slice(start, start + block)
+        states = _propagate(dec, psi0, times[points])
+        check_unit_norm(states)
+        prob[points] = expectations(happened_op, states)
+        rate[points] = expectations(rate_op, states)
+    return TimingTrajectory(grid, prob, rate)

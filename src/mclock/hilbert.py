@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     EigensolverFailure,
     InvalidParameter,
+    MClockError,
     NonOrthonormalInput,
     NumericalError,
 )
@@ -36,6 +37,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def check_unit_norm(amplitudes: np.ndarray) -> None:
+    """Raise NumericalError unless the state vector, or every state column, has norm 1."""
+    dev = float(np.max(np.abs(np.linalg.norm(amplitudes, axis=0) - 1.0)))
+    if dev > TOL.norm:
+        raise NumericalError(f"state norm deviates from 1 by {dev:.3e} (> {TOL.norm})")
+
+
+def check_orthonormal(columns: np.ndarray, error: type[MClockError], what: str) -> None:
+    """Raise ``error`` unless the columns are orthonormal within TOL.orthonormality."""
+    dev = float(np.max(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1]))))
+    if dev > TOL.orthonormality:
+        raise error(f"{what} not orthonormal (Gram deviation {dev:.3e})")
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """Normalized complex amplitude vector over a tensor-product basis."""
@@ -50,9 +65,7 @@ class StateVector:
             raise DimensionMismatch(
                 f"amplitude length {amps.size} != product of dims {dims}"
             )
-        norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > TOL.norm:
-            raise NumericalError(f"state norm {norm!r} deviates from 1 beyond {TOL.norm}")
+        check_unit_norm(amps)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
@@ -103,9 +116,7 @@ class SpectralDecomposition:
             raise DimensionMismatch(f"eigenvector matrix {v.shape} does not match {w.size} eigenvalues")
         if np.any(np.diff(w) < 0):
             raise NumericalError("eigenvalues must be in ascending order")
-        gram_dev = float(np.max(np.abs(v.conj().T @ v - np.eye(w.size))))
-        if gram_dev > TOL.orthonormality:
-            raise NumericalError(f"eigenvector matrix is not unitary (deviation {gram_dev:.3e})")
+        check_orthonormal(v, NumericalError, "eigenvector matrix")
         object.__setattr__(self, "eigenvalues", _freeze(w))
         object.__setattr__(self, "eigenvectors", _freeze(v))
 
@@ -147,26 +158,30 @@ def projector_onto(states: Sequence[StateVector]) -> HermitianOperator:
     if any(s.dims != dims for s in states):
         raise DimensionMismatch("all states must share the same factor dimensions")
     v = np.column_stack([s.amplitudes for s in states])
-    gram_dev = float(np.max(np.abs(v.conj().T @ v - np.eye(len(states)))))
-    if gram_dev > TOL.orthonormality:
-        raise NonOrthonormalInput(
-            f"input states are not orthonormal (Gram deviation {gram_dev:.3e})"
-        )
+    check_orthonormal(v, NonOrthonormalInput, "input states")
     return HermitianOperator(dims, v @ v.conj().T)
 
 
-def expectation(a: HermitianOperator, psi: StateVector) -> float:
-    """Real expectation value <psi|A|psi>.
+def expectations(a: HermitianOperator, columns: np.ndarray) -> np.ndarray:
+    """Real expectation values <psi_k|A|psi_k>, one per amplitude column psi_k.
 
-    The imaginary part must vanish within tolerance; it is checked and
+    The imaginary parts must vanish within tolerance; they are checked and
     discarded.
     """
+    if columns.shape[0] != a.dim:
+        raise DimensionMismatch(f"operator dim {a.dim} != state dim {columns.shape[0]}")
+    vals = np.einsum("ij,ij->j", columns.conj(), a.matrix @ columns)
+    imag = float(np.max(np.abs(vals.imag)))
+    if imag > TOL.expectation_imag:
+        raise NumericalError(f"expectation has imaginary part {imag:.3e}")
+    return vals.real
+
+
+def expectation(a: HermitianOperator, psi: StateVector) -> float:
+    """Real expectation value <psi|A|psi>: the one-state case of ``expectations``."""
     if a.dims != psi.dims:
         raise DimensionMismatch(f"operator dims {a.dims} != state dims {psi.dims}")
-    val = complex(np.vdot(psi.amplitudes, a.matrix @ psi.amplitudes))
-    if abs(val.imag) > TOL.expectation_imag:
-        raise NumericalError(f"expectation has imaginary part {val.imag:.3e}")
-    return val.real
+    return float(expectations(a, psi.amplitudes[:, None])[0])
 
 
 def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:

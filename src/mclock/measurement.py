@@ -22,6 +22,7 @@ from .hilbert import (
     HermitianOperator,
     StateVector,
     basis_state,
+    check_orthonormal,
     commutator,
     expectation,
     projector_onto,
@@ -33,10 +34,7 @@ from .tolerances import TOL
 def _check_frame(states, dim: int, what: str) -> None:
     if any(s.dims != (dim,) for s in states):
         raise DimensionMismatch(f"{what} must live on a single factor of dimension {dim}")
-    v = np.column_stack([s.amplitudes for s in states])
-    dev = float(np.max(np.abs(v.conj().T @ v - np.eye(len(states)))))
-    if dev > TOL.orthonormality:
-        raise NumericalError(f"{what} not orthonormal (Gram deviation {dev:.3e})")
+    check_orthonormal(np.column_stack([s.amplitudes for s in states]), NumericalError, what)
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +50,6 @@ class MeasurementModel:
     """
 
     n_outcomes: int
-    eigenvalue_labels: tuple[str, ...]
     system_dim: int
     apparatus_dim: int
     system_eigenstates: tuple[StateVector, ...]
@@ -66,8 +63,6 @@ class MeasurementModel:
         n = self.n_outcomes
         if n < 2:
             raise InvalidParameter(f"need at least 2 outcomes, got {n}")
-        if len(self.eigenvalue_labels) != n:
-            raise InvalidParameter("one eigenvalue label per outcome required")
         if self.system_dim != n:
             raise InvalidParameter(
                 f"system eigenbasis must be complete: system_dim {self.system_dim} != {n}"
@@ -88,7 +83,6 @@ class MeasurementModel:
             raise InvalidParameter("nominal_duration must be positive")
         if not 0.0 <= self.fidelity <= 1.0 + TOL.probability:
             raise InvalidParameter(f"declared fidelity {self.fidelity} outside [0, 1]")
-        object.__setattr__(self, "eigenvalue_labels", tuple(self.eigenvalue_labels))
         object.__setattr__(self, "system_eigenstates", tuple(self.system_eigenstates))
         object.__setattr__(self, "pointer_states", tuple(self.pointer_states))
 
@@ -121,7 +115,6 @@ def _build_canonical_model(n: int, couplings: np.ndarray, g: float) -> Measureme
     fidelity = float(min(math.sin(c * duration) ** 2 for c in couplings))
     return MeasurementModel(
         n_outcomes=n,
-        eigenvalue_labels=tuple(f"a{i + 1}" for i in range(n)),
         system_dim=n,
         apparatus_dim=n + 1,
         system_eigenstates=tuple(system),

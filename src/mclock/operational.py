@@ -60,20 +60,6 @@ class JointOutcomeDistribution:
 
 
 @dataclass(frozen=True)
-class TrialRecord:
-    """One sampled trial of the joint q/pointer measurement at time t."""
-
-    t: float
-    q_outcome: int
-    pointer_outcome: int
-    case1: bool
-
-    def __post_init__(self):
-        if self.case1 != (self.pointer_outcome == self.q_outcome + 1):
-            raise InvalidParameter("case1 must mark exactly the matched pointer outcome")
-
-
-@dataclass(frozen=True)
 class EstimateReport:
     """Binomial estimate of the happened probability from repeated trials."""
 
@@ -125,12 +111,14 @@ def sample_trials(
     t: float,
     n_trials: int,
     seed: int,
-) -> tuple[list[TrialRecord], EstimateReport]:
+) -> tuple[np.ndarray, EstimateReport]:
     """Draw repeated joint measurements at time t and estimate the happened probability.
 
     psi0 is evolved once and the joint distribution computed once; trials
-    are independent categorical draws from it. Identical inputs and seed
-    produce identical records.
+    are independent categorical draws from it. The records are an array with
+    one row per trial and fields q_outcome, pointer_outcome and case1
+    (pointer_outcome == q_outcome + 1). Identical inputs and seed produce
+    identical records.
     """
     if n_trials < 1:
         raise InvalidParameter(f"n_trials must be >= 1, got {n_trials}")
@@ -144,13 +132,13 @@ def sample_trials(
         np.searchsorted(cumulative, uniforms, side="right"), len(dist.entries) - 1
     )
 
-    records = []
-    case1_count = 0
-    for k in picks:
-        entry = dist.entries[k]
-        case1 = entry.pointer_index == entry.q_index + 1
-        case1_count += case1
-        records.append(TrialRecord(t, entry.q_index, entry.pointer_index, case1))
+    q_index, pointer_index = np.array([(e.q_index, e.pointer_index) for e in dist.entries]).T
+    fields = [("q_outcome", np.int64), ("pointer_outcome", np.int64), ("case1", bool)]
+    records = np.empty(n_trials, dtype=fields)
+    records["q_outcome"] = q_index[picks]
+    records["pointer_outcome"] = pointer_index[picks]
+    records["case1"] = (pointer_index == q_index + 1)[picks]
+    case1_count = int(np.count_nonzero(records["case1"]))
 
     estimate = case1_count / n_trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / n_trials)

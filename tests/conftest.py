@@ -80,7 +80,6 @@ def random_frame_model(
 
     return MeasurementModel(
         n_outcomes=n,
-        eigenvalue_labels=tuple(f"a{i + 1}" for i in range(n)),
         system_dim=n,
         apparatus_dim=d_app,
         system_eigenstates=system,

@@ -152,7 +152,7 @@ def test_c6_operational_equivalence_statistical():
     assert abs(report_a.exact_prob - 0.5) < 1e-10
     assert abs(report_a.estimate - 0.5) < 4 * report_a.std_error
     records_b, report_b = sample_trials(model, h, psi0, t_half, 100000, seed=20260810)
-    assert records_a == records_b
+    assert np.array_equal(records_a, records_b)
     assert emit_sampling_csv(report_a).encode() == emit_sampling_csv(report_b).encode()
     _pass(
         6,
@@ -189,6 +189,10 @@ def test_c8_schmidt_instability_demo():
 
 def _cli(args, cwd):
     env = {k: v for k, v in os.environ.items() if k != "MCLOCK_TOL_SCALE"}
+    # The subprocess runs in cwd, so a relative PYTHONPATH entry would not resolve.
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
     return subprocess.run(
         [sys.executable, "-m", "mclock", *args],
         capture_output=True, text=True, cwd=cwd, env=env,

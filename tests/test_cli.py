@@ -143,7 +143,14 @@ class TestCheck:
 
         import numpy as np
 
-        from mclock import HermitianOperator, build_rotation_model, parse_scenario
+        from mclock import (
+            HermitianOperator,
+            build_rotation_model,
+            happened_projector,
+            initial_state,
+            parse_scenario,
+            rate_operator,
+        )
 
         spec = parse_scenario(write_scenario(tmp_path / "s.json").read_text())
         model = build_rotation_model(2, 1.0)
@@ -151,7 +158,11 @@ class TestCheck:
             model,
             interaction_hamiltonian=HermitianOperator(model.joint_dims, np.zeros((6, 6))),
         )
-        results = list(cli._run_checks(spec, dead, scale=1.0))
+        h = dead.interaction_hamiltonian
+        results = list(cli._run_checks(
+            spec, 1.0, dead, h, happened_projector(dead), rate_operator(dead, h),
+            initial_state(spec, dead),
+        ))
         assert results[0][0] == "premeasurement"
         assert results[0][1] is False
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import evolve_series, haar_state, random_hermitian
+from conftest import evolve_series, haar_state, random_frame_model, random_hermitian
 from mclock import (
     HermitianOperator,
     InvalidParameter,
@@ -14,12 +14,15 @@ from mclock import (
     basis_state,
     build_rotation_model,
     evolve,
+    expectation,
+    happened_probability,
     happened_projector,
     identity_operator,
     rate_operator,
     tensor_state,
     trajectory,
 )
+from mclock.dynamics import BLOCK_AMPLITUDES
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -127,16 +130,39 @@ class TestTrajectory:
         integral = hstep * (np.sum(traj.rate) - 0.5 * (traj.rate[0] + traj.rate[-1]))
         assert abs(integral - (traj.prob_happened[-1] - traj.prob_happened[0])) < 1e-4
 
+    def test_blocks_match_per_point_evolution(self):
+        # Enough points to cross three block boundaries, with a one-point
+        # final block; every point must agree with evolving to it alone.
+        rng = np.random.default_rng(11)
+        model = random_frame_model(rng, 4, extra_apparatus=3)
+        h = model.interaction_hamiltonian
+        psi0 = haar_state(rng, model.joint_dims)
+        grid = TimeGrid(0.0, 3.0, 3 * (BLOCK_AMPLITUDES // psi0.dim) + 1)
+        rate_op = rate_operator(model, h)
+        traj = trajectory(h, psi0, grid, happened_projector(model), rate_op)
+        for k, t in enumerate(grid.times):
+            psi_t = evolve(h, psi0, t)
+            assert abs(traj.prob_happened[k] - happened_probability(model, psi_t)) < 1e-14
+            assert abs(traj.rate[k] - expectation(rate_op, psi_t)) < 1e-14
+
+    def test_imaginary_expectation_raises(self):
+        # iδ·(all ones) passes the Hermiticity check (deviation 2δ = 9e-13)
+        # but has expectation 512iδ = 2.3e-10i in the uniform state.
+        dim = 512
+        h = HermitianOperator((dim,), np.zeros((dim, dim)))
+        psi0 = StateVector((dim,), np.full(dim, 1 / math.sqrt(dim)))
+        tilted = HermitianOperator((dim,), 4.5e-13j * np.ones((dim, dim)))
+        with pytest.raises(NumericalError, match="imaginary"):
+            trajectory(h, psi0, TimeGrid(0.0, 1.0, 3), tilted, h)
+
 
 class TestTimingTrajectoryInvariants:
     def test_rejects_probability_out_of_range(self):
         grid = TimeGrid(0.0, 1.0, 2)
-        states = (basis_state(2, 0), basis_state(2, 0))
         with pytest.raises(NumericalError):
-            TimingTrajectory(grid, states, np.array([0.0, 1.5]), np.zeros(2))
+            TimingTrajectory(grid, np.array([0.0, 1.5]), np.zeros(2))
 
     def test_rejects_length_mismatch(self):
         grid = TimeGrid(0.0, 1.0, 3)
-        states = (basis_state(2, 0),) * 3
         with pytest.raises(Exception):
-            TimingTrajectory(grid, states, np.zeros(2), np.zeros(3))
+            TimingTrajectory(grid, np.zeros(2), np.zeros(3))
