@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import trajectory
 from .errors import MClockError, ParseError, ValidationError
-from .measurement import happened_projector, premeasurement_check, rate_operator
+from .measurement import happened_projector, premeasurement_check
 from .operational import sample_trials
 from .scenario_io import (
     ScenarioSpec,
@@ -64,16 +64,12 @@ def _load_scenario(path: str) -> ScenarioSpec:
 
 def _prepare(spec: ScenarioSpec):
     model = build_model(spec)
-    h = model.interaction_hamiltonian
-    happened = happened_projector(model)
-    rate = rate_operator(model, h)
-    psi0 = initial_state(spec, model)
-    return model, h, happened, rate, psi0
+    return model, initial_state(spec, model)
 
 
 def cmd_run(spec: ScenarioSpec, out_path: str) -> int:
-    model, h, happened, rate, psi0 = _prepare(spec)
-    traj = trajectory(h, psi0, spec.grid, happened, rate)
+    model, psi0 = _prepare(spec)
+    traj = trajectory(model, psi0, spec.grid)
     _atomic_write(out_path, emit_trajectory_csv(traj))
 
     times = traj.grid.times
@@ -89,9 +85,9 @@ def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
     if spec.sampling is None:
         print("error: scenario has no sampling block", file=sys.stderr)
         return EXIT_INPUT
-    model = build_model(spec)
-    h, psi0, sampling = model.interaction_hamiltonian, initial_state(spec, model), spec.sampling
-    _, report = sample_trials(model, h, psi0, sampling.t, sampling.n_trials, sampling.seed)
+    model, psi0 = _prepare(spec)
+    sampling = spec.sampling
+    _, report = sample_trials(model, psi0, sampling.t, sampling.n_trials, sampling.seed)
     _atomic_write(out_path, emit_sampling_csv(report))
     print(
         f"estimate = {report.estimate:.6g} +/- {report.std_error:.3g} "
@@ -102,7 +98,7 @@ def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
     return EXIT_OK
 
 
-def _run_checks(spec: ScenarioSpec, scale: float, model, h, happened, rate, psi0):
+def _run_checks(spec: ScenarioSpec, scale: float, model, psi0):
     """Yield (name, passed, detail) for each check of ``_prepare``'s output, in order."""
     report = premeasurement_check(model)
     threshold = model.fidelity - TOL.premeasurement_check * scale
@@ -112,14 +108,14 @@ def _run_checks(spec: ScenarioSpec, scale: float, model, h, happened, rate, psi0
         f"min fidelity {min(report.fidelities):.12g}, declared {model.fidelity:.12g}",
     )
 
-    m = happened.matrix
+    m = happened_projector(model).matrix
     tol = TOL.projector_check * scale
     idem = float(np.max(np.abs(m @ m - m)))
     yield ("projector idempotence", idem < tol, f"max |M^2 - M| = {idem:.3e} (tol {tol:.3e})")
     herm = float(np.max(np.abs(m - m.conj().T)))
     yield ("projector hermiticity", herm < tol, f"max |M - M^H| = {herm:.3e} (tol {tol:.3e})")
 
-    traj = trajectory(h, psi0, spec.grid, happened, rate)
+    traj = trajectory(model, psi0, spec.grid)
     step = spec.grid.step
     # Central-difference truncation grows like |P'''| h^2 / 6 <= (2/3) g^3 h^2
     # for these models, so the tolerance widens on coarse grids.
@@ -134,6 +130,10 @@ def _run_checks(spec: ScenarioSpec, scale: float, model, h, happened, rate, psi0
 
 
 def cmd_check(spec: ScenarioSpec, scale: float) -> int:
+    if spec.grid.n_points < 3:
+        raise ValidationError(
+            f"grid.points must be >= 3 for check's derivative identity, got {spec.grid.n_points}"
+        )
     for name, passed, detail in _run_checks(spec, scale, *_prepare(spec)):
         if not passed:
             print(f"check {name}: FAILED ({detail})", file=sys.stderr)

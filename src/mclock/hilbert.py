@@ -195,13 +195,15 @@ def spectral(a: HermitianOperator) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
 
     Raises EigensolverFailure on non-convergence or if the decomposition
-    fails to reconstruct the input within tolerance.
+    fails to reconstruct the input within TOL.spectral, relative to the
+    largest entry of the input when that exceeds 1.
     """
     try:
         w, v = np.linalg.eigh(a.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigensolver did not converge: {exc}") from exc
     recon_dev = float(np.max(np.abs((v * w) @ v.conj().T - a.matrix)))
-    if recon_dev > TOL.spectral:
-        raise EigensolverFailure(f"spectral reconstruction off by {recon_dev:.3e}")
+    tol = TOL.spectral * max(1.0, float(np.max(np.abs(a.matrix))))
+    if recon_dev > tol:
+        raise EigensolverFailure(f"spectral reconstruction off by {recon_dev:.3e} (> {tol:.3e})")
     return SpectralDecomposition(w, v)

@@ -2,17 +2,20 @@
 
 A measurement model couples a system with n distinguishable outcomes to an
 apparatus whose pointer moves from a ready state into one of n orthogonal
-pointer states. The projector onto the perfectly correlated
-system-pointer subspace answers "has the measurement happened" (eigenvalue
-1 = yes); its expectation in psi(t) is the probability that it has
-happened by time t, and i[H, .] of it gives the time density of the
-happening.
+pointer states. Every model is a von Neumann premeasurement,
+H = sum_i |a_i><a_i| (x) H_i, and is stored as its branch Hamiltonians H_i
+on the apparatus space; the dense joint H is built only on demand. The
+projector onto the perfectly correlated system-pointer subspace answers
+"has the measurement happened" (eigenvalue 1 = yes); its expectation in
+psi(t) is the probability that it has happened by time t, and i[H, .] of
+it gives the time density of the happening.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,7 +47,9 @@ class MeasurementModel:
     The system eigenbasis must be complete (system_dim == n_outcomes) so
     that a joint q/pointer measurement has a total outcome probability of
     one. The pointer frame {ready} + {pointer_states} is orthonormal but
-    need not span the apparatus space. ``fidelity`` is the premeasurement
+    need not span the apparatus space. ``branch_hamiltonians[i]`` is H_i,
+    the apparatus Hamiltonian that acts while the system is in
+    ``system_eigenstates[i]``. ``fidelity`` is the premeasurement
     fidelity the model claims to reach at ``nominal_duration`` (worst
     outcome branch); ``premeasurement_check`` verifies it.
     """
@@ -55,7 +60,7 @@ class MeasurementModel:
     system_eigenstates: tuple[StateVector, ...]
     pointer_ready: StateVector
     pointer_states: tuple[StateVector, ...]
-    interaction_hamiltonian: HermitianOperator
+    branch_hamiltonians: tuple[HermitianOperator, ...]
     nominal_duration: float
     fidelity: float
 
@@ -67,17 +72,19 @@ class MeasurementModel:
             raise InvalidParameter(
                 f"system eigenbasis must be complete: system_dim {self.system_dim} != {n}"
             )
-        if len(self.system_eigenstates) != n or len(self.pointer_states) != n:
-            raise InvalidParameter("need n system eigenstates and n pointer states")
+        if not (len(self.system_eigenstates) == len(self.pointer_states)
+                == len(self.branch_hamiltonians) == n):
+            raise InvalidParameter(
+                "need n system eigenstates, pointer states and branch Hamiltonians"
+            )
         _check_frame(self.system_eigenstates, self.system_dim, "system eigenstates")
         _check_frame(
             (self.pointer_ready, *self.pointer_states), self.apparatus_dim,
             "pointer frame (ready + pointer states)",
         )
-        if self.interaction_hamiltonian.dims != self.joint_dims:
+        if any(h.dims != (self.apparatus_dim,) for h in self.branch_hamiltonians):
             raise DimensionMismatch(
-                f"interaction Hamiltonian dims {self.interaction_hamiltonian.dims} "
-                f"!= joint dims {self.joint_dims}"
+                f"branch Hamiltonians must act on the apparatus, dims ({self.apparatus_dim},)"
             )
         if not self.nominal_duration > 0:
             raise InvalidParameter("nominal_duration must be positive")
@@ -85,10 +92,28 @@ class MeasurementModel:
             raise InvalidParameter(f"declared fidelity {self.fidelity} outside [0, 1]")
         object.__setattr__(self, "system_eigenstates", tuple(self.system_eigenstates))
         object.__setattr__(self, "pointer_states", tuple(self.pointer_states))
+        object.__setattr__(self, "branch_hamiltonians", tuple(self.branch_hamiltonians))
 
     @property
     def joint_dims(self) -> tuple[int, int]:
         return (self.system_dim, self.apparatus_dim)
+
+    @property
+    def system_frame(self) -> np.ndarray:
+        """The system eigenstates as the columns of a unitary matrix."""
+        return np.column_stack([a.amplitudes for a in self.system_eigenstates])
+
+    @cached_property
+    def interaction_hamiltonian(self) -> HermitianOperator:
+        """The dense joint H = sum_i |a_i><a_i| (x) H_i, built on first use."""
+        frame = self.system_frame
+        # weights[a, b, i] = <a|a_i><a_i|b>; one product with the stacked H_i
+        # gives joint[a, x, b, y] = sum_i weights[a, b, i] H_i[x, y].
+        weights = frame[:, None, :] * frame.conj()[None, :, :]
+        stacked = np.stack([h.matrix for h in self.branch_hamiltonians])
+        joint = np.tensordot(weights, stacked, axes=1).transpose(0, 2, 1, 3)
+        side = self.system_dim * self.apparatus_dim
+        return HermitianOperator(self.joint_dims, joint.reshape(side, side))
 
 
 def _exchange_generator(dim: int, ready: int, pointer: int) -> np.ndarray:
@@ -104,11 +129,10 @@ def _build_canonical_model(n: int, couplings: np.ndarray, g: float) -> Measureme
     system = [basis_state(n, i) for i in range(n)]
     ready = basis_state(n + 1, 0)
     pointers = [basis_state(n + 1, i + 1) for i in range(n)]
-
-    joint = np.zeros((n * (n + 1), n * (n + 1)), dtype=np.complex128)
-    for i in range(n):
-        branch = np.outer(system[i].amplitudes, system[i].amplitudes.conj())
-        joint += couplings[i] * np.kron(branch, _exchange_generator(n + 1, 0, i + 1))
+    branches = tuple(
+        HermitianOperator((n + 1,), couplings[i] * _exchange_generator(n + 1, 0, i + 1))
+        for i in range(n)
+    )
 
     duration = math.pi / (2.0 * g)
     # Each branch rotates by couplings[i] * duration; worst branch sets the fidelity.
@@ -120,7 +144,7 @@ def _build_canonical_model(n: int, couplings: np.ndarray, g: float) -> Measureme
         system_eigenstates=tuple(system),
         pointer_ready=ready,
         pointer_states=tuple(pointers),
-        interaction_hamiltonian=HermitianOperator((n, n + 1), joint),
+        branch_hamiltonians=branches,
         nominal_duration=duration,
         fidelity=fidelity,
     )
@@ -211,15 +235,14 @@ def premeasurement_check(model: MeasurementModel) -> PremeasurementReport:
     """Evolve each |a_i> (x) |ready> for the nominal duration and score it.
 
     Reports |<a_i, pointer_i | psi(T)>|^2 per outcome plus the worst
-    deviation from 1. Diagnostic only: it never raises on a bad model.
+    deviation from 1. H keeps the system in |a_i>, so this is the overlap
+    of pointer_i with |ready> evolved under H_i alone. Diagnostic only: it
+    never raises on a bad model.
     """
-    h = model.interaction_hamiltonian
     fidelities = []
-    for a_i, o_i in zip(model.system_eigenstates, model.pointer_states):
-        start = tensor_state(a_i, model.pointer_ready)
-        target = tensor_state(a_i, o_i)
-        evolved = evolve(h, start, model.nominal_duration)
-        overlap = np.vdot(target.amplitudes, evolved.amplitudes)
+    for h_i, o_i in zip(model.branch_hamiltonians, model.pointer_states):
+        evolved = evolve(h_i, model.pointer_ready, model.nominal_duration)
+        overlap = np.vdot(o_i.amplitudes, evolved.amplitudes)
         fidelities.append(float(abs(overlap) ** 2))
     return PremeasurementReport(tuple(fidelities), max(1.0 - f for f in fidelities))
 

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolve
+from .dynamics import evolve_branches
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
-from .hilbert import HermitianOperator, StateVector
+from .hilbert import StateVector
 from .measurement import MeasurementModel, happened_probability
 from .tolerances import TOL
 
@@ -85,13 +85,12 @@ def joint_distribution(model: MeasurementModel, psi: StateVector) -> JointOutcom
     n = model.n_outcomes
     amps = psi.amplitudes.reshape(model.system_dim, model.apparatus_dim)
 
-    sys_frame = np.column_stack([s.amplitudes for s in model.system_eigenstates])
     app_frame = np.column_stack(
         [model.pointer_ready.amplitudes]
         + [p.amplitudes for p in model.pointer_states]
     )
-    in_sys_basis = sys_frame.conj().T @ amps              # n x apparatus_dim
-    in_frame = in_sys_basis @ app_frame.conj()            # n x (n + 1)
+    in_sys_basis = model.system_frame.conj().T @ amps  # n x apparatus_dim
+    in_frame = in_sys_basis @ app_frame.conj()  # n x (n + 1)
     frame_probs = np.abs(in_frame) ** 2
     row_totals = np.sum(np.abs(in_sys_basis) ** 2, axis=1)
     residual = np.clip(row_totals - frame_probs.sum(axis=1), 0.0, None)
@@ -105,16 +104,13 @@ def joint_distribution(model: MeasurementModel, psi: StateVector) -> JointOutcom
 
 
 def sample_trials(
-    model: MeasurementModel,
-    hamiltonian: HermitianOperator,
-    psi0: StateVector,
-    t: float,
-    n_trials: int,
-    seed: int,
+    model: MeasurementModel, psi0: StateVector, t: float, n_trials: int, seed: int
 ) -> tuple[np.ndarray, EstimateReport]:
     """Draw repeated joint measurements at time t and estimate the happened probability.
 
-    psi0 is evolved once and the joint distribution computed once; trials
+    psi0 is evolved once under the model's H, branch by branch, and the
+    joint distribution computed once; the report's exact probability is the
+    projector expectation, which the matched mass must equal. Trials
     are independent categorical draws from it. The records are an array with
     one row per trial and fields q_outcome, pointer_outcome and case1
     (pointer_outcome == q_outcome + 1). Identical inputs and seed produce
@@ -122,7 +118,7 @@ def sample_trials(
     """
     if n_trials < 1:
         raise InvalidParameter(f"n_trials must be >= 1, got {n_trials}")
-    psi_t = evolve(hamiltonian, psi0, t)
+    psi_t = evolve_branches(model, psi0, t)
     dist = joint_distribution(model, psi_t)
     exact = happened_probability(model, psi_t)
 

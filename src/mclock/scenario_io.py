@@ -40,6 +40,14 @@ log = logging.getLogger(__name__)
 
 COEFF_NORM_SLACK = 1e-3
 
+# Resource limits; a scenario beyond one is an input error, not an
+# out-of-memory kill. ``check`` and ``sample`` build the dense happened
+# projector, of side n (n + 1), and peak near 440 MB at n = 50; at the grid
+# and trial limits ``run`` peaks near 300 MB and ``sample`` near 430 MB.
+MAX_OUTCOMES = 50
+MAX_GRID_POINTS = 1_000_000
+MAX_TRIALS = 10_000_000
+
 _TOP_KEYS = {"model", "n", "g", "epsilon", "c", "grid", "sampling"}
 _GRID_KEYS = {"t0", "t1", "points"}
 _SAMPLING_KEYS = {"t", "trials", "seed"}
@@ -112,8 +120,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
         raise ValidationError(f"model must be 'rotation' or 'imperfect', got {model_kind!r}")
 
     n = _as_int(data["n"], "n")
-    if n < 2:
-        raise ValidationError(f"n must be >= 2, got {n}")
+    if not 2 <= n <= MAX_OUTCOMES:
+        raise ValidationError(f"n must lie in [2, {MAX_OUTCOMES}], got {n}")
 
     g = _as_number(data["g"], "g")
     if not g > 0:
@@ -138,10 +146,13 @@ def parse_scenario(text: str) -> ScenarioSpec:
     if len(coeffs) != n:
         raise ValidationError(f"c must have n = {n} entries, got {len(coeffs)}")
 
-    norm = math.sqrt(sum(abs(z) ** 2 for z in coeffs))
+    try:
+        norm = math.sqrt(sum(abs(z) ** 2 for z in coeffs))
+    except OverflowError:  # a square beyond the float range
+        norm = math.inf
     if abs(norm - 1.0) > COEFF_NORM_SLACK:
         raise ValidationError(
-            f"initial coefficients have norm {norm:.6g}; deviations beyond "
+            f"initial coefficients c have norm {norm:.6g}; deviations beyond "
             f"{COEFF_NORM_SLACK} signal a mistake"
         )
     if norm != 1.0:
@@ -155,6 +166,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
     t0 = _as_number(grid_obj["t0"], "grid.t0")
     t1 = _as_number(grid_obj["t1"], "grid.t1")
     points = _as_int(grid_obj.get("points", 201), "grid.points")
+    if points > MAX_GRID_POINTS:
+        raise ValidationError(f"grid.points must be <= {MAX_GRID_POINTS}, got {points}")
     try:
         grid = TimeGrid(t0, t1, points)
     except InvalidParameter as exc:
@@ -169,8 +182,10 @@ def parse_scenario(text: str) -> ScenarioSpec:
         t = _as_number(samp_obj["t"], "sampling.t")
         trials = _as_int(samp_obj["trials"], "sampling.trials")
         seed = _as_int(samp_obj["seed"], "sampling.seed")
-        if trials < 1:
-            raise ValidationError(f"sampling.trials must be >= 1, got {trials}")
+        if not 1 <= trials <= MAX_TRIALS:
+            raise ValidationError(f"sampling.trials must lie in [1, {MAX_TRIALS}], got {trials}")
+        if seed < 0:
+            raise ValidationError(f"sampling.seed must be >= 0, got {seed}")
         sampling = SamplingSpec(t, trials, seed)
 
     return ScenarioSpec(model_kind, n, g, epsilon, tuple(coeffs), grid, sampling)

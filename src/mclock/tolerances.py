@@ -12,7 +12,7 @@ class Tolerances:
     hermiticity: float = 1e-12      # max-abs deviation of A from A-dagger
     orthonormality: float = 1e-10   # max-abs deviation of a Gram matrix from identity
     norm: float = 1e-10             # allowed |norm - 1| of a state vector
-    spectral: float = 1e-10         # eigendecomposition reconstruction, max-abs
+    spectral: float = 1e-10         # eigendecomposition reconstruction, max-abs, x max(1, max|A|)
     expectation_imag: float = 1e-10 # allowed imaginary part of a Hermitian expectation
     probability: float = 1e-10      # slack around [0, 1] for projector expectations
     trajectory_prob: float = 1e-9   # slack on stored probability curves

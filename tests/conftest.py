@@ -69,14 +69,13 @@ def random_frame_model(
     ready = StateVector((d_app,), app_u[:, 0])
     pointers = tuple(StateVector((d_app,), app_u[:, i + 1]) for i in range(n))
 
-    joint = np.zeros((n * d_app, n * d_app), dtype=complex)
-    for i in range(n):
-        branch = np.outer(system[i].amplitudes, system[i].amplitudes.conj())
-        hop = 1j * (
+    branches = tuple(
+        HermitianOperator((d_app,), 1j * g * (
             np.outer(pointers[i].amplitudes, ready.amplitudes.conj())
             - np.outer(ready.amplitudes, pointers[i].amplitudes.conj())
-        )
-        joint += g * np.kron(branch, hop)
+        ))
+        for i in range(n)
+    )
 
     return MeasurementModel(
         n_outcomes=n,
@@ -85,7 +84,7 @@ def random_frame_model(
         system_eigenstates=system,
         pointer_ready=ready,
         pointer_states=pointers,
-        interaction_hamiltonian=HermitianOperator((n, d_app), joint),
+        branch_hamiltonians=branches,
         nominal_duration=math.pi / (2 * g),
         fidelity=1.0,
     )

@@ -70,11 +70,8 @@ def test_c1_projector_algebra():
 
 def _reference_run():
     model = build_rotation_model(2, 1.0)
-    h = model.interaction_hamiltonian
     grid = TimeGrid(0.0, math.pi / 2, 201)
-    traj = trajectory(
-        h, balanced_start(model), grid, happened_projector(model), rate_operator(model, h)
-    )
+    traj = trajectory(model, balanced_start(model), grid)
     return grid, traj
 
 
@@ -145,13 +142,12 @@ def test_c5_operational_equivalence_exact():
 
 def test_c6_operational_equivalence_statistical():
     model = build_rotation_model(2, 1.0)
-    h = model.interaction_hamiltonian
     psi0 = balanced_start(model)
     t_half = math.pi / 4  # P(t) = 1/2 exactly
-    records_a, report_a = sample_trials(model, h, psi0, t_half, 100000, seed=20260810)
+    records_a, report_a = sample_trials(model, psi0, t_half, 100000, seed=20260810)
     assert abs(report_a.exact_prob - 0.5) < 1e-10
     assert abs(report_a.estimate - 0.5) < 4 * report_a.std_error
-    records_b, report_b = sample_trials(model, h, psi0, t_half, 100000, seed=20260810)
+    records_b, report_b = sample_trials(model, psi0, t_half, 100000, seed=20260810)
     assert np.array_equal(records_a, records_b)
     assert emit_sampling_csv(report_a).encode() == emit_sampling_csv(report_b).encode()
     _pass(

@@ -143,28 +143,51 @@ class TestCheck:
 
         import numpy as np
 
-        from mclock import (
-            HermitianOperator,
-            build_rotation_model,
-            happened_projector,
-            initial_state,
-            parse_scenario,
-            rate_operator,
-        )
+        from mclock import HermitianOperator, build_rotation_model, initial_state, parse_scenario
 
         spec = parse_scenario(write_scenario(tmp_path / "s.json").read_text())
         model = build_rotation_model(2, 1.0)
-        dead = dataclasses.replace(
-            model,
-            interaction_hamiltonian=HermitianOperator(model.joint_dims, np.zeros((6, 6))),
-        )
-        h = dead.interaction_hamiltonian
-        results = list(cli._run_checks(
-            spec, 1.0, dead, h, happened_projector(dead), rate_operator(dead, h),
-            initial_state(spec, dead),
-        ))
+        zero = HermitianOperator((model.apparatus_dim,), np.zeros((3, 3)))
+        dead = dataclasses.replace(model, branch_hamiltonians=(zero, zero))
+        results = list(cli._run_checks(spec, 1.0, dead, initial_state(spec, dead)))
         assert results[0][0] == "premeasurement"
         assert results[0][1] is False
+
+    def test_two_point_grid_is_an_input_error(self, tmp_path, capsys):
+        # run and sample accept two points; check needs an interior point.
+        scenario = write_scenario(
+            tmp_path / "s.json", grid={"t0": 0.0, "t1": 1.5707963267948966, "points": 2},
+            sampling={"t": 0.5, "trials": 10, "seed": 1},
+        )
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 0
+        assert cli.main(["sample", str(scenario), "--out", str(tmp_path / "r.csv")]) == 0
+        capsys.readouterr()
+        assert cli.main(["check", str(scenario)]) == 2
+        assert "grid.points" in capsys.readouterr().err
+
+    def test_large_coupling_passes(self, tmp_path, capsys):
+        # At g = 1e6 the spectral residual is ~1e-10 in absolute terms, well
+        # within the tolerance relative to the size of H.
+        doc = json.loads((SCENARIOS / "imperfect.json").read_text())
+        doc["g"] = 1e6
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(doc))
+        assert cli.main(["check", str(scenario)]) == 0
+        assert "all checks passed" in capsys.readouterr().out
+
+
+class TestInputErrors:
+    def test_negative_seed(self, tmp_path, capsys):
+        scenario = write_scenario(
+            tmp_path / "s.json", sampling={"t": 0.5, "trials": 10, "seed": -1}
+        )
+        assert cli.main(["sample", str(scenario), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "sampling.seed" in capsys.readouterr().err
+
+    def test_overflowing_coefficient(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "s.json", c=[[1e308, 0.0], [0.0, 0.0]])
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "coefficients c" in capsys.readouterr().err
 
 
 class TestAtomicWrite:

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import evolve_series, haar_state, random_frame_model, random_hermitian
 from mclock import (
+    DimensionMismatch,
     HermitianOperator,
     InvalidParameter,
     NumericalError,
@@ -12,17 +13,18 @@ from mclock import (
     TimeGrid,
     TimingTrajectory,
     basis_state,
+    build_imperfect_model,
     build_rotation_model,
     evolve,
     expectation,
     happened_probability,
-    happened_projector,
     identity_operator,
     rate_operator,
     tensor_state,
     trajectory,
 )
 from mclock.dynamics import BLOCK_AMPLITUDES
+from mclock.hilbert import expectations
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -91,69 +93,115 @@ def _rotation_setup():
     return model, h, psi0
 
 
+def _evolved_columns(h, psi0, times):
+    return np.column_stack([evolve(h, psi0, t).amplitudes for t in times])
+
+
 class TestTrajectory:
     def test_two_point_rotation_curve(self):
-        model, h, psi0 = _rotation_setup()
+        model, _, psi0 = _rotation_setup()
         grid = TimeGrid(0.0, model.nominal_duration, 2)
-        traj = trajectory(h, psi0, grid, happened_projector(model), rate_operator(model, h))
+        traj = trajectory(model, psi0, grid)
         assert np.allclose(traj.prob_happened, [0.0, 1.0], atol=1e-10)
 
     def test_full_space_projector_gives_one(self):
-        model, h, psi0 = _rotation_setup()
-        grid = TimeGrid(0.0, 1.0, 9)
-        eye = identity_operator(h.dims)
-        traj = trajectory(h, psi0, grid, eye, rate_operator(model, h))
-        assert np.allclose(traj.prob_happened, 1.0, atol=1e-12)
+        _, h, psi0 = _rotation_setup()
+        states = _evolved_columns(h, psi0, TimeGrid(0.0, 1.0, 9).times)
+        assert np.allclose(expectations(identity_operator(h.dims), states), 1.0, atol=1e-12)
 
     def test_zero_projector_gives_zero(self):
-        model, h, psi0 = _rotation_setup()
-        grid = TimeGrid(0.0, 1.0, 9)
+        _, h, psi0 = _rotation_setup()
+        states = _evolved_columns(h, psi0, TimeGrid(0.0, 1.0, 9).times)
         zero = HermitianOperator(h.dims, np.zeros((6, 6)))
-        traj = trajectory(h, psi0, grid, zero, zero)
-        assert np.all(traj.prob_happened == 0.0)
-        assert np.all(traj.rate == 0.0)
+        assert np.all(expectations(zero, states) == 0.0)
 
     def test_finite_difference_matches_rate(self):
-        model, h, psi0 = _rotation_setup()
+        model, _, psi0 = _rotation_setup()
         grid = TimeGrid(0.0, model.nominal_duration, 401)
-        traj = trajectory(h, psi0, grid, happened_projector(model), rate_operator(model, h))
+        traj = trajectory(model, psi0, grid)
         hstep = grid.step
         diffs = (traj.prob_happened[2:] - traj.prob_happened[:-2]) / (2 * hstep)
         tol = max(1e-4, hstep**2)
         assert np.max(np.abs(diffs - traj.rate[1:-1])) < tol
 
     def test_trapezoidal_integral_of_rate(self):
-        model, h, psi0 = _rotation_setup()
+        model, _, psi0 = _rotation_setup()
         grid = TimeGrid(0.0, model.nominal_duration, 1001)
-        traj = trajectory(h, psi0, grid, happened_projector(model), rate_operator(model, h))
+        traj = trajectory(model, psi0, grid)
         hstep = grid.step
         integral = hstep * (np.sum(traj.rate) - 0.5 * (traj.rate[0] + traj.rate[-1]))
         assert abs(integral - (traj.prob_happened[-1] - traj.prob_happened[0])) < 1e-4
 
     def test_blocks_match_per_point_evolution(self):
         # Enough points to cross three block boundaries, with a one-point
-        # final block; every point must agree with evolving to it alone.
+        # final block; every point must agree with evolving to it alone
+        # under the dense joint H.
         rng = np.random.default_rng(11)
         model = random_frame_model(rng, 4, extra_apparatus=3)
         h = model.interaction_hamiltonian
         psi0 = haar_state(rng, model.joint_dims)
         grid = TimeGrid(0.0, 3.0, 3 * (BLOCK_AMPLITUDES // psi0.dim) + 1)
         rate_op = rate_operator(model, h)
-        traj = trajectory(h, psi0, grid, happened_projector(model), rate_op)
+        traj = trajectory(model, psi0, grid)
         for k, t in enumerate(grid.times):
             psi_t = evolve(h, psi0, t)
             assert abs(traj.prob_happened[k] - happened_probability(model, psi_t)) < 1e-14
             assert abs(traj.rate[k] - expectation(rate_op, psi_t)) < 1e-14
 
+    def test_matches_series_oracle_on_entangled_state(self):
+        # A Haar psi0 entangles system and apparatus and leaks outside the
+        # pointer frame. The oracle propagates it under a joint H assembled
+        # here from the branches with np.kron, and builds M and i[H, M] itself.
+        rng = np.random.default_rng(12)
+        model = random_frame_model(rng, 3, extra_apparatus=2, g=1.3)
+        psi0 = haar_state(rng, model.joint_dims)
+        h = sum(
+            np.kron(np.outer(a.amplitudes, a.amplitudes.conj()), h_i.matrix)
+            for a, h_i in zip(model.system_eigenstates, model.branch_hamiltonians)
+        )
+        pairs = np.column_stack([
+            np.kron(a.amplitudes, o.amplitudes)
+            for a, o in zip(model.system_eigenstates, model.pointer_states)
+        ])
+        m = pairs @ pairs.conj().T
+        r = 1j * (h @ m - m @ h)
+        grid = TimeGrid(0.0, 2.5, 26)
+        traj = trajectory(model, psi0, grid)
+        for k, t in enumerate(grid.times):
+            psi_t = evolve_series(h, psi0.amplitudes, t)
+            assert abs(traj.prob_happened[k] - np.vdot(psi_t, m @ psi_t).real) < 1e-12
+            assert abs(traj.rate[k] - np.vdot(psi_t, r @ psi_t).real) < 1e-12
+
+    def test_closed_form_at_twenty_outcomes(self):
+        # Branch i rotates ready -> pointer_i at rate g_i, so
+        # P = sum |c_i|^2 sin^2(g_i t) and p = sum |c_i|^2 g_i sin(2 g_i t).
+        rng = np.random.default_rng(13)
+        n, g, eps = 20, 1.7, 0.3
+        model = build_imperfect_model(n, g, eps)
+        coeffs = haar_state(rng, (n,))
+        psi0 = tensor_state(coeffs, model.pointer_ready)
+        grid = TimeGrid(0.0, 2 * model.nominal_duration, 301)
+        traj = trajectory(model, psi0, grid)
+        weights = np.abs(coeffs.amplitudes) ** 2
+        rates = np.full(n, g)
+        rates[0] = g * (1 - eps)
+        phase = np.multiply.outer(grid.times, rates)
+        assert np.max(np.abs(traj.prob_happened - np.sin(phase) ** 2 @ weights)) < 1e-12
+        assert np.max(np.abs(traj.rate - np.sin(2 * phase) @ (weights * rates))) < 1e-12
+
+    def test_rejects_state_on_other_space(self):
+        model, _, _ = _rotation_setup()
+        with pytest.raises(DimensionMismatch):
+            trajectory(model, basis_state(6, 0), TimeGrid(0.0, 1.0, 3))
+
     def test_imaginary_expectation_raises(self):
         # iδ·(all ones) passes the Hermiticity check (deviation 2δ = 9e-13)
         # but has expectation 512iδ = 2.3e-10i in the uniform state.
         dim = 512
-        h = HermitianOperator((dim,), np.zeros((dim, dim)))
-        psi0 = StateVector((dim,), np.full(dim, 1 / math.sqrt(dim)))
+        psi0 = np.full((dim, 1), 1 / math.sqrt(dim), dtype=complex)
         tilted = HermitianOperator((dim,), 4.5e-13j * np.ones((dim, dim)))
         with pytest.raises(NumericalError, match="imaginary"):
-            trajectory(h, psi0, TimeGrid(0.0, 1.0, 3), tilted, h)
+            expectations(tilted, psi0)
 
 
 class TestTimingTrajectoryInvariants:

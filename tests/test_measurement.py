@@ -26,6 +26,7 @@ from mclock import (
     tensor_state,
     trajectory,
 )
+from mclock.hilbert import expectations
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -70,30 +71,48 @@ class TestRotationModel:
 
     def test_probability_curve_monotone(self):
         model = build_rotation_model(2, 1.0)
-        h = model.interaction_hamiltonian
         grid = TimeGrid(0.0, model.nominal_duration, 201)
-        traj = trajectory(
-            h, balanced_initial_state(model), grid,
-            happened_projector(model), rate_operator(model, h),
-        )
+        traj = trajectory(model, balanced_initial_state(model), grid)
         assert np.all(np.diff(traj.prob_happened) >= -1e-12)
 
     def test_curve_independent_of_initial_coefficients(self):
         model = build_rotation_model(3, 1.3)
-        h = model.interaction_hamiltonian
         grid = TimeGrid(0.0, model.nominal_duration, 51)
-        m_op = happened_projector(model)
-        r_op = rate_operator(model, h)
         rng = np.random.default_rng(13)
         reference = None
         for _ in range(4):
             coeffs = haar_state(rng, (3,))
             psi0 = tensor_state(coeffs, model.pointer_ready)
-            curve = trajectory(h, psi0, grid, m_op, r_op).prob_happened
+            curve = trajectory(model, psi0, grid).prob_happened
             if reference is None:
                 reference = curve
             else:
                 assert np.max(np.abs(curve - reference)) < 1e-10
+
+
+class TestInteractionHamiltonian:
+    def test_matches_kron_sum(self):
+        # The dense H the model materialises equals sum_i |a_i><a_i| (x) H_i
+        # built one Kronecker product at a time.
+        rng = np.random.default_rng(7)
+        for model in (build_imperfect_model(5, 1.3, 0.2),
+                      random_frame_model(rng, 4, extra_apparatus=2, g=0.7)):
+            expected = sum(
+                np.kron(np.outer(a.amplitudes, a.amplitudes.conj()), h_i.matrix)
+                for a, h_i in zip(model.system_eigenstates, model.branch_hamiltonians)
+            )
+            h = model.interaction_hamiltonian
+            assert h.dims == model.joint_dims
+            assert np.max(np.abs(h.matrix - expected)) < 1e-15
+            assert model.interaction_hamiltonian is h
+
+    def test_rejects_branch_on_wrong_space(self):
+        model = build_rotation_model(2, 1.0)
+        wide = HermitianOperator((4,), np.zeros((4, 4)))
+        with pytest.raises(DimensionMismatch):
+            dataclasses.replace(model, branch_hamiltonians=(wide, wide))
+        with pytest.raises(InvalidParameter):
+            dataclasses.replace(model, branch_hamiltonians=model.branch_hamiltonians[:1])
 
 
 class TestImperfectModel:
@@ -184,9 +203,12 @@ class TestRateOperator:
         happened = happened_projector(model)
         rate = rate_operator(model, happened)  # H = M commutes with M
         assert np.max(np.abs(rate.matrix)) == 0.0
-        grid = TimeGrid(0.0, 2.0, 21)
-        traj = trajectory(happened, balanced_initial_state(model), grid, happened, rate)
-        assert np.max(np.abs(traj.prob_happened - traj.prob_happened[0])) < 1e-12
+        psi0 = balanced_initial_state(model)
+        states = np.column_stack(
+            [evolve(happened, psi0, t).amplitudes for t in TimeGrid(0.0, 2.0, 21).times]
+        )
+        prob = expectations(happened, states)
+        assert np.max(np.abs(prob - prob[0])) < 1e-12
 
     def test_rotation_rate_closed_form(self):
         model = build_rotation_model(2, 1.0)
@@ -261,13 +283,21 @@ class TestPremeasurementCheck:
 
     def test_zero_interaction_never_qualifies(self):
         model = build_rotation_model(2, 1.0)
-        dead = dataclasses.replace(
-            model,
-            interaction_hamiltonian=HermitianOperator(model.joint_dims, np.zeros((6, 6))),
-        )
+        zero = HermitianOperator((model.apparatus_dim,), np.zeros((3, 3)))
+        dead = dataclasses.replace(model, branch_hamiltonians=(zero, zero))
         report = premeasurement_check(dead)
         assert report.fidelities == (0.0, 0.0)
         assert report.max_deviation == 1.0
+
+    def test_matches_closed_form_at_twenty_outcomes(self):
+        g, eps = 1.3, 0.2
+        model = build_imperfect_model(20, g, eps)
+        rates = np.full(20, g)
+        rates[0] = g * (1 - eps)
+        expected = np.sin(rates * model.nominal_duration) ** 2
+        report = premeasurement_check(model)
+        assert np.max(np.abs(np.array(report.fidelities) - expected)) < 1e-12
+        assert report.max_deviation == pytest.approx(1 - expected[0], abs=1e-12)
 
 
 class TestSchmidtDecompose:

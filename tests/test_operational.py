@@ -74,33 +74,26 @@ class TestSampleTrials:
     def test_concentrated_distribution_is_always_case1(self):
         model = build_rotation_model(2, 1.0)
         pair = tensor_state(model.system_eigenstates[0], model.pointer_states[0])
-        records, report = sample_trials(
-            model, model.interaction_hamiltonian, pair, 0.0, 1, seed=1
-        )
+        records, report = sample_trials(model, pair, 0.0, 1, seed=1)
         assert report.case1_count == 1
         assert records[0]["case1"] and records[0]["q_outcome"] == 0
 
     def test_single_trial_estimate_is_zero_or_one(self):
         model = build_rotation_model(2, 1.0)
-        _, report = sample_trials(
-            model, model.interaction_hamiltonian, balanced_start(model),
-            math.pi / 4, 1, seed=5,
-        )
+        _, report = sample_trials(model, balanced_start(model), math.pi / 4, 1, seed=5)
         assert report.estimate in (0.0, 1.0)
 
     def test_seed_determinism(self):
         model = build_rotation_model(2, 1.0)
-        h = model.interaction_hamiltonian
-        first = sample_trials(model, h, balanced_start(model), 0.9, 500, seed=123)
-        second = sample_trials(model, h, balanced_start(model), 0.9, 500, seed=123)
+        first = sample_trials(model, balanced_start(model), 0.9, 500, seed=123)
+        second = sample_trials(model, balanced_start(model), 0.9, 500, seed=123)
         assert np.array_equal(first[0], second[0])
         assert first[1] == second[1]
 
     def test_different_seeds_differ(self):
         model = build_rotation_model(2, 1.0)
-        h = model.interaction_hamiltonian
-        first = sample_trials(model, h, balanced_start(model), 0.9, 500, seed=1)
-        second = sample_trials(model, h, balanced_start(model), 0.9, 500, seed=2)
+        first = sample_trials(model, balanced_start(model), 0.9, 500, seed=1)
+        second = sample_trials(model, balanced_start(model), 0.9, 500, seed=2)
         assert not np.array_equal(first[0], second[0])
 
     def test_estimator_consistency_matrix(self):
@@ -111,17 +104,22 @@ class TestSampleTrials:
             (build_imperfect_model(2, 1.0, 0.2), 1.2, 14),
         ]
         for model, t, seed in cases:
-            _, report = sample_trials(
-                model, model.interaction_hamiltonian, balanced_start(model),
-                t, 20000, seed=seed,
-            )
+            _, report = sample_trials(model, balanced_start(model), t, 20000, seed=seed)
             # 4-sigma budget keeps this deterministic-seed test robust.
             assert abs(report.estimate - report.exact_prob) < 4 * report.std_error
+
+    def test_random_frame_matches_dense_evolution(self):
+        # Branch-by-branch evolution must give the state that the dense
+        # joint H gives, for rotated frames and an entangled start.
+        rng = np.random.default_rng(53)
+        model = random_frame_model(rng, 4, extra_apparatus=2, g=1.4)
+        psi0 = haar_state(rng, model.joint_dims)
+        _, report = sample_trials(model, psi0, 0.8, 20000, seed=8)
+        dense = happened_probability(model, evolve(model.interaction_hamiltonian, psi0, 0.8))
+        assert abs(report.exact_prob - dense) < 1e-12
+        assert abs(report.estimate - report.exact_prob) < 4 * report.std_error
 
     def test_rejects_zero_trials(self):
         model = build_rotation_model(2, 1.0)
         with pytest.raises(InvalidParameter):
-            sample_trials(
-                model, model.interaction_hamiltonian, balanced_start(model),
-                0.5, 0, seed=1,
-            )
+            sample_trials(model, balanced_start(model), 0.5, 0, seed=1)

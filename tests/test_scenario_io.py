@@ -14,14 +14,13 @@ from mclock import (
     build_rotation_model,
     emit_sampling_csv,
     emit_trajectory_csv,
-    happened_projector,
     initial_state,
     parse_scenario,
-    rate_operator,
     sample_trials,
     serialize_scenario,
     trajectory,
 )
+from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS
 
 MINIMAL = """
 {
@@ -130,6 +129,41 @@ class TestParseScenario:
                 scenario_with(sampling={"t": 0.5, "trials": 0, "seed": 1})
             )
 
+    def test_resource_limits(self):
+        # One past each limit is an input error; parsing allocates nothing.
+        unit = [[1.0, 0.0]] + [[0.0, 0.0]] * MAX_OUTCOMES
+        with pytest.raises(ValidationError, match=r"\bn must"):
+            parse_scenario(scenario_with(n=MAX_OUTCOMES + 1, c=unit))
+        with pytest.raises(ValidationError, match="grid.points"):
+            parse_scenario(scenario_with(grid={"t0": 0, "t1": 1, "points": MAX_GRID_POINTS + 1}))
+        with pytest.raises(ValidationError, match="sampling.trials"):
+            parse_scenario(scenario_with(
+                sampling={"t": 0.5, "trials": MAX_TRIALS + 1, "seed": 1}))
+        with pytest.raises(ValidationError, match="sampling.trials"):
+            parse_scenario(scenario_with(
+                sampling={"t": 0.5, "trials": 100_000_000_000, "seed": 1}))
+
+    def test_resource_limits_admit_benchmark_sizes(self):
+        # The limits themselves parse, and they cover the largest benchmark
+        # sizes: n = 40, 20001 grid points, 1e6 trials.
+        spec = parse_scenario(scenario_with(
+            n=MAX_OUTCOMES, c=[[1.0, 0.0]] + [[0.0, 0.0]] * (MAX_OUTCOMES - 1),
+            grid={"t0": 0, "t1": 1, "points": MAX_GRID_POINTS},
+            sampling={"t": 0.5, "trials": MAX_TRIALS, "seed": 1},
+        ))
+        assert spec.n_outcomes >= 40
+        assert spec.grid.n_points >= 20001
+        assert spec.sampling.n_trials >= 1_000_000
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValidationError, match="sampling.seed"):
+            parse_scenario(scenario_with(sampling={"t": 0.5, "trials": 10, "seed": -1}))
+
+    def test_overflowing_coefficient_is_a_validation_error(self):
+        for c in ([[1e308, 0], [0, 0]], [[1.7e308, 1.7e308], [0, 0]]):
+            with pytest.raises(ValidationError, match="norm inf"):
+                parse_scenario(scenario_with(c=c))
+
     def test_rejects_non_finite_numbers(self):
         with pytest.raises(ParseError):
             parse_scenario(scenario_with(g=1).replace('"g": 1', '"g": NaN'))
@@ -174,10 +208,7 @@ def _small_trajectory():
     spec = parse_scenario(scenario_with(grid={"t0": 0, "t1": 1.5707963267948966,
                                               "points": 5}))
     model = build_model(spec)
-    h = model.interaction_hamiltonian
-    psi0 = initial_state(spec, model)
-    return trajectory(h, psi0, spec.grid, happened_projector(model),
-                      rate_operator(model, h))
+    return trajectory(model, initial_state(spec, model), spec.grid)
 
 
 class TestEmitTrajectoryCsv:
@@ -205,8 +236,7 @@ class TestEmitSamplingCsv:
             sampling={"t": 0.7853981633974483, "trials": 250, "seed": 3}))
         psi0 = initial_state(spec, model)
         _, report = sample_trials(
-            model, model.interaction_hamiltonian, psi0,
-            spec.sampling.t, spec.sampling.n_trials, spec.sampling.seed,
+            model, psi0, spec.sampling.t, spec.sampling.n_trials, spec.sampling.seed,
         )
         text = emit_sampling_csv(report)
         header, row = text.strip().split("\n")
