@@ -19,7 +19,6 @@ from .errors import (
 )
 from .hilbert import (
     HermitianOperator,
-    SpectralDecomposition,
     StateVector,
     basis_state,
     commutator,
@@ -32,7 +31,6 @@ from .hilbert import (
 )
 from .measurement import (
     MeasurementModel,
-    PremeasurementReport,
     SchmidtDecomposition,
     build_imperfect_model,
     build_rotation_model,
@@ -42,17 +40,8 @@ from .measurement import (
     rate_operator,
     schmidt_decompose,
 )
-from .operational import (
-    RNG_ALGORITHM,
-    EstimateReport,
-    JointOutcome,
-    JointOutcomeDistribution,
-    joint_distribution,
-    sample_trials,
-)
+from .operational import joint_distribution, sample_trials
 from .scenario_io import (
-    SamplingSpec,
-    ScenarioSpec,
     build_model,
     emit_sampling_csv,
     emit_trajectory_csv,
@@ -60,13 +49,12 @@ from .scenario_io import (
     parse_scenario,
     serialize_scenario,
 )
-from .tolerances import TOL, Tolerances
+from .tolerances import TOL
 
 __version__ = "0.1.0"
 
 __all__ = [
     "TOL",
-    "Tolerances",
     "MClockError",
     "DimensionMismatch",
     "NonOrthonormalInput",
@@ -77,7 +65,6 @@ __all__ = [
     "ValidationError",
     "StateVector",
     "HermitianOperator",
-    "SpectralDecomposition",
     "basis_state",
     "identity_operator",
     "tensor_state",
@@ -91,7 +78,6 @@ __all__ = [
     "evolve",
     "trajectory",
     "MeasurementModel",
-    "PremeasurementReport",
     "SchmidtDecomposition",
     "build_rotation_model",
     "build_imperfect_model",
@@ -100,14 +86,8 @@ __all__ = [
     "happened_probability",
     "premeasurement_check",
     "schmidt_decompose",
-    "RNG_ALGORITHM",
-    "JointOutcome",
-    "JointOutcomeDistribution",
-    "EstimateReport",
     "joint_distribution",
     "sample_trials",
-    "ScenarioSpec",
-    "SamplingSpec",
     "parse_scenario",
     "serialize_scenario",
     "emit_trajectory_csv",

@@ -118,8 +118,10 @@ def _run_checks(spec: ScenarioSpec, scale: float, model, psi0):
     traj = trajectory(model, psi0, spec.grid)
     step = spec.grid.step
     # Central-difference truncation grows like |P'''| h^2 / 6 <= (2/3) g^3 h^2
-    # for these models, so the tolerance widens on coarse grids.
-    widening = spec.coupling_g**3 * step**2
+    # for these models, so the tolerance widens on coarse grids. Products, not
+    # powers: a float power that overflows raises, a product gives inf.
+    g = spec.coupling_g
+    widening = g * g * g * step * step
     fd_tol = max(TOL.derivative_check, widening) * scale
     diffs = (traj.prob_happened[2:] - traj.prob_happened[:-2]) / (2.0 * step)
     err = float(np.max(np.abs(diffs - traj.rate[1:-1])))

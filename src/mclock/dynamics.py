@@ -12,6 +12,7 @@ dimension x points array for the whole grid would dominate peak memory.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -44,6 +45,9 @@ class TimeGrid:
             raise InvalidParameter(f"n_points must be >= 2, got {self.n_points}")
         if not self.t_end > self.t_start:
             raise InvalidParameter(f"t_end ({self.t_end}) must exceed t_start ({self.t_start})")
+        span = self.t_end - self.t_start
+        if not (math.isfinite(span) and self.step > 0):
+            raise InvalidParameter(f"grid span {span} and step {self.step} must be finite and > 0")
 
     @property
     def times(self) -> np.ndarray:
@@ -73,7 +77,7 @@ class TimingTrajectory:
         if not (prob.size == rate.size == n):
             raise DimensionMismatch("prob_happened and rate must both have n_points entries")
         slack = TOL.trajectory_prob
-        if np.any(prob < -slack) or np.any(prob > 1.0 + slack):
+        if not np.all((prob >= -slack) & (prob <= 1.0 + slack)):  # NaN fails too
             raise NumericalError("probability curve leaves [0, 1] beyond tolerance")
         prob.setflags(write=False)
         rate.setflags(write=False)
@@ -96,18 +100,11 @@ def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> State
     return StateVector(psi0.dims, amps[:, 0])
 
 
-def _branch_components(model: MeasurementModel, psi0: StateVector) -> np.ndarray:
-    """Row i is chi_i = (<a_i| (x) I) psi0; the system frame is complete, so any psi0 splits."""
-    if psi0.dims != model.joint_dims:
-        raise DimensionMismatch(f"state dims {psi0.dims} != joint dims {model.joint_dims}")
-    return model.system_frame.conj().T @ psi0.amplitudes.reshape(model.joint_dims)
-
-
 def evolve_branches(model: MeasurementModel, psi0: StateVector, t: float) -> StateVector:
     """exp(-iHt) psi0 for the model's own H, each branch evolved under its H_i."""
     branches = [
         _propagate(spectral(h_i), chi_i, np.array([t]))[:, 0]
-        for h_i, chi_i in zip(model.branch_hamiltonians, _branch_components(model, psi0))
+        for h_i, chi_i in zip(model.branch_hamiltonians, model.branch_components(psi0))
     ]
     return StateVector(psi0.dims, model.system_frame @ np.array(branches))
 
@@ -122,7 +119,7 @@ def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> Ti
     blocks of at most BLOCK_AMPLITUDES joint amplitudes, each state checked
     for unit norm.
     """
-    components = _branch_components(model, psi0)
+    components = model.branch_components(psi0)
     decs = [spectral(h_i) for h_i in model.branch_hamiltonians]
     happened_ops = [projector_onto([o_i]) for o_i in model.pointer_states]
     rate_ops = [

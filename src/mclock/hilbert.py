@@ -40,7 +40,7 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def check_unit_norm(amplitudes: np.ndarray) -> None:
     """Raise NumericalError unless the state vector, or every state column, has norm 1."""
     dev = float(np.max(np.abs(np.linalg.norm(amplitudes, axis=0) - 1.0)))
-    if dev > TOL.norm:
+    if not dev <= TOL.norm:  # NaN fails too
         raise NumericalError(f"state norm deviates from 1 by {dev:.3e} (> {TOL.norm})")
 
 
@@ -172,7 +172,7 @@ def expectations(a: HermitianOperator, columns: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"operator dim {a.dim} != state dim {columns.shape[0]}")
     vals = np.einsum("ij,ij->j", columns.conj(), a.matrix @ columns)
     imag = float(np.max(np.abs(vals.imag)))
-    if imag > TOL.expectation_imag:
+    if not imag <= TOL.expectation_imag:  # NaN fails too
         raise NumericalError(f"expectation has imaginary part {imag:.3e}")
     return vals.real
 

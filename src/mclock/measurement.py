@@ -103,6 +103,12 @@ class MeasurementModel:
         """The system eigenstates as the columns of a unitary matrix."""
         return np.column_stack([a.amplitudes for a in self.system_eigenstates])
 
+    def branch_components(self, psi: StateVector) -> np.ndarray:
+        """Row i is chi_i = (<a_i| (x) I) psi; the system frame is complete, so any psi splits."""
+        if psi.dims != self.joint_dims:
+            raise DimensionMismatch(f"state dims {psi.dims} != joint dims {self.joint_dims}")
+        return self.system_frame.conj().T @ psi.amplitudes.reshape(self.joint_dims)
+
     @cached_property
     def interaction_hamiltonian(self) -> HermitianOperator:
         """The dense joint H = sum_i |a_i><a_i| (x) H_i, built on first use."""

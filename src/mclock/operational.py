@@ -4,9 +4,11 @@ At a chosen time an external observer measures the system variable and the
 pointer position jointly (they commute). A trial is Case 1 when the
 pointer sits in the position matched to the observed outcome, Case 2
 otherwise. The Case-1 frequency over many trials estimates the happened
-probability; the exact identity between the matched-pair mass and the
-projector expectation is what makes the operator and operational
-definitions agree.
+probability. On system branch i the happened projector is |o_i><o_i| on
+the apparatus, so the matched-pair mass of the joint distribution is
+exactly the projector's expectation. This identity is what makes the
+operator and operational definitions agree, and the matched mass is the
+exact probability ``sample_trials`` reports.
 
 Pointer outcome encoding: 0 is the ready state, j in 1..n is the pointer
 state for outcome j, and n+1 is the residual bucket collecting apparatus
@@ -22,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import evolve_branches
-from .errors import DimensionMismatch, InvalidParameter, NumericalError
+from .errors import InvalidParameter, NumericalError
 from .hilbert import StateVector
-from .measurement import MeasurementModel, happened_probability
+from .measurement import MeasurementModel
 from .tolerances import TOL
 
 # Sampling draws one uniform per trial and inverts the cumulative
@@ -32,31 +34,29 @@ from .tolerances import TOL
 RNG_ALGORITHM = "numpy-pcg64/inverse-cdf"
 
 
-@dataclass(frozen=True)
-class JointOutcome:
-    q_index: int
-    pointer_index: int
-    probability: float
-
-
 @dataclass(frozen=True, eq=False)
 class JointOutcomeDistribution:
-    """Born-rule probabilities over (system outcome, pointer position) pairs."""
+    """Born-rule probabilities over (system outcome, pointer position) pairs.
 
-    n_outcomes: int
-    entries: tuple[JointOutcome, ...]
+    probabilities[i, j] is the probability of q outcome i with pointer
+    outcome j, in the module's pointer encoding; the shape is (n, n + 2).
+    """
+
+    probabilities: np.ndarray
 
     def __post_init__(self):
-        if any(e.probability < 0 for e in self.entries):
+        probs = np.array(self.probabilities, dtype=np.float64)
+        if not np.all(probs >= 0):
             raise NumericalError("joint probabilities must be nonnegative")
-        total = sum(e.probability for e in self.entries)
-        if abs(total - 1.0) > TOL.distribution_sum:
+        total = float(np.sum(probs))
+        if not abs(total - 1.0) <= TOL.distribution_sum:
             raise NumericalError(f"joint probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "entries", tuple(self.entries))
+        probs.setflags(write=False)
+        object.__setattr__(self, "probabilities", probs)
 
     def matched_probability(self) -> float:
         """Total mass on Case-1 pairs (pointer index == q index + 1)."""
-        return sum(e.probability for e in self.entries if e.pointer_index == e.q_index + 1)
+        return float(np.trace(self.probabilities, offset=1))
 
 
 @dataclass(frozen=True)
@@ -75,32 +75,20 @@ class EstimateReport:
 def joint_distribution(model: MeasurementModel, psi: StateVector) -> JointOutcomeDistribution:
     """Probabilities of every (q outcome, pointer position) pair in psi.
 
-    Entries cover, per outcome, the ready state, all n pointer states and
-    the residual complement, so they always sum to one. The matched-pair
-    mass equals happened_probability(model, psi) identically; this is the
-    operational/operator equivalence.
+    Row i covers the ready state, all n pointer states and the residual
+    complement of system branch i, so the rows together sum to one. The
+    matched-pair mass equals happened_probability(model, psi) identically;
+    this is the operational/operator equivalence.
     """
-    if psi.dims != model.joint_dims:
-        raise DimensionMismatch(f"state dims {psi.dims} != joint dims {model.joint_dims}")
-    n = model.n_outcomes
-    amps = psi.amplitudes.reshape(model.system_dim, model.apparatus_dim)
-
+    branches = model.branch_components(psi)  # n x apparatus_dim
     app_frame = np.column_stack(
         [model.pointer_ready.amplitudes]
         + [p.amplitudes for p in model.pointer_states]
     )
-    in_sys_basis = model.system_frame.conj().T @ amps  # n x apparatus_dim
-    in_frame = in_sys_basis @ app_frame.conj()  # n x (n + 1)
-    frame_probs = np.abs(in_frame) ** 2
-    row_totals = np.sum(np.abs(in_sys_basis) ** 2, axis=1)
+    frame_probs = np.abs(branches @ app_frame.conj()) ** 2  # n x (n + 1)
+    row_totals = np.sum(np.abs(branches) ** 2, axis=1)
     residual = np.clip(row_totals - frame_probs.sum(axis=1), 0.0, None)
-
-    entries = []
-    for i in range(n):
-        for j in range(n + 1):
-            entries.append(JointOutcome(i, j, float(frame_probs[i, j])))
-        entries.append(JointOutcome(i, n + 1, float(residual[i])))
-    return JointOutcomeDistribution(n, tuple(entries))
+    return JointOutcomeDistribution(np.column_stack([frame_probs, residual]))
 
 
 def sample_trials(
@@ -109,26 +97,22 @@ def sample_trials(
     """Draw repeated joint measurements at time t and estimate the happened probability.
 
     psi0 is evolved once under the model's H, branch by branch, and the
-    joint distribution computed once; the report's exact probability is the
-    projector expectation, which the matched mass must equal. Trials
-    are independent categorical draws from it. The records are an array with
-    one row per trial and fields q_outcome, pointer_outcome and case1
-    (pointer_outcome == q_outcome + 1). Identical inputs and seed produce
-    identical records.
+    joint distribution computed once; the report's exact probability is its
+    matched mass, the branch form of the happened-projector expectation.
+    Trials are independent categorical draws from the distribution. The
+    records are an array with one row per trial and fields q_outcome,
+    pointer_outcome and case1 (pointer_outcome == q_outcome + 1). Identical
+    inputs and seed produce identical records.
     """
     if n_trials < 1:
         raise InvalidParameter(f"n_trials must be >= 1, got {n_trials}")
-    psi_t = evolve_branches(model, psi0, t)
-    dist = joint_distribution(model, psi_t)
-    exact = happened_probability(model, psi_t)
+    dist = joint_distribution(model, evolve_branches(model, psi0, t))
 
-    cumulative = np.cumsum([e.probability for e in dist.entries])
+    cumulative = np.cumsum(dist.probabilities)
     uniforms = np.random.default_rng(seed).random(n_trials)
-    picks = np.minimum(
-        np.searchsorted(cumulative, uniforms, side="right"), len(dist.entries) - 1
-    )
+    picks = np.minimum(np.searchsorted(cumulative, uniforms, side="right"), cumulative.size - 1)
 
-    q_index, pointer_index = np.array([(e.q_index, e.pointer_index) for e in dist.entries]).T
+    q_index, pointer_index = np.divmod(np.arange(cumulative.size), model.n_outcomes + 2)
     fields = [("q_outcome", np.int64), ("pointer_outcome", np.int64), ("case1", bool)]
     records = np.empty(n_trials, dtype=fields)
     records["q_outcome"] = q_index[picks]
@@ -138,5 +122,7 @@ def sample_trials(
 
     estimate = case1_count / n_trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / n_trials)
-    report = EstimateReport(t, n_trials, case1_count, estimate, std_error, exact)
+    report = EstimateReport(
+        t, n_trials, case1_count, estimate, std_error, dist.matched_probability()
+    )
     return records, report

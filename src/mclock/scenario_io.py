@@ -41,9 +41,9 @@ log = logging.getLogger(__name__)
 COEFF_NORM_SLACK = 1e-3
 
 # Resource limits; a scenario beyond one is an input error, not an
-# out-of-memory kill. ``check`` and ``sample`` build the dense happened
-# projector, of side n (n + 1), and peak near 440 MB at n = 50; at the grid
-# and trial limits ``run`` peaks near 300 MB and ``sample`` near 430 MB.
+# out-of-memory kill. Only ``check`` builds the dense happened projector, of
+# side n (n + 1), and peaks near 440 MB at n = 50; at the grid and trial
+# limits ``run`` peaks near 300 MB and ``sample`` near 430 MB.
 MAX_OUTCOMES = 50
 MAX_GRID_POINTS = 1_000_000
 MAX_TRIALS = 10_000_000
@@ -77,16 +77,37 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
+@dataclass(frozen=True)
+class _LongInt:
+    """An integer literal too long for int(); the field checks reject it by name."""
+
+    digits: int
+
+
+def _parse_int(token: str):
+    try:
+        return int(token)
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return _LongInt(len(token.lstrip("-")))
+
+
 def _as_number(value, field: str) -> float:
+    if isinstance(value, _LongInt):
+        raise ParseError(f"integer literal of {value.digits} digits is too long", field=field)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"expected a number, got {type(value).__name__}", field=field)
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ParseError("number must be finite", field=field)
     return out
 
 
 def _as_int(value, field: str) -> int:
+    if isinstance(value, _LongInt):
+        raise ParseError(f"integer literal of {value.digits} digits is too long", field=field)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"expected an integer, got {type(value).__name__}", field=field)
     return value
@@ -104,7 +125,7 @@ def _as_object(value, field: str, allowed: set[str]) -> dict:
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse and validate one scenario document."""
     try:
-        data = json.loads(text, parse_constant=_reject_constant)
+        data = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
 
@@ -126,6 +147,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
     g = _as_number(data["g"], "g")
     if not g > 0:
         raise ValidationError(f"g must be positive, got {g}")
+    if not 0.0 < math.pi / (2.0 * g) < math.inf:
+        raise ValidationError(f"g = {g} gives no finite, positive nominal duration pi/(2g)")
 
     epsilon = _as_number(data.get("epsilon", 0.0), "epsilon")
     if not 0.0 <= epsilon < 1.0:

@@ -133,7 +133,7 @@ def test_c5_operational_equivalence_exact():
             model = random_frame_model(rng, n, extra_apparatus=kind - 2)
         psi = haar_state(rng, model.joint_dims)
         dist = joint_distribution(model, psi)
-        assert abs(sum(e.probability for e in dist.entries) - 1.0) < 1e-10
+        assert abs(dist.probabilities.sum() - 1.0) < 1e-10
         err = abs(dist.matched_probability() - happened_probability(model, psi))
         worst = max(worst, err)
         assert err < 1e-10

@@ -1,12 +1,17 @@
+import contextlib
 import json
 import math
 import os
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mclock.cli as cli
 from mclock import NumericalError
+from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -165,6 +170,13 @@ class TestCheck:
         assert cli.main(["check", str(scenario)]) == 2
         assert "grid.points" in capsys.readouterr().err
 
+    def test_coarse_step_beyond_float_range(self, tmp_path):
+        # h^2 exceeds the float range, so the tolerance widening g^3 h^2 is inf.
+        scenario = write_scenario(
+            tmp_path / "s.json", grid={"t0": -4.3e155, "t1": 1.5707963267948966, "points": 33}
+        )
+        assert cli.main(["check", str(scenario)]) in (0, 2, 3, 4)
+
     def test_large_coupling_passes(self, tmp_path, capsys):
         # At g = 1e6 the spectral residual is ~1e-10 in absolute terms, well
         # within the tolerance relative to the size of H.
@@ -188,6 +200,113 @@ class TestInputErrors:
         scenario = write_scenario(tmp_path / "s.json", c=[[1e308, 0.0], [0.0, 0.0]])
         assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
         assert "coefficients c" in capsys.readouterr().err
+
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "s.json", g=10**400)
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "field 'g'" in capsys.readouterr().err
+
+    def test_integer_literal_beyond_digit_limit(self, tmp_path, capsys):
+        # json.dumps cannot render it either, so the literal is spliced in.
+        scenario = write_scenario(tmp_path / "s.json", g=123456789)
+        scenario.write_text(scenario.read_text().replace("123456789", "1" + "0" * 5000))
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "field 'g'" in capsys.readouterr().err
+
+    def test_coupling_with_infinite_duration(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "s.json", g=5e-324)
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "g = 5e-324" in capsys.readouterr().err
+
+    def test_grid_span_beyond_float_range(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "s.json", grid={"t0": -1e308, "t1": 1e308})
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
+        assert cli.main(["check", str(scenario)]) == 2
+        assert "grid span inf" in capsys.readouterr().err
+
+
+# Numbers, weighted towards the edges of the float range and integers far
+# beyond it, so that many mutated documents still reach the numerics.
+NUMBERS = (
+    st.floats() | st.floats(-4.0, 4.0) | st.integers(-3, 80)
+    | st.integers(-(10**600), 10**600)
+    | st.sampled_from([5e-324, 1e-300, 1e300, 1e308, -1e308, 10**400])
+)
+# Any JSON value.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=8) | NUMBERS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=8,
+)
+# Places a mutation can reach in the base documents; "extra" is an unknown key.
+PATHS = [
+    ("model",), ("n",), ("g",), ("epsilon",), ("c",), ("c", 0), ("c", 1, 0), ("grid",),
+    ("grid", "t0"), ("grid", "t1"), ("grid", "points"), ("sampling",), ("sampling", "t"),
+    ("sampling", "trials"), ("sampling", "seed"), ("extra",),
+]
+DELETE = object()
+# Sizes the contract admits but that would make one example take seconds.
+CAPS = [(("n",), 8, MAX_OUTCOMES), (("grid", "points"), 64, MAX_GRID_POINTS),
+        (("sampling", "trials"), 2000, MAX_TRIALS)]
+
+
+def _base_document(model: str) -> dict:
+    c = 1 / math.sqrt(3)
+    doc = {
+        "model": model, "n": 3, "g": 1.0, "c": [[c, 0.0], [0.0, c], [c, 0.0]],
+        "grid": {"t0": 0.0, "t1": 1.5707963267948966, "points": 33},
+        "sampling": {"t": 0.7853981633974483, "trials": 500, "seed": 3},
+    }
+    if model == "imperfect":
+        doc["epsilon"] = 0.2
+    return doc
+
+
+def _container(doc, path):
+    """The object holding path[-1], or None if an earlier mutation removed the route."""
+    for key in path[:-1]:
+        try:
+            doc = doc[key]
+        except (KeyError, IndexError, TypeError):
+            return None
+    return doc
+
+
+def _mutate(doc: dict, mutations) -> dict:
+    for path, value in mutations:
+        holder, key = _container(doc, path), path[-1]
+        if isinstance(holder, dict) and value is DELETE:
+            holder.pop(key, None)
+        elif value is not DELETE:
+            with contextlib.suppress(IndexError, TypeError):  # no such slot any more
+                holder[key] = value
+    for path, cap, limit in CAPS:
+        holder, key = _container(doc, path), path[-1]
+        value = holder.get(key) if isinstance(holder, dict) else None
+        if type(value) is int and cap < value <= limit:
+            holder[key] = cap
+    return doc
+
+
+class TestContractProperty:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(
+        model=st.sampled_from(["rotation", "imperfect"]),
+        mutations=st.lists(
+            st.tuples(st.sampled_from(PATHS), NUMBERS | JSON_VALUES | st.just(DELETE)),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_any_document_exits_within_contract(self, model, mutations):
+        doc = _mutate(_base_document(model), mutations)
+        with tempfile.TemporaryDirectory() as tmp:
+            scenario = os.path.join(tmp, "s.json")
+            with open(scenario, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            for command in ("run", "check", "sample"):
+                out = [] if command == "check" else ["--out", os.path.join(tmp, "o.csv")]
+                assert cli.main([command, scenario] + out) in (0, 2, 3, 4)
 
 
 class TestAtomicWrite:

@@ -40,6 +40,8 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, 1)
         with pytest.raises(InvalidParameter):
             TimeGrid(1.0, 1.0, 10)
+        with pytest.raises(InvalidParameter):  # the span overflows to inf
+            TimeGrid(-1e308, 1e308, 10)
 
 
 class TestEvolve:
@@ -209,6 +211,11 @@ class TestTimingTrajectoryInvariants:
         grid = TimeGrid(0.0, 1.0, 2)
         with pytest.raises(NumericalError):
             TimingTrajectory(grid, np.array([0.0, 1.5]), np.zeros(2))
+
+    def test_rejects_nan_probability(self):
+        grid = TimeGrid(0.0, 1.0, 2)
+        with pytest.raises(NumericalError):
+            TimingTrajectory(grid, np.array([0.0, np.nan]), np.zeros(2))
 
     def test_rejects_length_mismatch(self):
         grid = TimeGrid(0.0, 1.0, 3)

@@ -20,6 +20,7 @@ from mclock import (
     tensor_operator,
     tensor_state,
 )
+from mclock.hilbert import check_unit_norm, expectations
 
 SQ2 = 1 / math.sqrt(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -36,6 +37,10 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(NumericalError):
             StateVector((2,), [1.0, 1.0])
+
+    def test_rejects_nan_norm(self):
+        with pytest.raises(NumericalError):
+            check_unit_norm(np.array([np.nan, 0.0]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -166,6 +171,11 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expectation(identity_operator((3,)), basis_state(2, 0))
+
+    def test_nan_imaginary_part_raises(self):
+        column = np.array([[1.0], [complex(0.0, np.nan)]])
+        with pytest.raises(NumericalError):
+            expectations(HermitianOperator((2,), SZ), column)
 
 
 class TestCommutator:

@@ -28,7 +28,7 @@ class TestJointDistribution:
     def test_ready_state_all_mass_on_ready_pointer(self):
         model = build_rotation_model(2, 1.0)
         dist = joint_distribution(model, balanced_start(model))
-        ready_mass = sum(e.probability for e in dist.entries if e.pointer_index == 0)
+        ready_mass = dist.probabilities[:, 0].sum()
         assert ready_mass == pytest.approx(1.0, abs=1e-12)
         assert dist.matched_probability() == pytest.approx(0.0, abs=1e-12)
 
@@ -37,9 +37,8 @@ class TestJointDistribution:
         psi_t = evolve(model.interaction_hamiltonian, balanced_start(model),
                        model.nominal_duration)
         dist = joint_distribution(model, psi_t)
-        by_pair = {(e.q_index, e.pointer_index): e.probability for e in dist.entries}
-        assert by_pair[(0, 1)] == pytest.approx(0.5, abs=1e-12)
-        assert by_pair[(1, 2)] == pytest.approx(0.5, abs=1e-12)
+        assert dist.probabilities[0, 1] == pytest.approx(0.5, abs=1e-12)
+        assert dist.probabilities[1, 2] == pytest.approx(0.5, abs=1e-12)
         assert dist.matched_probability() == pytest.approx(1.0, abs=1e-12)
 
     def test_half_way_point(self):
@@ -55,7 +54,7 @@ class TestJointDistribution:
             model = random_frame_model(rng, n, extra_apparatus=int(rng.integers(0, 3)))
             psi = haar_state(rng, model.joint_dims)
             dist = joint_distribution(model, psi)
-            total = sum(e.probability for e in dist.entries)
+            total = dist.probabilities.sum()
             assert abs(total - 1.0) < 1e-10
             assert abs(
                 dist.matched_probability() - happened_probability(model, psi)
@@ -66,7 +65,7 @@ class TestJointDistribution:
         model = random_frame_model(rng, 2, extra_apparatus=2)
         psi = haar_state(rng, model.joint_dims)
         dist = joint_distribution(model, psi)
-        residual = sum(e.probability for e in dist.entries if e.pointer_index == 3)
+        residual = dist.probabilities[:, 3].sum()
         assert residual > 1e-3  # a Haar state leaks outside the pointer frame
 
 
