@@ -6,22 +6,24 @@ tolerance. ``evolve`` takes any Hamiltonian on the joint space and
 diagonalises it whole. A measurement model's own H = sum_i |a_i><a_i| (x) H_i
 never mixes system branches, so ``trajectory`` and ``evolve_branches`` split
 the state into its branches and evolve each under its apparatus Hamiltonian
-H_i. Trajectories evaluate the grid in blocks of points, because one
-dimension x points array for the whole grid would dominate peak memory.
+H_i. All three run one stacked kernel over the branches: the coefficients in
+each eigenbasis are computed once per call, and each distinct eigenvalue is
+exponentiated once per time. Trajectories evaluate the grid in blocks of
+points, because one dimension x points array would dominate peak memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
 from .hilbert import (
-    HermitianOperator, SpectralDecomposition, StateVector, check_unit_norm, commutator,
-    expectations, projector_onto, spectral,
+    HermitianOperator, SpectralDecomposition, StateVector, check_unit_norm, expectations,
+    spectral,
 )
 from .tolerances import TOL
 
@@ -85,28 +87,36 @@ class TimingTrajectory:
         object.__setattr__(self, "rate", rate)
 
 
-def _propagate(dec: SpectralDecomposition, amplitudes: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Amplitude columns exp(-iHt) amplitudes, one per entry of times."""
-    coeffs = dec.eigenvectors.conj().T @ amplitudes
-    phases = np.exp(-1j * np.multiply.outer(dec.eigenvalues, times))
-    return dec.eigenvectors @ (phases * coeffs[:, None])
+def _propagator(decs: Sequence[SpectralDecomposition], amplitudes: np.ndarray):
+    """Map times to the (n, d, k) exp(-i H_b t) amplitudes[b]; one exp per distinct eigenvalue."""
+    vecs = np.stack([dec.eigenvectors for dec in decs])
+    eigenvalues = np.stack([dec.eigenvalues for dec in decs])
+    levels, index = np.unique(eigenvalues, return_inverse=True)
+    index = index.reshape(eigenvalues.shape)
+    coeffs = vecs.conj().transpose(0, 2, 1) @ amplitudes[..., None]
+
+    def at(times: np.ndarray) -> np.ndarray:
+        phases = -1j * np.multiply.outer(levels, times)
+        amps = np.exp(phases, out=phases)[index]
+        amps *= coeffs
+        return vecs @ amps
+
+    return at
 
 
 def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
     """exp(-iHt) psi0 via the spectral decomposition of H."""
     if hamiltonian.dims != psi0.dims:
         raise DimensionMismatch(f"H dims {hamiltonian.dims} != state dims {psi0.dims}")
-    amps = _propagate(spectral(hamiltonian), psi0.amplitudes, np.array([t]))
-    return StateVector(psi0.dims, amps[:, 0])
+    amps = _propagator([spectral(hamiltonian)], psi0.amplitudes[None])(np.array([t]))
+    return StateVector(psi0.dims, amps[0, :, 0])
 
 
 def evolve_branches(model: MeasurementModel, psi0: StateVector, t: float) -> StateVector:
     """exp(-iHt) psi0 for the model's own H, each branch evolved under its H_i."""
-    branches = [
-        _propagate(spectral(h_i), chi_i, np.array([t]))[:, 0]
-        for h_i, chi_i in zip(model.branch_hamiltonians, model.branch_components(psi0))
-    ]
-    return StateVector(psi0.dims, model.system_frame @ np.array(branches))
+    decs = [spectral(h_i) for h_i in model.branch_hamiltonians]
+    branches = _propagator(decs, model.branch_components(psi0))(np.array([t]))
+    return StateVector(psi0.dims, model.system_frame @ branches[:, :, 0])
 
 
 def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> TimingTrajectory:
@@ -116,28 +126,24 @@ def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> Ti
     P = sum_i |<o_i|phi_i>|^2 and p = sum_i <phi_i| i[H_i, |o_i><o_i|] |phi_i>.
     One spectral decomposition per H_i is reused for all points, so there
     is no error accumulation between samples. Points are evaluated in
-    blocks of at most BLOCK_AMPLITUDES joint amplitudes, each state checked
-    for unit norm.
+    blocks of at most BLOCK_AMPLITUDES joint amplitudes, all branches at
+    once, each state checked for unit norm.
     """
-    components = model.branch_components(psi0)
     decs = [spectral(h_i) for h_i in model.branch_hamiltonians]
-    happened_ops = [projector_onto([o_i]) for o_i in model.pointer_states]
-    rate_ops = [
-        HermitianOperator(h_i.dims, 1j * commutator(h_i, m_i))
-        for h_i, m_i in zip(model.branch_hamiltonians, happened_ops)
-    ]
+    propagate = _propagator(decs, model.branch_components(psi0))
+    h = np.stack([h_i.matrix for h_i in model.branch_hamiltonians])
+    pointers = np.stack([o_i.amplitudes for o_i in model.pointer_states])[..., None]
+    happened = pointers @ pointers.conj().transpose(0, 2, 1)
+    # ops[0, i] = |o_i><o_i| and ops[1, i] = i[H_i, |o_i><o_i|].
+    ops = np.stack([happened, 1j * (h @ happened - happened @ h)])
 
     times = grid.times
-    prob = np.zeros(times.size)
-    rate = np.zeros(times.size)
+    prob = np.empty(times.size)
+    rate = np.empty(times.size)
     block = max(1, BLOCK_AMPLITUDES // psi0.dim)
     for start in range(0, times.size, block):
         points = slice(start, start + block)
-        branches = np.stack(
-            [_propagate(dec, chi_i, times[points]) for dec, chi_i in zip(decs, components)]
-        )
+        branches = propagate(times[points])
         check_unit_norm(branches.reshape(psi0.dim, -1))
-        for phi_i, m_i, r_i in zip(branches, happened_ops, rate_ops):
-            prob[points] += expectations(m_i, phi_i)
-            rate[points] += expectations(r_i, phi_i)
+        prob[points], rate[points] = expectations(ops, branches).sum(axis=1)
     return TimingTrajectory(grid, prob, rate)

@@ -47,7 +47,7 @@ def check_unit_norm(amplitudes: np.ndarray) -> None:
 def check_orthonormal(columns: np.ndarray, error: type[MClockError], what: str) -> None:
     """Raise ``error`` unless the columns are orthonormal within TOL.orthonormality."""
     dev = float(np.max(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1]))))
-    if dev > TOL.orthonormality:
+    if not dev <= TOL.orthonormality:  # NaN fails too
         raise error(f"{what} not orthonormal (Gram deviation {dev:.3e})")
 
 
@@ -90,7 +90,7 @@ class HermitianOperator:
                 f"matrix shape {mat.shape} != ({side}, {side}) for dims {dims}"
             )
         dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if dev > TOL.hermiticity:
+        if not dev <= TOL.hermiticity:  # NaN fails too
             raise NumericalError(
                 f"matrix deviates from self-adjointness by {dev:.3e} (> {TOL.hermiticity})"
             )
@@ -162,15 +162,17 @@ def projector_onto(states: Sequence[StateVector]) -> HermitianOperator:
     return HermitianOperator(dims, v @ v.conj().T)
 
 
-def expectations(a: HermitianOperator, columns: np.ndarray) -> np.ndarray:
+def expectations(a: HermitianOperator | np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Real expectation values <psi_k|A|psi_k>, one per amplitude column psi_k.
 
-    The imaginary parts must vanish within tolerance; they are checked and
-    discarded.
+    ``a`` is a HermitianOperator, or a stack of matrices (..., d, d) applied
+    to columns (..., d, k). Every imaginary part must vanish within
+    tolerance; they are checked and discarded.
     """
-    if columns.shape[0] != a.dim:
-        raise DimensionMismatch(f"operator dim {a.dim} != state dim {columns.shape[0]}")
-    vals = np.einsum("ij,ij->j", columns.conj(), a.matrix @ columns)
+    matrix = a.matrix if isinstance(a, HermitianOperator) else a
+    if columns.shape[-2] != matrix.shape[-1]:
+        raise DimensionMismatch(f"operator {matrix.shape} cannot act on columns {columns.shape}")
+    vals = np.einsum("...ij,...ij->...j", columns.conj(), matrix @ columns)
     imag = float(np.max(np.abs(vals.imag)))
     if not imag <= TOL.expectation_imag:  # NaN fails too
         raise NumericalError(f"expectation has imaginary part {imag:.3e}")
@@ -204,6 +206,6 @@ def spectral(a: HermitianOperator) -> SpectralDecomposition:
         raise EigensolverFailure(f"eigensolver did not converge: {exc}") from exc
     recon_dev = float(np.max(np.abs((v * w) @ v.conj().T - a.matrix)))
     tol = TOL.spectral * max(1.0, float(np.max(np.abs(a.matrix))))
-    if recon_dev > tol:
+    if not recon_dev <= tol:  # NaN fails too
         raise EigensolverFailure(f"spectral reconstruction off by {recon_dev:.3e} (> {tol:.3e})")
     return SpectralDecomposition(w, v)

@@ -141,6 +141,8 @@ def _build_canonical_model(n: int, couplings: np.ndarray, g: float) -> Measureme
     )
 
     duration = math.pi / (2.0 * g)
+    if not (math.isfinite(duration) and duration > 0):
+        raise InvalidParameter(f"coupling {g} gives nominal duration {duration}, not finite > 0")
     # Each branch rotates by couplings[i] * duration; worst branch sets the fidelity.
     fidelity = float(min(math.sin(c * duration) ** 2 for c in couplings))
     return MeasurementModel(

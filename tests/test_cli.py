@@ -177,11 +177,27 @@ class TestCheck:
         )
         assert cli.main(["check", str(scenario)]) in (0, 2, 3, 4)
 
+    def test_vacuous_derivative_tolerance_fails(self, tmp_path, capsys):
+        # Neither tolerance is below the largest error any curve can have on
+        # its grid (max|dP/dt| + max|p|), so the identity is not tested: the
+        # widened tolerance is inf on the first grid, and the fixed 1e-4
+        # exceeds P and p (~4e-5) on the second.
+        for grid, cause in (
+            ({"t0": -4.3e155, "t1": 1.0, "points": 33}, "step is too coarse"),
+            ({"t0": 0.0, "t1": 1e-5, "points": 33}, "curves are too small"),
+        ):
+            scenario = write_scenario(tmp_path / "s.json", grid=grid)
+            assert cli.main(["check", str(scenario)]) == 4
+            err = capsys.readouterr().err
+            assert "derivative identity: FAILED" in err and cause in err
+
     def test_large_coupling_passes(self, tmp_path, capsys):
         # At g = 1e6 the spectral residual is ~1e-10 in absolute terms, well
-        # within the tolerance relative to the size of H.
+        # within the tolerance relative to the size of H. The grid spans the
+        # nominal duration pi/(2g), so the derivative identity is tested too.
         doc = json.loads((SCENARIOS / "imperfect.json").read_text())
         doc["g"] = 1e6
+        doc["grid"]["t1"] = math.pi / 2e6
         scenario = tmp_path / "s.json"
         scenario.write_text(json.dumps(doc))
         assert cli.main(["check", str(scenario)]) == 0

@@ -137,18 +137,23 @@ class TestTrajectory:
     def test_blocks_match_per_point_evolution(self):
         # Enough points to cross three block boundaries, with a one-point
         # final block; every point must agree with evolving to it alone
-        # under the dense joint H.
+        # under the dense joint H. The random frame's 32 branch eigenvalues
+        # take 30 distinct float values; the imperfect model's 30 take five,
+        # so most of its phases are gathered from another branch's level.
         rng = np.random.default_rng(11)
-        model = random_frame_model(rng, 4, extra_apparatus=3)
-        h = model.interaction_hamiltonian
-        psi0 = haar_state(rng, model.joint_dims)
-        grid = TimeGrid(0.0, 3.0, 3 * (BLOCK_AMPLITUDES // psi0.dim) + 1)
-        rate_op = rate_operator(model, h)
-        traj = trajectory(model, psi0, grid)
-        for k, t in enumerate(grid.times):
-            psi_t = evolve(h, psi0, t)
-            assert abs(traj.prob_happened[k] - happened_probability(model, psi_t)) < 1e-14
-            assert abs(traj.rate[k] - expectation(rate_op, psi_t)) < 1e-14
+        for model in (
+            random_frame_model(rng, 4, extra_apparatus=3),
+            build_imperfect_model(5, 1.0, 0.1),
+        ):
+            h = model.interaction_hamiltonian
+            psi0 = haar_state(rng, model.joint_dims)
+            grid = TimeGrid(0.0, 3.0, 3 * (BLOCK_AMPLITUDES // psi0.dim) + 1)
+            rate_op = rate_operator(model, h)
+            traj = trajectory(model, psi0, grid)
+            for k, t in enumerate(grid.times):
+                psi_t = evolve(h, psi0, t)
+                assert abs(traj.prob_happened[k] - happened_probability(model, psi_t)) < 1e-14
+                assert abs(traj.rate[k] - expectation(rate_op, psi_t)) < 1e-14
 
     def test_matches_series_oracle_on_entangled_state(self):
         # A Haar psi0 entangles system and apparatus and leaks outside the
@@ -204,6 +209,10 @@ class TestTrajectory:
         tilted = HermitianOperator((dim,), 4.5e-13j * np.ones((dim, dim)))
         with pytest.raises(NumericalError, match="imaginary"):
             expectations(tilted, psi0)
+        # A stack in which only the second branch has the imaginary part.
+        stack = np.stack([np.zeros((dim, dim)), tilted.matrix])
+        with pytest.raises(NumericalError, match="imaginary"):
+            expectations(stack, np.stack([psi0, psi0]))
 
 
 class TestTimingTrajectoryInvariants:

@@ -6,6 +6,7 @@ import pytest
 from conftest import haar_state, haar_unitary, random_hermitian
 from mclock import (
     DimensionMismatch,
+    EigensolverFailure,
     HermitianOperator,
     InvalidParameter,
     NonOrthonormalInput,
@@ -20,7 +21,7 @@ from mclock import (
     tensor_operator,
     tensor_state,
 )
-from mclock.hilbert import check_unit_norm, expectations
+from mclock.hilbert import check_orthonormal, check_unit_norm, expectations
 
 SQ2 = 1 / math.sqrt(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -64,6 +65,10 @@ class TestHermitianOperator:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             HermitianOperator((2,), np.zeros((2, 3)))
+
+    def test_rejects_nan_entry(self):
+        with pytest.raises(NumericalError):
+            HermitianOperator((2,), [[np.nan, 0], [0, 0]])
 
     def test_identity(self):
         assert np.array_equal(identity_operator((2, 2)).matrix, np.eye(4))
@@ -133,6 +138,10 @@ class TestProjector:
     def test_rejects_empty(self):
         with pytest.raises(InvalidParameter):
             projector_onto([])
+
+    def test_gram_check_rejects_nan_column(self):
+        with pytest.raises(NonOrthonormalInput):
+            check_orthonormal(np.array([[np.nan], [0.0]]), NonOrthonormalInput, "columns")
 
     def test_idempotent_hermitian_property(self):
         rng = np.random.default_rng(23)
@@ -214,3 +223,9 @@ class TestSpectral:
             dec = spectral(HermitianOperator((d,), mat))
             recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
             assert np.max(np.abs(recon - mat)) < 1e-10
+
+    def test_rejects_nan_reconstruction(self):
+        # Finite and Hermitian, but its eigenvalue 2e308 overflows to inf and
+        # the reconstruction (inf * 0 in a complex product) is NaN.
+        with pytest.raises(EigensolverFailure), np.errstate(all="ignore"):
+            spectral(HermitianOperator((2,), np.full((2, 2), 1e308)))

@@ -43,6 +43,14 @@ class TestRotationModel:
         with pytest.raises(InvalidParameter):
             build_rotation_model(2, 0.0)
 
+    def test_rejects_coupling_without_finite_duration(self):
+        # pi/(2g) is inf at g = 5e-324 and 0 at g = 1e308.
+        for g in (5e-324, 1e308):
+            with pytest.raises(InvalidParameter, match="nominal duration"):
+                build_rotation_model(2, g)
+            with pytest.raises(InvalidParameter, match="nominal duration"):
+                build_imperfect_model(2, g, 0.1)
+
     def test_nominal_duration(self):
         assert build_rotation_model(3, 2.0).nominal_duration == pytest.approx(math.pi / 4)
 
