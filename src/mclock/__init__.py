@@ -21,12 +21,9 @@ from .hilbert import (
     HermitianOperator,
     StateVector,
     basis_state,
-    commutator,
     expectation,
-    identity_operator,
     projector_onto,
     spectral,
-    tensor_operator,
     tensor_state,
 )
 from .measurement import (
@@ -47,7 +44,6 @@ from .scenario_io import (
     emit_trajectory_csv,
     initial_state,
     parse_scenario,
-    serialize_scenario,
 )
 from .tolerances import TOL
 
@@ -66,12 +62,9 @@ __all__ = [
     "StateVector",
     "HermitianOperator",
     "basis_state",
-    "identity_operator",
     "tensor_state",
-    "tensor_operator",
     "projector_onto",
     "expectation",
-    "commutator",
     "spectral",
     "TimeGrid",
     "TimingTrajectory",
@@ -89,7 +82,6 @@ __all__ = [
     "joint_distribution",
     "sample_trials",
     "parse_scenario",
-    "serialize_scenario",
     "emit_trajectory_csv",
     "emit_sampling_csv",
     "build_model",

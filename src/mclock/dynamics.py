@@ -81,6 +81,8 @@ class TimingTrajectory:
         slack = TOL.trajectory_prob
         if not np.all((prob >= -slack) & (prob <= 1.0 + slack)):  # NaN fails too
             raise NumericalError("probability curve leaves [0, 1] beyond tolerance")
+        if not np.all(np.isfinite(rate)):
+            raise NumericalError("rate curve is not finite")
         prob.setflags(write=False)
         rate.setflags(write=False)
         object.__setattr__(self, "prob_happened", prob)

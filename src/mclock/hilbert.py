@@ -114,7 +114,7 @@ class SpectralDecomposition:
         v = np.array(self.eigenvectors, dtype=np.complex128)
         if v.shape != (w.size, w.size):
             raise DimensionMismatch(f"eigenvector matrix {v.shape} does not match {w.size} eigenvalues")
-        if np.any(np.diff(w) < 0):
+        if not np.all(np.diff(w) >= 0):  # NaN fails too
             raise NumericalError("eigenvalues must be in ascending order")
         check_orthonormal(v, NumericalError, "eigenvector matrix")
         object.__setattr__(self, "eigenvalues", _freeze(w))
@@ -130,20 +130,9 @@ def basis_state(dim: int, index: int) -> StateVector:
     return StateVector((dim,), amps)
 
 
-def identity_operator(dims: Sequence[int]) -> HermitianOperator:
-    """Identity on the space with the given factor dimensions."""
-    dims = _as_dims(dims)
-    return HermitianOperator(dims, np.eye(math.prod(dims), dtype=np.complex128))
-
-
 def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of two states; a's indices vary slowest."""
     return StateVector(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
-
-
-def tensor_operator(a: HermitianOperator, b: HermitianOperator) -> HermitianOperator:
-    """Kronecker product of two Hermitian operators, same index convention as tensor_state."""
-    return HermitianOperator(a.dims + b.dims, np.kron(a.matrix, b.matrix))
 
 
 def projector_onto(states: Sequence[StateVector]) -> HermitianOperator:
@@ -184,13 +173,6 @@ def expectation(a: HermitianOperator, psi: StateVector) -> float:
     if a.dims != psi.dims:
         raise DimensionMismatch(f"operator dims {a.dims} != state dims {psi.dims}")
     return float(expectations(a, psi.amplitudes[:, None])[0])
-
-
-def commutator(a: HermitianOperator, b: HermitianOperator) -> np.ndarray:
-    """AB - BA as a plain matrix (anti-Hermitian for Hermitian inputs)."""
-    if a.dims != b.dims:
-        raise DimensionMismatch(f"operator dims {a.dims} != {b.dims}")
-    return a.matrix @ b.matrix - b.matrix @ a.matrix
 
 
 def spectral(a: HermitianOperator) -> SpectralDecomposition:

@@ -5,10 +5,13 @@ apparatus whose pointer moves from a ready state into one of n orthogonal
 pointer states. Every model is a von Neumann premeasurement,
 H = sum_i |a_i><a_i| (x) H_i, and is stored as its branch Hamiltonians H_i
 on the apparatus space; the dense joint H is built only on demand. The
-projector onto the perfectly correlated system-pointer subspace answers
+projector M onto the perfectly correlated system-pointer subspace answers
 "has the measurement happened" (eigenvalue 1 = yes); its expectation in
 psi(t) is the probability that it has happened by time t, and i[H, .] of
-it gives the time density of the happening.
+it gives the time density of the happening. On system branch i, M is
+|pointer_i><pointer_i|, so P, p and ``check``'s projector check are computed
+in branch form; ``happened_projector`` and ``rate_operator`` build M and
+i[H, M] as dense joint-space operators, for tests with arbitrary H.
 """
 
 from __future__ import annotations
@@ -19,16 +22,17 @@ from functools import cached_property
 
 import numpy as np
 
-from .dynamics import evolve
+from .dynamics import _propagator
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
 from .hilbert import (
     HermitianOperator,
     StateVector,
     basis_state,
     check_orthonormal,
-    commutator,
+    check_unit_norm,
     expectation,
     projector_onto,
+    spectral,
     tensor_state,
 )
 from .tolerances import TOL
@@ -216,7 +220,8 @@ def rate_operator(model: MeasurementModel, hamiltonian: HermitianOperator) -> He
     m = happened_projector(model)
     if hamiltonian.dims != m.dims:
         raise DimensionMismatch(f"H dims {hamiltonian.dims} != joint dims {m.dims}")
-    return HermitianOperator(m.dims, 1j * commutator(hamiltonian, m))
+    h = hamiltonian.matrix
+    return HermitianOperator(m.dims, 1j * (h @ m.matrix - m.matrix @ h))
 
 
 def happened_probability(model: MeasurementModel, psi: StateVector) -> float:
@@ -244,15 +249,17 @@ def premeasurement_check(model: MeasurementModel) -> PremeasurementReport:
 
     Reports |<a_i, pointer_i | psi(T)>|^2 per outcome plus the worst
     deviation from 1. H keeps the system in |a_i>, so this is the overlap
-    of pointer_i with |ready> evolved under H_i alone. Diagnostic only: it
-    never raises on a bad model.
+    of pointer_i with |ready> evolved under H_i alone, all branches at once.
+    Diagnostic only: it never raises on a bad model.
     """
-    fidelities = []
-    for h_i, o_i in zip(model.branch_hamiltonians, model.pointer_states):
-        evolved = evolve(h_i, model.pointer_ready, model.nominal_duration)
-        overlap = np.vdot(o_i.amplitudes, evolved.amplitudes)
-        fidelities.append(float(abs(overlap) ** 2))
-    return PremeasurementReport(tuple(fidelities), max(1.0 - f for f in fidelities))
+    decs = [spectral(h_i) for h_i in model.branch_hamiltonians]
+    ready = np.tile(model.pointer_ready.amplitudes, (model.n_outcomes, 1))
+    evolved = _propagator(decs, ready)(np.array([model.nominal_duration]))
+    check_unit_norm(evolved[..., 0].T)
+    pointers = np.stack([o_i.amplitudes for o_i in model.pointer_states])
+    overlaps = pointers.conj()[:, None, :] @ evolved
+    fidelities = tuple(float(f) for f in np.abs(overlaps.ravel()) ** 2)
+    return PremeasurementReport(fidelities, max(1.0 - f for f in fidelities))
 
 
 @dataclass(frozen=True, eq=False)

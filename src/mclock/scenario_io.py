@@ -41,9 +41,10 @@ log = logging.getLogger(__name__)
 COEFF_NORM_SLACK = 1e-3
 
 # Resource limits; a scenario beyond one is an input error, not an
-# out-of-memory kill. Only ``check`` builds the dense happened projector, of
-# side n (n + 1), and peaks near 440 MB at n = 50; at the grid and trial
-# limits ``run`` peaks near 300 MB and ``sample`` near 430 MB.
+# out-of-memory kill. No command builds a joint-space matrix; at n = 50
+# (imperfect model, 2001 points, 1e5 trials) ``run`` and ``check`` peak near
+# 50 MB and ``sample`` near 45 MB. At the grid and trial limits ``run`` peaks
+# near 300 MB and ``sample`` near 430 MB.
 MAX_OUTCOMES = 50
 MAX_GRID_POINTS = 1_000_000
 MAX_TRIALS = 10_000_000
@@ -212,30 +213,6 @@ def parse_scenario(text: str) -> ScenarioSpec:
         sampling = SamplingSpec(t, trials, seed)
 
     return ScenarioSpec(model_kind, n, g, epsilon, tuple(coeffs), grid, sampling)
-
-
-def serialize_scenario(spec: ScenarioSpec) -> str:
-    """Render a spec back to scenario JSON (parse round-trips to an equal spec)."""
-    doc: dict = {
-        "model": spec.model_kind,
-        "n": spec.n_outcomes,
-        "g": spec.coupling_g,
-    }
-    if spec.model_kind == "imperfect":
-        doc["epsilon"] = spec.epsilon
-    doc["c"] = [[z.real, z.imag] for z in spec.initial_coefficients]
-    doc["grid"] = {
-        "t0": spec.grid.t_start,
-        "t1": spec.grid.t_end,
-        "points": spec.grid.n_points,
-    }
-    if spec.sampling is not None:
-        doc["sampling"] = {
-            "t": spec.sampling.t,
-            "trials": spec.sampling.n_trials,
-            "seed": spec.sampling.seed,
-        }
-    return json.dumps(doc, indent=2) + "\n"
 
 
 def build_model(spec: ScenarioSpec) -> MeasurementModel:

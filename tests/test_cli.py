@@ -158,6 +158,31 @@ class TestCheck:
         assert results[0][0] == "premeasurement"
         assert results[0][1] is False
 
+    def test_non_orthonormal_pointer_fails_projector_check(self, tmp_path):
+        # The pointer frame is orthonormal within the model's 1e-10, but the
+        # happened projector misses idempotence by ~4e-11 > 1e-12. The branch
+        # check and the dense oracle M^2 - M must agree on which model fails.
+        import dataclasses
+
+        import numpy as np
+
+        from mclock import (
+            StateVector, build_rotation_model, happened_projector, initial_state, parse_scenario,
+        )
+
+        spec = parse_scenario(write_scenario(tmp_path / "s.json").read_text())
+        model = build_rotation_model(2, 1.0)
+        tilted = StateVector((3,), [0, 1 + 2e-11, 0])
+        bad = dataclasses.replace(model, pointer_states=(tilted, model.pointer_states[1]))
+        results = list(cli._run_checks(spec, 1.0, bad, initial_state(spec, bad)))
+        assert [(name, passed) for name, passed, _ in results[:2]] == [
+            ("premeasurement", True), ("projector idempotence", False)
+        ]
+        assert results[1][2] == "max |G - I| = 4.000e-11 (tol 1.000e-12)"
+        for m_model, fails in ((bad, True), (model, False)):
+            m = happened_projector(m_model).matrix
+            assert (float(np.max(np.abs(m @ m - m))) > 1e-12) is fails
+
     def test_two_point_grid_is_an_input_error(self, tmp_path, capsys):
         # run and sample accept two points; check needs an interior point.
         scenario = write_scenario(
@@ -202,6 +227,26 @@ class TestCheck:
         scenario.write_text(json.dumps(doc))
         assert cli.main(["check", str(scenario)]) == 0
         assert "all checks passed" in capsys.readouterr().out
+
+
+def test_no_command_builds_a_joint_space_operator(tmp_path, monkeypatch):
+    # Every command works in branch form: no operator on the n(n + 1)-sided
+    # joint space is constructed, whatever the scenario.
+    from mclock import HermitianOperator
+
+    original = HermitianOperator.__post_init__
+
+    def branch_only(self):
+        if len(self.dims) > 1:
+            raise AssertionError(f"joint-space operator {tuple(self.dims)}")
+        original(self)
+
+    monkeypatch.setattr(HermitianOperator, "__post_init__", branch_only)
+    out = str(tmp_path / "o.csv")
+    for name in ("rotation.json", "imperfect.json", "sampling.json"):
+        assert cli.main(["run", str(SCENARIOS / name), "--out", out]) == 0
+        assert cli.main(["check", str(SCENARIOS / name)]) == 0
+    assert cli.main(["sample", str(SCENARIOS / "sampling.json"), "--out", out]) == 0
 
 
 class TestInputErrors:

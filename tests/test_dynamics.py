@@ -18,7 +18,6 @@ from mclock import (
     evolve,
     expectation,
     happened_probability,
-    identity_operator,
     rate_operator,
     tensor_state,
     trajectory,
@@ -109,7 +108,8 @@ class TestTrajectory:
     def test_full_space_projector_gives_one(self):
         _, h, psi0 = _rotation_setup()
         states = _evolved_columns(h, psi0, TimeGrid(0.0, 1.0, 9).times)
-        assert np.allclose(expectations(identity_operator(h.dims), states), 1.0, atol=1e-12)
+        identity = HermitianOperator(h.dims, np.eye(6))
+        assert np.allclose(expectations(identity, states), 1.0, atol=1e-12)
 
     def test_zero_projector_gives_zero(self):
         _, h, psi0 = _rotation_setup()
@@ -225,6 +225,12 @@ class TestTimingTrajectoryInvariants:
         grid = TimeGrid(0.0, 1.0, 2)
         with pytest.raises(NumericalError):
             TimingTrajectory(grid, np.array([0.0, np.nan]), np.zeros(2))
+
+    def test_rejects_non_finite_rate(self):
+        grid = TimeGrid(0.0, 1.0, 2)
+        for rate in ([np.nan, 0.0], [0.0, np.inf]):
+            with pytest.raises(NumericalError):
+                TimingTrajectory(grid, np.array([0.0, 0.5]), np.array(rate))
 
     def test_rejects_length_mismatch(self):
         grid = TimeGrid(0.0, 1.0, 3)

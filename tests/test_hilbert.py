@@ -13,19 +13,15 @@ from mclock import (
     NumericalError,
     StateVector,
     basis_state,
-    commutator,
     expectation,
-    identity_operator,
     projector_onto,
     spectral,
-    tensor_operator,
     tensor_state,
 )
-from mclock.hilbert import check_orthonormal, check_unit_norm, expectations
+from mclock.hilbert import SpectralDecomposition, check_orthonormal, check_unit_norm, expectations
 
 SQ2 = 1 / math.sqrt(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -70,9 +66,6 @@ class TestHermitianOperator:
         with pytest.raises(NumericalError):
             HermitianOperator((2,), [[np.nan, 0], [0, 0]])
 
-    def test_identity(self):
-        assert np.array_equal(identity_operator((2, 2)).matrix, np.eye(4))
-
 
 class TestTensorState:
     def test_basis_product(self):
@@ -91,27 +84,6 @@ class TestTensorState:
         for _ in range(20):
             out = tensor_state(haar_state(rng, (3,)), haar_state(rng, (4,)))
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-
-
-class TestTensorOperator:
-    def test_identity_product(self):
-        i2 = identity_operator((2,))
-        assert np.array_equal(tensor_operator(i2, i2).matrix, np.eye(4))
-
-    def test_hand_kronecker(self):
-        out = tensor_operator(HermitianOperator((2,), SZ), identity_operator((2,)))
-        assert np.allclose(out.matrix, np.diag([1, 1, -1, -1]), atol=1e-15)
-
-    def test_mixed_product_law(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            a = HermitianOperator((3,), random_hermitian(rng, 3))
-            b = HermitianOperator((2,), random_hermitian(rng, 2))
-            psi = haar_state(rng, (3,))
-            phi = haar_state(rng, (2,))
-            lhs = tensor_operator(a, b).matrix @ np.kron(psi.amplitudes, phi.amplitudes)
-            rhs = np.kron(a.matrix @ psi.amplitudes, b.matrix @ phi.amplitudes)
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
 class TestProjector:
@@ -168,7 +140,7 @@ class TestExpectation:
     def test_identity(self):
         rng = np.random.default_rng(31)
         psi = haar_state(rng, (5,))
-        assert abs(expectation(identity_operator((5,)), psi) - 1.0) < 1e-12
+        assert abs(expectation(HermitianOperator((5,), np.eye(5)), psi) - 1.0) < 1e-12
 
     def test_eigenstate(self):
         assert expectation(HermitianOperator((2,), SZ), basis_state(2, 0)) == pytest.approx(1.0)
@@ -179,32 +151,12 @@ class TestExpectation:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            expectation(identity_operator((3,)), basis_state(2, 0))
+            expectation(HermitianOperator((3,), np.eye(3)), basis_state(2, 0))
 
     def test_nan_imaginary_part_raises(self):
         column = np.array([[1.0], [complex(0.0, np.nan)]])
         with pytest.raises(NumericalError):
             expectations(HermitianOperator((2,), SZ), column)
-
-
-class TestCommutator:
-    def test_self_commutator_vanishes(self):
-        rng = np.random.default_rng(37)
-        a = HermitianOperator((4,), random_hermitian(rng, 4))
-        assert np.max(np.abs(commutator(a, a))) == 0.0
-
-    def test_identity_commutes(self):
-        rng = np.random.default_rng(41)
-        a = HermitianOperator((4,), random_hermitian(rng, 4))
-        assert np.max(np.abs(commutator(a, identity_operator((4,))))) == 0.0
-
-    def test_pauli_algebra(self):
-        lhs = commutator(HermitianOperator((2,), SX), HermitianOperator((2,), SY))
-        assert np.allclose(lhs, 2j * SZ, atol=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            commutator(identity_operator((2,)), identity_operator((3,)))
 
 
 class TestSpectral:
@@ -223,6 +175,10 @@ class TestSpectral:
             dec = spectral(HermitianOperator((d,), mat))
             recon = (dec.eigenvectors * dec.eigenvalues) @ dec.eigenvectors.conj().T
             assert np.max(np.abs(recon - mat)) < 1e-10
+
+    def test_rejects_nan_eigenvalue(self):
+        with pytest.raises(NumericalError):
+            SpectralDecomposition(np.array([np.nan, 0.0]), np.eye(2))
 
     def test_rejects_nan_reconstruction(self):
         # Finite and Hermitian, but its eigenvalue 2e308 overflows to inf and

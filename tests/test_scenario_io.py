@@ -17,7 +17,6 @@ from mclock import (
     initial_state,
     parse_scenario,
     sample_trials,
-    serialize_scenario,
     trajectory,
 )
 from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS
@@ -67,16 +66,6 @@ class TestParseScenario:
     def test_rejects_far_from_normalized(self):
         with pytest.raises(ValidationError):
             parse_scenario(scenario_with(c=[[1, 0], [1, 0]]))
-
-    def test_round_trip_identity(self):
-        for text in (
-            MINIMAL,
-            scenario_with(model="imperfect", epsilon=0.1),
-            scenario_with(sampling={"t": 0.8, "trials": 100, "seed": 7}),
-        ):
-            spec = parse_scenario(text)
-            again = parse_scenario(serialize_scenario(spec))
-            assert again == spec
 
     def test_rejects_unknown_top_level_key(self):
         with pytest.raises(ParseError):
