@@ -111,7 +111,7 @@ def _run_checks(spec: ScenarioSpec, scale: float, model, psi0):
     # M = V V^H for the pairs V = |a_i>|o_i> is Hermitian by construction, and
     # M^2 - M = V (G - I) V^H with G = (A^H A) o (O^H O): a projector iff G = I.
     a = model.system_frame
-    o = np.column_stack([o_i.amplitudes for o_i in model.pointer_states])
+    o = model.pointer_frame[:, 1:]
     gram = (a.conj().T @ a) * (o.conj().T @ o)
     dev = float(np.max(np.abs(gram - np.eye(model.n_outcomes))))
     tol = TOL.projector_check * scale

@@ -4,12 +4,12 @@ Evolution is computed from exact spectral decompositions rather than a
 step-wise integrator, which keeps integrator error out of every downstream
 tolerance. ``evolve`` takes any Hamiltonian on the joint space and
 diagonalises it whole. A measurement model's own H = sum_i |a_i><a_i| (x) H_i
-never mixes system branches, so ``trajectory`` and ``evolve_branches`` split
-the state into its branches and evolve each under its apparatus Hamiltonian
-H_i. All three run one stacked kernel over the branches: the coefficients in
-each eigenbasis are computed once per call, and each distinct eigenvalue is
-exponentiated once per time. Trajectories evaluate the grid in blocks of
-points, because one dimension x points array would dominate peak memory.
+never mixes system branches, so ``trajectory`` splits the state into its
+branches and evolves each under its H_i, from the model's ``branch_spectra``.
+Both, and the model's premeasurement check and sampling, run one stacked
+kernel: the coefficients in each eigenbasis are computed once per call, and
+each distinct eigenvalue is exponentiated once per time. Trajectories take
+the grid in blocks, as one dimension x points array would dominate memory.
 """
 
 from __future__ import annotations
@@ -114,27 +114,19 @@ def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> State
     return StateVector(psi0.dims, amps[0, :, 0])
 
 
-def evolve_branches(model: MeasurementModel, psi0: StateVector, t: float) -> StateVector:
-    """exp(-iHt) psi0 for the model's own H, each branch evolved under its H_i."""
-    decs = [spectral(h_i) for h_i in model.branch_hamiltonians]
-    branches = _propagator(decs, model.branch_components(psi0))(np.array([t]))
-    return StateVector(psi0.dims, model.system_frame @ branches[:, :, 0])
-
-
 def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> TimingTrajectory:
     """P(t) and p(t) of the model on every grid point, starting from psi0.
 
     Branch i of psi(t) is phi_i(t) = exp(-i H_i t) chi_i, so
     P = sum_i |<o_i|phi_i>|^2 and p = sum_i <phi_i| i[H_i, |o_i><o_i|] |phi_i>.
-    One spectral decomposition per H_i is reused for all points, so there
+    The model's one spectral decomposition per H_i serves all points, so there
     is no error accumulation between samples. Points are evaluated in
     blocks of at most BLOCK_AMPLITUDES joint amplitudes, all branches at
     once, each state checked for unit norm.
     """
-    decs = [spectral(h_i) for h_i in model.branch_hamiltonians]
-    propagate = _propagator(decs, model.branch_components(psi0))
+    propagate = _propagator(model.branch_spectra, model.branch_components(psi0))
     h = np.stack([h_i.matrix for h_i in model.branch_hamiltonians])
-    pointers = np.stack([o_i.amplitudes for o_i in model.pointer_states])[..., None]
+    pointers = model.pointer_frame.T[1:, :, None]
     happened = pointers @ pointers.conj().transpose(0, 2, 1)
     # ops[0, i] = |o_i><o_i| and ops[1, i] = i[H_i, |o_i><o_i|].
     ops = np.stack([happened, 1j * (h @ happened - happened @ h)])

@@ -90,10 +90,9 @@ class HermitianOperator:
                 f"matrix shape {mat.shape} != ({side}, {side}) for dims {dims}"
             )
         dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if not dev <= TOL.hermiticity:  # NaN fails too
-            raise NumericalError(
-                f"matrix deviates from self-adjointness by {dev:.3e} (> {TOL.hermiticity})"
-            )
+        tol = TOL.hermiticity * max(1.0, float(np.max(np.abs(mat))))
+        if not dev <= tol:  # NaN fails too
+            raise NumericalError(f"matrix deviates from self-adjointness by {dev:.3e} (> {tol:.3e})")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", _freeze(mat))
 
@@ -156,15 +155,17 @@ def expectations(a: HermitianOperator | np.ndarray, columns: np.ndarray) -> np.n
 
     ``a`` is a HermitianOperator, or a stack of matrices (..., d, d) applied
     to columns (..., d, k). Every imaginary part must vanish within
-    tolerance; they are checked and discarded.
+    tolerance, relative to max(1, max|A|) of its own operator; they are
+    checked and discarded.
     """
     matrix = a.matrix if isinstance(a, HermitianOperator) else a
     if columns.shape[-2] != matrix.shape[-1]:
         raise DimensionMismatch(f"operator {matrix.shape} cannot act on columns {columns.shape}")
     vals = np.einsum("...ij,...ij->...j", columns.conj(), matrix @ columns)
-    imag = float(np.max(np.abs(vals.imag)))
+    scale = np.maximum(1.0, np.max(np.abs(matrix), axis=(-2, -1)))[..., None]
+    imag = float(np.max(np.abs(vals.imag) / scale))
     if not imag <= TOL.expectation_imag:  # NaN fails too
-        raise NumericalError(f"expectation has imaginary part {imag:.3e}")
+        raise NumericalError(f"expectation has imaginary part {imag:.3e} x max(1, max|A|)")
     return vals.real
 
 

@@ -4,7 +4,9 @@ A measurement model couples a system with n distinguishable outcomes to an
 apparatus whose pointer moves from a ready state into one of n orthogonal
 pointer states. Every model is a von Neumann premeasurement,
 H = sum_i |a_i><a_i| (x) H_i, and is stored as its branch Hamiltonians H_i
-on the apparatus space; the dense joint H is built only on demand. The
+on the apparatus space; the dense joint H is built only on demand. The model
+diagonalises each H_i once (``branch_spectra``) and stacks its pointer frame
+(``pointer_frame``) for every branch-form computation to share. The
 projector M onto the perfectly correlated system-pointer subspace answers
 "has the measurement happened" (eigenvalue 1 = yes); its expectation in
 psi(t) is the probability that it has happened by time t, and i[H, .] of
@@ -26,6 +28,7 @@ from .dynamics import _propagator
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
 from .hilbert import (
     HermitianOperator,
+    SpectralDecomposition,
     StateVector,
     basis_state,
     check_orthonormal,
@@ -113,6 +116,16 @@ class MeasurementModel:
             raise DimensionMismatch(f"state dims {psi.dims} != joint dims {self.joint_dims}")
         return self.system_frame.conj().T @ psi.amplitudes.reshape(self.joint_dims)
 
+    @property
+    def pointer_frame(self) -> np.ndarray:
+        """Columns |ready>, then the pointer states: column i + 1 is pointer i."""
+        return np.column_stack([o.amplitudes for o in (self.pointer_ready, *self.pointer_states)])
+
+    @cached_property
+    def branch_spectra(self) -> tuple[SpectralDecomposition, ...]:
+        """spectral(H_i) for every branch, computed on first use and shared by all callers."""
+        return tuple(spectral(h_i) for h_i in self.branch_hamiltonians)
+
     @cached_property
     def interaction_hamiltonian(self) -> HermitianOperator:
         """The dense joint H = sum_i |a_i><a_i| (x) H_i, built on first use."""
@@ -135,7 +148,15 @@ def _exchange_generator(dim: int, ready: int, pointer: int) -> np.ndarray:
     return h
 
 
-def _build_canonical_model(n: int, couplings: np.ndarray, g: float) -> MeasurementModel:
+def _build_canonical_model(n: int, g: float, epsilon: float) -> MeasurementModel:
+    if n < 2:
+        raise InvalidParameter(f"need at least 2 outcomes, got {n}")
+    if not g > 0:
+        raise InvalidParameter(f"coupling must be positive, got {g}")
+    if not 0.0 <= epsilon < 1.0:
+        raise InvalidParameter(f"epsilon must lie in [0, 1), got {epsilon}")
+    couplings = np.full(n, float(g))
+    couplings[0] = g * (1.0 - epsilon)
     system = [basis_state(n, i) for i in range(n)]
     ready = basis_state(n + 1, 0)
     pointers = [basis_state(n + 1, i + 1) for i in range(n)]
@@ -170,11 +191,7 @@ def build_rotation_model(n: int, g: float) -> MeasurementModel:
     probability is sin^2(g t) for every initial system superposition and
     reaches exactly 1 at the nominal duration pi/(2 g).
     """
-    if n < 2:
-        raise InvalidParameter(f"need at least 2 outcomes, got {n}")
-    if not g > 0:
-        raise InvalidParameter(f"coupling must be positive, got {g}")
-    return _build_canonical_model(n, np.full(n, float(g)), float(g))
+    return _build_canonical_model(n, g, 0.0)
 
 
 def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
@@ -184,15 +201,7 @@ def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
     (1 - epsilon) pi/2, so the pointer correlation is imperfect and the
     happened probability stays strictly below 1 for epsilon > 0.
     """
-    if n < 2:
-        raise InvalidParameter(f"need at least 2 outcomes, got {n}")
-    if not g > 0:
-        raise InvalidParameter(f"coupling must be positive, got {g}")
-    if not 0.0 <= epsilon < 1.0:
-        raise InvalidParameter(f"epsilon must lie in [0, 1), got {epsilon}")
-    couplings = np.full(n, float(g))
-    couplings[0] = g * (1.0 - epsilon)
-    return _build_canonical_model(n, couplings, float(g))
+    return _build_canonical_model(n, g, epsilon)
 
 
 def happened_projector(model: MeasurementModel) -> HermitianOperator:
@@ -252,12 +261,10 @@ def premeasurement_check(model: MeasurementModel) -> PremeasurementReport:
     of pointer_i with |ready> evolved under H_i alone, all branches at once.
     Diagnostic only: it never raises on a bad model.
     """
-    decs = [spectral(h_i) for h_i in model.branch_hamiltonians]
     ready = np.tile(model.pointer_ready.amplitudes, (model.n_outcomes, 1))
-    evolved = _propagator(decs, ready)(np.array([model.nominal_duration]))
+    evolved = _propagator(model.branch_spectra, ready)(np.array([model.nominal_duration]))
     check_unit_norm(evolved[..., 0].T)
-    pointers = np.stack([o_i.amplitudes for o_i in model.pointer_states])
-    overlaps = pointers.conj()[:, None, :] @ evolved
+    overlaps = model.pointer_frame.T[1:, None, :].conj() @ evolved
     fidelities = tuple(float(f) for f in np.abs(overlaps.ravel()) ** 2)
     return PremeasurementReport(fidelities, max(1.0 - f for f in fidelities))
 

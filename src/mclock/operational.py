@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import evolve_branches
+from .dynamics import _propagator
 from .errors import InvalidParameter, NumericalError
 from .hilbert import StateVector
 from .measurement import MeasurementModel
@@ -81,11 +81,7 @@ def joint_distribution(model: MeasurementModel, psi: StateVector) -> JointOutcom
     this is the operational/operator equivalence.
     """
     branches = model.branch_components(psi)  # n x apparatus_dim
-    app_frame = np.column_stack(
-        [model.pointer_ready.amplitudes]
-        + [p.amplitudes for p in model.pointer_states]
-    )
-    frame_probs = np.abs(branches @ app_frame.conj()) ** 2  # n x (n + 1)
+    frame_probs = np.abs(branches @ model.pointer_frame.conj()) ** 2  # n x (n + 1)
     row_totals = np.sum(np.abs(branches) ** 2, axis=1)
     residual = np.clip(row_totals - frame_probs.sum(axis=1), 0.0, None)
     return JointOutcomeDistribution(np.column_stack([frame_probs, residual]))
@@ -106,7 +102,8 @@ def sample_trials(
     """
     if n_trials < 1:
         raise InvalidParameter(f"n_trials must be >= 1, got {n_trials}")
-    dist = joint_distribution(model, evolve_branches(model, psi0, t))
+    branches = _propagator(model.branch_spectra, model.branch_components(psi0))(np.array([t]))
+    dist = joint_distribution(model, StateVector(psi0.dims, model.system_frame @ branches[:, :, 0]))
 
     cumulative = np.cumsum(dist.probabilities)
     uniforms = np.random.default_rng(seed).random(n_trials)

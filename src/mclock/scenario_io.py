@@ -224,9 +224,7 @@ def build_model(spec: ScenarioSpec) -> MeasurementModel:
 
 def initial_state(spec: ScenarioSpec, model: MeasurementModel) -> StateVector:
     """(sum_i c_i |a_i>) (x) |ready> on the joint space."""
-    amps = np.zeros(model.system_dim, dtype=np.complex128)
-    for c, state in zip(spec.initial_coefficients, model.system_eigenstates):
-        amps += c * state.amplitudes
+    amps = model.system_frame @ np.array(spec.initial_coefficients, dtype=np.complex128)
     system = StateVector((model.system_dim,), amps)
     return tensor_state(system, model.pointer_ready)
 

@@ -9,11 +9,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    hermiticity: float = 1e-12      # max-abs deviation of A from A-dagger
+    hermiticity: float = 1e-12      # max-abs deviation of A from A-dagger, x max(1, max|A|)
     orthonormality: float = 1e-10   # max-abs deviation of a Gram matrix from identity
     norm: float = 1e-10             # allowed |norm - 1| of a state vector
     spectral: float = 1e-10         # eigendecomposition reconstruction, max-abs, x max(1, max|A|)
-    expectation_imag: float = 1e-10 # allowed imaginary part of a Hermitian expectation
+    expectation_imag: float = 1e-10 # imaginary part of a Hermitian expectation, x max(1, max|A|)
     probability: float = 1e-10      # slack around [0, 1] for projector expectations
     trajectory_prob: float = 1e-9   # slack on stored probability curves
     schmidt_cutoff: float = 1e-12   # singular values below this are dropped

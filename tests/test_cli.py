@@ -5,6 +5,7 @@ import os
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -120,6 +121,22 @@ class TestCheck:
         for name in ("rotation.json", "imperfect.json", "sampling.json"):
             assert cli.main(["check", str(SCENARIOS / name)]) == 0
             assert "all checks passed" in capsys.readouterr().out
+
+    def test_diagonalises_each_branch_once(self, monkeypatch):
+        # The premeasurement and derivative checks share the model's branch
+        # spectra, so each of the n = 2 branch Hamiltonians meets eigh once.
+        eigh = np.linalg.eigh
+        calls = []
+
+        def counting_eigh(*args, **kwargs):
+            calls.append(args[0].shape)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        for name in ("rotation.json", "imperfect.json", "sampling.json"):
+            calls.clear()
+            assert cli.main(["check", str(SCENARIOS / name)]) == 0
+            assert calls == [(3, 3), (3, 3)]
 
     def test_coarse_grid_widens_derivative_tolerance(self, tmp_path, capsys):
         scenario = write_scenario(

@@ -196,6 +196,21 @@ class TestTrajectory:
         assert np.max(np.abs(traj.prob_happened - np.sin(phase) ** 2 @ weights)) < 1e-12
         assert np.max(np.abs(traj.rate - np.sin(2 * phase) @ (weights * rates))) < 1e-12
 
+    def test_general_frame_at_large_coupling(self):
+        # Branch i rotates ready -> pointer_i at rate g in a Haar-random frame,
+        # so from the balanced state P = sin^2(g t) and p = g sin(2 g t). The
+        # branch Hamiltonians' rounding asymmetry grows with g, and so does
+        # the rate operator's; both tolerances scale with the operator.
+        for g in (1e6, 1e9):
+            model = random_frame_model(np.random.default_rng(3), 3, extra_apparatus=2, g=g)
+            system = StateVector((3,), model.system_frame @ np.full(3, 1 / math.sqrt(3)))
+            psi0 = tensor_state(system, model.pointer_ready)
+            grid = TimeGrid(0.0, math.pi / (2 * g), 201)
+            traj = trajectory(model, psi0, grid)
+            phase = g * grid.times
+            assert np.max(np.abs(traj.prob_happened - np.sin(phase) ** 2)) < 1e-12
+            assert np.max(np.abs(traj.rate / g - np.sin(2 * phase))) < 1e-12
+
     def test_rejects_state_on_other_space(self):
         model, _, _ = _rotation_setup()
         with pytest.raises(DimensionMismatch):

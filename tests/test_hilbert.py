@@ -57,6 +57,8 @@ class TestHermitianOperator:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NumericalError):
             HermitianOperator((2,), [[0, 1], [0, 0]])
+        with pytest.raises(NumericalError):
+            HermitianOperator((2,), [[0, 1e9], [0, 0]])
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
@@ -152,6 +154,16 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expectation(HermitianOperator((3,), np.eye(3)), basis_state(2, 0))
+
+    def test_large_operator_imaginary_part_is_relative(self):
+        # Rounding leaves an imaginary part of 2.9e-10 at max|A| = 2.8e6;
+        # relative to the operator's scale it is far inside tolerance.
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(30, 30)) + 1j * rng.normal(size=(30, 30))
+        a = HermitianOperator((30,), (x + x.conj().T) / 2 * 1e6)
+        psi = haar_state(rng, (30,))
+        exact = np.vdot(psi.amplitudes, a.matrix @ psi.amplitudes).real
+        assert abs(expectation(a, psi) - exact) <= 1e-12 * abs(exact)
 
     def test_nan_imaginary_part_raises(self):
         column = np.array([[1.0], [complex(0.0, np.nan)]])
