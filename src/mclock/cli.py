@@ -119,12 +119,12 @@ def _run_checks(spec: ScenarioSpec, scale: float, model, psi0):
 
     traj = trajectory(model, psi0, spec.grid)
     step = spec.grid.step
-    # Central-difference truncation grows like |P'''| h^2 / 6 <= (2/3) g^3 h^2
-    # for these models, so the tolerance widens on coarse grids. Products, not
-    # powers: a float power that overflows raises, a product gives inf.
+    # The tolerance is in units of g, as p is. Central-difference truncation
+    # grows like |P'''| h^2 / 6 <= (2/3) g^3 h^2 for these models, so it widens
+    # on coarse grids. Products, not powers: a float power that overflows raises.
     g = spec.coupling_g
-    widening = g * g * g * step * step
-    unscaled = max(TOL.derivative_check, widening)
+    widening = (g * step) * (g * step)
+    unscaled = g * max(TOL.derivative_check, widening)
     fd_tol = unscaled * scale
     diffs = (traj.prob_happened[2:] - traj.prob_happened[:-2]) / (2.0 * step)
     err = float(np.max(np.abs(diffs - traj.rate[1:-1])))

@@ -5,18 +5,19 @@ step-wise integrator, which keeps integrator error out of every downstream
 tolerance. ``evolve`` takes any Hamiltonian on the joint space and
 diagonalises it whole. A measurement model's own H = sum_i |a_i><a_i| (x) H_i
 never mixes system branches, so ``trajectory`` splits the state into its
-branches and evolves each under its H_i, from the model's ``branch_spectra``.
-Both, and the model's premeasurement check and sampling, run one stacked
-kernel: the coefficients in each eigenbasis are computed once per call, and
-each distinct eigenvalue is exponentiated once per time. Trajectories take
-the grid in blocks, as one dimension x points array would dominate memory.
+branches and evolves each under its H_i, from the model's ``branch_spectra``
+(one decomposition of the (n, d, d) stack). Both, and the model's
+premeasurement check and sampling, run one kernel: the coefficients in each
+eigenbasis are computed once per call, and each distinct eigenvalue is
+exponentiated once per time. Trajectories take the grid in blocks, as one
+dimension x points array would dominate memory.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -89,13 +90,12 @@ class TimingTrajectory:
         object.__setattr__(self, "rate", rate)
 
 
-def _propagator(decs: Sequence[SpectralDecomposition], amplitudes: np.ndarray):
-    """Map times to the (n, d, k) exp(-i H_b t) amplitudes[b]; one exp per distinct eigenvalue."""
-    vecs = np.stack([dec.eigenvectors for dec in decs])
-    eigenvalues = np.stack([dec.eigenvalues for dec in decs])
-    levels, index = np.unique(eigenvalues, return_inverse=True)
-    index = index.reshape(eigenvalues.shape)
-    coeffs = vecs.conj().transpose(0, 2, 1) @ amplitudes[..., None]
+def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray):
+    """Map times to the (..., d, k) exp(-i H_b t) amplitudes[b], H_b in dec; one exp per level."""
+    vecs = dec.eigenvectors
+    levels, index = np.unique(dec.eigenvalues, return_inverse=True)
+    index = index.reshape(dec.eigenvalues.shape)
+    coeffs = vecs.conj().swapaxes(-1, -2) @ amplitudes[..., None]
 
     def at(times: np.ndarray) -> np.ndarray:
         phases = -1j * np.multiply.outer(levels, times)
@@ -110,8 +110,8 @@ def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> State
     """exp(-iHt) psi0 via the spectral decomposition of H."""
     if hamiltonian.dims != psi0.dims:
         raise DimensionMismatch(f"H dims {hamiltonian.dims} != state dims {psi0.dims}")
-    amps = _propagator([spectral(hamiltonian)], psi0.amplitudes[None])(np.array([t]))
-    return StateVector(psi0.dims, amps[0, :, 0])
+    amps = _propagator(spectral(hamiltonian), psi0.amplitudes)(np.array([t]))
+    return StateVector(psi0.dims, amps[:, 0])
 
 
 def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> TimingTrajectory:
@@ -125,11 +125,11 @@ def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> Ti
     once, each state checked for unit norm.
     """
     propagate = _propagator(model.branch_spectra, model.branch_components(psi0))
-    h = np.stack([h_i.matrix for h_i in model.branch_hamiltonians])
+    h = model.branch_hamiltonians
     pointers = model.pointer_frame.T[1:, :, None]
+    # happened[i] = |o_i><o_i| and rate_ops[i] = i[H_i, |o_i><o_i|].
     happened = pointers @ pointers.conj().transpose(0, 2, 1)
-    # ops[0, i] = |o_i><o_i| and ops[1, i] = i[H_i, |o_i><o_i|].
-    ops = np.stack([happened, 1j * (h @ happened - happened @ h)])
+    rate_ops = 1j * (h @ happened - happened @ h)
 
     times = grid.times
     prob = np.empty(times.size)
@@ -139,5 +139,6 @@ def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> Ti
         points = slice(start, start + block)
         branches = propagate(times[points])
         check_unit_norm(branches.reshape(psi0.dim, -1))
-        prob[points], rate[points] = expectations(ops, branches).sum(axis=1)
+        prob[points] = expectations(happened, branches).sum(axis=0)
+        rate[points] = expectations(rate_ops, branches).sum(axis=0)
     return TimingTrajectory(grid, prob, rate)

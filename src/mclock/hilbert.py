@@ -45,10 +45,31 @@ def check_unit_norm(amplitudes: np.ndarray) -> None:
 
 
 def check_orthonormal(columns: np.ndarray, error: type[MClockError], what: str) -> None:
-    """Raise ``error`` unless the columns are orthonormal within TOL.orthonormality."""
-    dev = float(np.max(np.abs(columns.conj().T @ columns - np.eye(columns.shape[1]))))
+    """Raise ``error`` unless the columns, of every matrix in a stack, are orthonormal."""
+    gram = columns.conj().swapaxes(-1, -2) @ columns
+    dev = float(np.max(np.abs(gram - np.eye(columns.shape[-1]))))
     if not dev <= TOL.orthonormality:  # NaN fails too
         raise error(f"{what} not orthonormal (Gram deviation {dev:.3e})")
+
+
+def _check_small(
+    diff: np.ndarray, matrices: np.ndarray, rel: float, error: type[MClockError], what: str
+) -> None:
+    """Raise ``error`` unless max|diff[k]| <= rel x max(1, max|A_k|) for every matrix A_k."""
+    dev = np.ravel(np.max(np.abs(diff), axis=(-2, -1)))
+    tol = rel * np.maximum(1.0, np.ravel(np.max(np.abs(matrices), axis=(-2, -1))))
+    if not np.all(dev <= tol):  # NaN fails too
+        k = int(np.argmax(dev / tol))
+        raise error(f"{what} by {dev[k]:.3e} (> {tol[k]:.3e})")
+
+
+def check_hermitian(matrices: np.ndarray) -> None:
+    """Raise NumericalError unless each A of a (..., d, d) stack is self-adjoint.
+
+    Each A is judged within TOL.hermiticity x max(1, max|A|), its own scale.
+    """
+    _check_small(matrices - matrices.conj().swapaxes(-1, -2), matrices, TOL.hermiticity,
+                 NumericalError, "matrix deviates from self-adjointness")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,10 +110,7 @@ class HermitianOperator:
             raise DimensionMismatch(
                 f"matrix shape {mat.shape} != ({side}, {side}) for dims {dims}"
             )
-        dev = float(np.max(np.abs(mat - mat.conj().T)))
-        tol = TOL.hermiticity * max(1.0, float(np.max(np.abs(mat))))
-        if not dev <= tol:  # NaN fails too
-            raise NumericalError(f"matrix deviates from self-adjointness by {dev:.3e} (> {tol:.3e})")
+        check_hermitian(mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", _freeze(mat))
 
@@ -103,17 +121,17 @@ class HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (real, ascending) and unitary eigenvector columns of a Hermitian operator."""
+    """Eigenvalues (..., d), real and ascending, and unitary eigenvector columns (..., d, d)."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.eigenvalues, dtype=np.float64).reshape(-1)
+        w = np.array(self.eigenvalues, dtype=np.float64)
         v = np.array(self.eigenvectors, dtype=np.complex128)
-        if v.shape != (w.size, w.size):
-            raise DimensionMismatch(f"eigenvector matrix {v.shape} does not match {w.size} eigenvalues")
-        if not np.all(np.diff(w) >= 0):  # NaN fails too
+        if w.ndim == 0 or v.shape != w.shape + w.shape[-1:]:
+            raise DimensionMismatch(f"eigenvectors {v.shape} do not match eigenvalues {w.shape}")
+        if not np.all(np.diff(w, axis=-1) >= 0):  # NaN fails too
             raise NumericalError("eigenvalues must be in ascending order")
         check_orthonormal(v, NumericalError, "eigenvector matrix")
         object.__setattr__(self, "eigenvalues", _freeze(w))
@@ -176,19 +194,18 @@ def expectation(a: HermitianOperator, psi: StateVector) -> float:
     return float(expectations(a, psi.amplitudes[:, None])[0])
 
 
-def spectral(a: HermitianOperator) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator, eigenvalues ascending.
+def spectral(a: HermitianOperator | np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian operator, or of a (..., d, d) stack, eigenvalues ascending.
 
-    Raises EigensolverFailure on non-convergence or if the decomposition
-    fails to reconstruct the input within TOL.spectral, relative to the
-    largest entry of the input when that exceeds 1.
+    One ``eigh`` call serves the whole stack. Raises EigensolverFailure on
+    non-convergence or if any matrix A fails to reconstruct within
+    TOL.spectral x max(1, max|A|).
     """
+    matrix = a.matrix if isinstance(a, HermitianOperator) else a
     try:
-        w, v = np.linalg.eigh(a.matrix)
+        w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigensolver did not converge: {exc}") from exc
-    recon_dev = float(np.max(np.abs((v * w) @ v.conj().T - a.matrix)))
-    tol = TOL.spectral * max(1.0, float(np.max(np.abs(a.matrix))))
-    if not recon_dev <= tol:  # NaN fails too
-        raise EigensolverFailure(f"spectral reconstruction off by {recon_dev:.3e} (> {tol:.3e})")
+    residual = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - matrix
+    _check_small(residual, matrix, TOL.spectral, EigensolverFailure, "spectral reconstruction off")
     return SpectralDecomposition(w, v)

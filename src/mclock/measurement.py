@@ -3,10 +3,11 @@
 A measurement model couples a system with n distinguishable outcomes to an
 apparatus whose pointer moves from a ready state into one of n orthogonal
 pointer states. Every model is a von Neumann premeasurement,
-H = sum_i |a_i><a_i| (x) H_i, and is stored as its branch Hamiltonians H_i
-on the apparatus space; the dense joint H is built only on demand. The model
-diagonalises each H_i once (``branch_spectra``) and stacks its pointer frame
-(``pointer_frame``) for every branch-form computation to share. The
+H = sum_i |a_i><a_i| (x) H_i, and is stored as three arrays: the system
+frame (columns |a_i>), the pointer frame (|ready>, then the pointer states)
+and the (n, d, d) stack of branch Hamiltonians H_i on the apparatus space.
+The dense joint H is built only on demand. One stacked eigh diagonalises
+every H_i (``branch_spectra``) for all branch-form computations to share. The
 projector M onto the perfectly correlated system-pointer subspace answers
 "has the measurement happened" (eigenvalue 1 = yes); its expectation in
 psi(t) is the probability that it has happened by time t, and i[H, .] of
@@ -30,85 +31,76 @@ from .hilbert import (
     HermitianOperator,
     SpectralDecomposition,
     StateVector,
-    basis_state,
+    check_hermitian,
     check_orthonormal,
     check_unit_norm,
     expectation,
     projector_onto,
     spectral,
-    tensor_state,
 )
 from .tolerances import TOL
 
 
-def _check_frame(states, dim: int, what: str) -> None:
-    if any(s.dims != (dim,) for s in states):
-        raise DimensionMismatch(f"{what} must live on a single factor of dimension {dim}")
-    check_orthonormal(np.column_stack([s.amplitudes for s in states]), NumericalError, what)
-
-
 @dataclass(frozen=True, eq=False)
 class MeasurementModel:
-    """An n-outcome system coupled to a pointer apparatus.
+    """An n-outcome system coupled to a pointer apparatus, stored as three arrays.
 
-    The system eigenbasis must be complete (system_dim == n_outcomes) so
-    that a joint q/pointer measurement has a total outcome probability of
-    one. The pointer frame {ready} + {pointer_states} is orthonormal but
-    need not span the apparatus space. ``branch_hamiltonians[i]`` is H_i,
-    the apparatus Hamiltonian that acts while the system is in
-    ``system_eigenstates[i]``. ``fidelity`` is the premeasurement
-    fidelity the model claims to reach at ``nominal_duration`` (worst
-    outcome branch); ``premeasurement_check`` verifies it.
+    ``system_frame`` is n x n; column i is the system eigenstate |a_i>, and
+    the basis is complete so that a joint q/pointer measurement has a total
+    outcome probability of one. ``pointer_frame`` is d x (n + 1); column 0
+    is |ready> and column i + 1 is pointer i. It is orthonormal but need not
+    span the apparatus space. ``branch_hamiltonians`` is the (n, d, d) stack
+    of H_i, the apparatus Hamiltonian that acts while the system is in |a_i>.
+    ``fidelity`` is the premeasurement fidelity the model claims to reach at
+    ``nominal_duration`` (worst outcome branch); ``premeasurement_check``
+    verifies it.
     """
 
-    n_outcomes: int
-    system_dim: int
-    apparatus_dim: int
-    system_eigenstates: tuple[StateVector, ...]
-    pointer_ready: StateVector
-    pointer_states: tuple[StateVector, ...]
-    branch_hamiltonians: tuple[HermitianOperator, ...]
+    system_frame: np.ndarray
+    pointer_frame: np.ndarray
+    branch_hamiltonians: np.ndarray
     nominal_duration: float
     fidelity: float
 
     def __post_init__(self):
-        n = self.n_outcomes
+        names = ("system_frame", "pointer_frame", "branch_hamiltonians")
+        a, o, h = (np.array(getattr(self, k), dtype=np.complex128, ndmin=2) for k in names)
+        n, d = a.shape[1], o.shape[0]
+        if a.shape != (n, n) or o.shape != (d, n + 1) or h.shape != (n, d, d):
+            raise DimensionMismatch(f"need (n, n) and (d, n + 1) frames and (n, d, d) H_i, got "
+                                    f"{a.shape}, {o.shape} and {h.shape}")
         if n < 2:
             raise InvalidParameter(f"need at least 2 outcomes, got {n}")
-        if self.system_dim != n:
-            raise InvalidParameter(
-                f"system eigenbasis must be complete: system_dim {self.system_dim} != {n}"
-            )
-        if not (len(self.system_eigenstates) == len(self.pointer_states)
-                == len(self.branch_hamiltonians) == n):
-            raise InvalidParameter(
-                "need n system eigenstates, pointer states and branch Hamiltonians"
-            )
-        _check_frame(self.system_eigenstates, self.system_dim, "system eigenstates")
-        _check_frame(
-            (self.pointer_ready, *self.pointer_states), self.apparatus_dim,
-            "pointer frame (ready + pointer states)",
-        )
-        if any(h.dims != (self.apparatus_dim,) for h in self.branch_hamiltonians):
-            raise DimensionMismatch(
-                f"branch Hamiltonians must act on the apparatus, dims ({self.apparatus_dim},)"
-            )
+        check_orthonormal(a, NumericalError, "system frame")
+        check_orthonormal(o, NumericalError, "pointer frame (ready + pointer states)")
+        check_hermitian(h)
         if not self.nominal_duration > 0:
             raise InvalidParameter("nominal_duration must be positive")
         if not 0.0 <= self.fidelity <= 1.0 + TOL.probability:
             raise InvalidParameter(f"declared fidelity {self.fidelity} outside [0, 1]")
-        object.__setattr__(self, "system_eigenstates", tuple(self.system_eigenstates))
-        object.__setattr__(self, "pointer_states", tuple(self.pointer_states))
-        object.__setattr__(self, "branch_hamiltonians", tuple(self.branch_hamiltonians))
+        for name, arr in zip(names, (a, o, h)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+
+    @property
+    def n_outcomes(self) -> int:
+        return self.system_frame.shape[1]
+
+    @property
+    def system_dim(self) -> int:
+        return self.system_frame.shape[0]
+
+    @property
+    def apparatus_dim(self) -> int:
+        return self.pointer_frame.shape[0]
 
     @property
     def joint_dims(self) -> tuple[int, int]:
         return (self.system_dim, self.apparatus_dim)
 
     @property
-    def system_frame(self) -> np.ndarray:
-        """The system eigenstates as the columns of a unitary matrix."""
-        return np.column_stack([a.amplitudes for a in self.system_eigenstates])
+    def pointer_ready(self) -> StateVector:
+        return StateVector((self.apparatus_dim,), self.pointer_frame[:, 0])
 
     def branch_components(self, psi: StateVector) -> np.ndarray:
         """Row i is chi_i = (<a_i| (x) I) psi; the system frame is complete, so any psi splits."""
@@ -116,15 +108,10 @@ class MeasurementModel:
             raise DimensionMismatch(f"state dims {psi.dims} != joint dims {self.joint_dims}")
         return self.system_frame.conj().T @ psi.amplitudes.reshape(self.joint_dims)
 
-    @property
-    def pointer_frame(self) -> np.ndarray:
-        """Columns |ready>, then the pointer states: column i + 1 is pointer i."""
-        return np.column_stack([o.amplitudes for o in (self.pointer_ready, *self.pointer_states)])
-
     @cached_property
-    def branch_spectra(self) -> tuple[SpectralDecomposition, ...]:
-        """spectral(H_i) for every branch, computed on first use and shared by all callers."""
-        return tuple(spectral(h_i) for h_i in self.branch_hamiltonians)
+    def branch_spectra(self) -> SpectralDecomposition:
+        """spectral(H_i) of every branch from one stacked eigh, computed on first use."""
+        return spectral(self.branch_hamiltonians)
 
     @cached_property
     def interaction_hamiltonian(self) -> HermitianOperator:
@@ -133,19 +120,9 @@ class MeasurementModel:
         # weights[a, b, i] = <a|a_i><a_i|b>; one product with the stacked H_i
         # gives joint[a, x, b, y] = sum_i weights[a, b, i] H_i[x, y].
         weights = frame[:, None, :] * frame.conj()[None, :, :]
-        stacked = np.stack([h.matrix for h in self.branch_hamiltonians])
-        joint = np.tensordot(weights, stacked, axes=1).transpose(0, 2, 1, 3)
+        joint = np.tensordot(weights, self.branch_hamiltonians, axes=1).transpose(0, 2, 1, 3)
         side = self.system_dim * self.apparatus_dim
         return HermitianOperator(self.joint_dims, joint.reshape(side, side))
-
-
-def _exchange_generator(dim: int, ready: int, pointer: int) -> np.ndarray:
-    # i(|pointer><ready| - |ready><pointer|): rotates ready -> pointer with
-    # a +sin amplitude under exp(-iHt).
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    h[pointer, ready] = 1j
-    h[ready, pointer] = -1j
-    return h
 
 
 def _build_canonical_model(n: int, g: float, epsilon: float) -> MeasurementModel:
@@ -157,13 +134,13 @@ def _build_canonical_model(n: int, g: float, epsilon: float) -> MeasurementModel
         raise InvalidParameter(f"epsilon must lie in [0, 1), got {epsilon}")
     couplings = np.full(n, float(g))
     couplings[0] = g * (1.0 - epsilon)
-    system = [basis_state(n, i) for i in range(n)]
-    ready = basis_state(n + 1, 0)
-    pointers = [basis_state(n + 1, i + 1) for i in range(n)]
-    branches = tuple(
-        HermitianOperator((n + 1,), couplings[i] * _exchange_generator(n + 1, 0, i + 1))
-        for i in range(n)
-    )
+    # Both frames are standard bases: |ready> = e_0 and pointer i = e_{i+1}.
+    # H_i = couplings[i] i(|e_{i+1}><e_0| - |e_0><e_{i+1}|) rotates
+    # ready -> pointer i with a +sin amplitude under exp(-iHt).
+    branch = np.arange(n)
+    branches = np.zeros((n, n + 1, n + 1), dtype=np.complex128)
+    branches[branch, branch + 1, 0] = couplings * 1j
+    branches[branch, 0, branch + 1] = couplings * -1j
 
     duration = math.pi / (2.0 * g)
     if not (math.isfinite(duration) and duration > 0):
@@ -171,12 +148,8 @@ def _build_canonical_model(n: int, g: float, epsilon: float) -> MeasurementModel
     # Each branch rotates by couplings[i] * duration; worst branch sets the fidelity.
     fidelity = float(min(math.sin(c * duration) ** 2 for c in couplings))
     return MeasurementModel(
-        n_outcomes=n,
-        system_dim=n,
-        apparatus_dim=n + 1,
-        system_eigenstates=tuple(system),
-        pointer_ready=ready,
-        pointer_states=tuple(pointers),
+        system_frame=np.eye(n),
+        pointer_frame=np.eye(n + 1),
         branch_hamiltonians=branches,
         nominal_duration=duration,
         fidelity=fidelity,
@@ -213,10 +186,8 @@ def happened_projector(model: MeasurementModel) -> HermitianOperator:
     state whose apparatus factor is orthogonal to all pointer states to
     zero.
     """
-    pairs = [
-        tensor_state(a, o)
-        for a, o in zip(model.system_eigenstates, model.pointer_states)
-    ]
+    a, o = model.system_frame, model.pointer_frame[:, 1:]
+    pairs = [StateVector(model.joint_dims, np.kron(a_i, o_i)) for a_i, o_i in zip(a.T, o.T)]
     return projector_onto(pairs)
 
 
@@ -261,7 +232,7 @@ def premeasurement_check(model: MeasurementModel) -> PremeasurementReport:
     of pointer_i with |ready> evolved under H_i alone, all branches at once.
     Diagnostic only: it never raises on a bad model.
     """
-    ready = np.tile(model.pointer_ready.amplitudes, (model.n_outcomes, 1))
+    ready = np.tile(model.pointer_frame[:, 0], (model.n_outcomes, 1))
     evolved = _propagator(model.branch_spectra, ready)(np.array([model.nominal_duration]))
     check_unit_norm(evolved[..., 0].T)
     overlaps = model.pointer_frame.T[1:, None, :].conj() @ evolved

@@ -72,15 +72,15 @@ class EstimateReport:
     rng_algorithm: str = RNG_ALGORITHM
 
 
-def joint_distribution(model: MeasurementModel, psi: StateVector) -> JointOutcomeDistribution:
-    """Probabilities of every (q outcome, pointer position) pair in psi.
+def joint_distribution(model: MeasurementModel, branches: np.ndarray) -> JointOutcomeDistribution:
+    """Probabilities of every (q outcome, pointer position) pair of a state's branch rows.
 
-    Row i covers the ready state, all n pointer states and the residual
-    complement of system branch i, so the rows together sum to one. The
-    matched-pair mass equals happened_probability(model, psi) identically;
-    this is the operational/operator equivalence.
+    Row i of ``branches`` is chi_i = (<a_i| (x) I) psi (``model.branch_components``);
+    row i of the result covers its ready state, all n pointer states and the
+    residual complement, so the rows together sum to one. The matched-pair
+    mass equals happened_probability(model, psi) identically; this is the
+    operational/operator equivalence.
     """
-    branches = model.branch_components(psi)  # n x apparatus_dim
     frame_probs = np.abs(branches @ model.pointer_frame.conj()) ** 2  # n x (n + 1)
     row_totals = np.sum(np.abs(branches) ** 2, axis=1)
     residual = np.clip(row_totals - frame_probs.sum(axis=1), 0.0, None)
@@ -96,26 +96,22 @@ def sample_trials(
     joint distribution computed once; the report's exact probability is its
     matched mass, the branch form of the happened-projector expectation.
     Trials are independent categorical draws from the distribution. The
-    records are an array with one row per trial and fields q_outcome,
-    pointer_outcome and case1 (pointer_outcome == q_outcome + 1). Identical
-    inputs and seed produce identical records.
+    records are the int64 array of drawn cells, one per trial: cell
+    c = i (n + 2) + j is q outcome i with pointer position j, so
+    (i, j) = divmod(c, n + 2), and the trial is Case 1 when j == i + 1.
+    Identical inputs and seed produce identical records.
     """
     if n_trials < 1:
         raise InvalidParameter(f"n_trials must be >= 1, got {n_trials}")
     branches = _propagator(model.branch_spectra, model.branch_components(psi0))(np.array([t]))
-    dist = joint_distribution(model, StateVector(psi0.dims, model.system_frame @ branches[:, :, 0]))
+    dist = joint_distribution(model, branches[:, :, 0])
 
     cumulative = np.cumsum(dist.probabilities)
     uniforms = np.random.default_rng(seed).random(n_trials)
-    picks = np.minimum(np.searchsorted(cumulative, uniforms, side="right"), cumulative.size - 1)
-
-    q_index, pointer_index = np.divmod(np.arange(cumulative.size), model.n_outcomes + 2)
-    fields = [("q_outcome", np.int64), ("pointer_outcome", np.int64), ("case1", bool)]
-    records = np.empty(n_trials, dtype=fields)
-    records["q_outcome"] = q_index[picks]
-    records["pointer_outcome"] = pointer_index[picks]
-    records["case1"] = (pointer_index == q_index + 1)[picks]
-    case1_count = int(np.count_nonzero(records["case1"]))
+    records = np.searchsorted(cumulative, uniforms, side="right")
+    np.minimum(records, cumulative.size - 1, out=records)
+    case1 = np.eye(model.n_outcomes, model.n_outcomes + 2, k=1, dtype=bool).ravel()
+    case1_count = int(np.count_nonzero(case1[records]))
 
     estimate = case1_count / n_trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / n_trials)

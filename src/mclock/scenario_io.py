@@ -44,7 +44,7 @@ COEFF_NORM_SLACK = 1e-3
 # out-of-memory kill. No command builds a joint-space matrix; at n = 50
 # (imperfect model, 2001 points, 1e5 trials) ``run`` and ``check`` peak near
 # 50 MB and ``sample`` near 45 MB. At the grid and trial limits ``run`` peaks
-# near 300 MB and ``sample`` near 430 MB.
+# near 300 MB and ``sample`` near 210 MB.
 MAX_OUTCOMES = 50
 MAX_GRID_POINTS = 1_000_000
 MAX_TRIALS = 10_000_000

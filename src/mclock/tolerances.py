@@ -22,7 +22,7 @@ class Tolerances:
     # Checks of ``mclock check``, scaled there by MCLOCK_TOL_SCALE:
     projector_check: float = 1e-12      # max |G - I|, G the Gram matrix of the pairs |a_i>|o_i>
     premeasurement_check: float = 1e-9  # slack below the declared fidelity
-    derivative_check: float = 1e-4      # |dP/dt - p| before coarse-grid widening
+    derivative_check: float = 1e-4      # |dP/dt - p| / g, before widening to (g h)^2
 
 
 TOL = Tolerances()

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from mclock import HermitianOperator, MeasurementModel, StateVector
+from mclock import MeasurementModel, StateVector
 
 
 def series_expm(a: np.ndarray, tol: float = 1e-16, max_terms: int = 80) -> np.ndarray:
@@ -65,25 +65,13 @@ def random_frame_model(
     d_app = n + 1 + extra_apparatus
     sys_u = haar_unitary(rng, n)
     app_u = haar_unitary(rng, d_app)
-    system = tuple(StateVector((n,), sys_u[:, i]) for i in range(n))
-    ready = StateVector((d_app,), app_u[:, 0])
-    pointers = tuple(StateVector((d_app,), app_u[:, i + 1]) for i in range(n))
-
-    branches = tuple(
-        HermitianOperator((d_app,), 1j * g * (
-            np.outer(pointers[i].amplitudes, ready.amplitudes.conj())
-            - np.outer(ready.amplitudes, pointers[i].amplitudes.conj())
-        ))
-        for i in range(n)
-    )
+    # H_i = i g (|o_i><ready| - |ready><o_i|), stacked over the branches i.
+    pointer_to_ready = app_u[:, 1 : n + 1].T[:, :, None] * app_u[:, 0].conj()
+    branches = 1j * g * (pointer_to_ready - pointer_to_ready.conj().transpose(0, 2, 1))
 
     return MeasurementModel(
-        n_outcomes=n,
-        system_dim=n,
-        apparatus_dim=d_app,
-        system_eigenstates=system,
-        pointer_ready=ready,
-        pointer_states=pointers,
+        system_frame=sys_u,
+        pointer_frame=app_u[:, : n + 1],
         branch_hamiltonians=branches,
         nominal_duration=math.pi / (2 * g),
         fidelity=1.0,

@@ -55,9 +55,9 @@ def test_c1_projector_algebra():
         assert np.max(np.abs(m @ m - m)) < 1e-12
         assert np.max(np.abs(m - m.conj().T)) < 1e-12
         assert abs(np.trace(m).real - n) < 1e-12
-        for i, a in enumerate(model.system_eigenstates):
-            for j, o in enumerate(model.pointer_states):
-                pair = tensor_state(a, o).amplitudes
+        for i, a in enumerate(model.system_frame.T):
+            for j, o in enumerate(model.pointer_frame.T[1:]):
+                pair = np.kron(a, o)
                 image = m @ pair
                 if i == j:
                     assert np.max(np.abs(image - pair)) < 1e-12
@@ -132,7 +132,7 @@ def test_c5_operational_equivalence_exact():
         else:
             model = random_frame_model(rng, n, extra_apparatus=kind - 2)
         psi = haar_state(rng, model.joint_dims)
-        dist = joint_distribution(model, psi)
+        dist = joint_distribution(model, model.branch_components(psi))
         assert abs(dist.probabilities.sum() - 1.0) < 1e-10
         err = abs(dist.matched_probability() - happened_probability(model, psi))
         worst = max(worst, err)

@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -124,7 +125,7 @@ class TestCheck:
 
     def test_diagonalises_each_branch_once(self, monkeypatch):
         # The premeasurement and derivative checks share the model's branch
-        # spectra, so each of the n = 2 branch Hamiltonians meets eigh once.
+        # spectra: one eigh call on the stack of the n = 2 branch Hamiltonians.
         eigh = np.linalg.eigh
         calls = []
 
@@ -136,7 +137,7 @@ class TestCheck:
         for name in ("rotation.json", "imperfect.json", "sampling.json"):
             calls.clear()
             assert cli.main(["check", str(SCENARIOS / name)]) == 0
-            assert calls == [(3, 3), (3, 3)]
+            assert calls == [(2, 3, 3)]
 
     def test_coarse_grid_widens_derivative_tolerance(self, tmp_path, capsys):
         scenario = write_scenario(
@@ -165,12 +166,11 @@ class TestCheck:
 
         import numpy as np
 
-        from mclock import HermitianOperator, build_rotation_model, initial_state, parse_scenario
+        from mclock import build_rotation_model, initial_state, parse_scenario
 
         spec = parse_scenario(write_scenario(tmp_path / "s.json").read_text())
         model = build_rotation_model(2, 1.0)
-        zero = HermitianOperator((model.apparatus_dim,), np.zeros((3, 3)))
-        dead = dataclasses.replace(model, branch_hamiltonians=(zero, zero))
+        dead = dataclasses.replace(model, branch_hamiltonians=np.zeros((2, 3, 3)))
         results = list(cli._run_checks(spec, 1.0, dead, initial_state(spec, dead)))
         assert results[0][0] == "premeasurement"
         assert results[0][1] is False
@@ -183,14 +183,13 @@ class TestCheck:
 
         import numpy as np
 
-        from mclock import (
-            StateVector, build_rotation_model, happened_projector, initial_state, parse_scenario,
-        )
+        from mclock import build_rotation_model, happened_projector, initial_state, parse_scenario
 
         spec = parse_scenario(write_scenario(tmp_path / "s.json").read_text())
         model = build_rotation_model(2, 1.0)
-        tilted = StateVector((3,), [0, 1 + 2e-11, 0])
-        bad = dataclasses.replace(model, pointer_states=(tilted, model.pointer_states[1]))
+        tilted = model.pointer_frame.copy()
+        tilted[1, 1] = 1 + 2e-11  # pointer 0 is column 1
+        bad = dataclasses.replace(model, pointer_frame=tilted)
         results = list(cli._run_checks(spec, 1.0, bad, initial_state(spec, bad)))
         assert [(name, passed) for name, passed, _ in results[:2]] == [
             ("premeasurement", True), ("projector idempotence", False)
@@ -232,6 +231,16 @@ class TestCheck:
             assert cli.main(["check", str(scenario)]) == 4
             err = capsys.readouterr().err
             assert "derivative identity: FAILED" in err and cause in err
+
+    def test_derivative_tolerance_in_units_of_g(self, tmp_path, capsys):
+        # p scales with g, and so does the tolerance g max(1e-4, (g h)^2): at
+        # g = 1e-5 an absolute 1e-4 exceeds both curves, and at g = 1e103 a
+        # widening computed as g^3 h^2 overflows to inf.
+        for model, g in itertools.product(("rotation", "imperfect"), (1e-5, 1e103)):
+            scenario = tmp_path / "s.json"
+            scenario.write_text(json.dumps(_scale_document(model, g)))
+            assert cli.main(["check", str(scenario)]) == 0, (model, g)
+            assert "all checks passed" in capsys.readouterr().out
 
     def test_large_coupling_passes(self, tmp_path, capsys):
         # At g = 1e6 the spectral residual is ~1e-10 in absolute terms, well
@@ -385,6 +394,38 @@ class TestContractProperty:
             for command in ("run", "check", "sample"):
                 out = [] if command == "check" else ["--out", os.path.join(tmp, "o.csv")]
                 assert cli.main([command, scenario] + out) in (0, 2, 3, 4)
+
+
+def _scale_document(model: str, g: float) -> dict:
+    """The base document at coupling g on [0, pi/(2g)], 201 points, the same in g t for all g."""
+    doc = _base_document(model)
+    doc["g"] = g
+    doc["grid"] = {"t0": 0.0, "t1": math.pi / (2 * g), "points": 201}
+    return doc
+
+
+def _run_curves(doc: dict) -> np.ndarray:
+    """The t, P, p columns that ``run`` writes for doc, once ``check`` has passed on it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, out = os.path.join(tmp, "s.json"), os.path.join(tmp, "o.csv")
+        with open(scenario, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        assert cli.main(["run", scenario, "--out", out]) == 0
+        assert cli.main(["check", scenario]) == 0
+        return np.loadtxt(out, delimiter=",", skiprows=1)
+
+
+class TestScaleProperty:
+    # The models scale exactly with g: P(t) at coupling g is P(g t) at g = 1,
+    # and p/g likewise. So run and check must not depend on g at all.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(model=st.sampled_from(["rotation", "imperfect"]), u=st.floats(-150.0, 150.0))
+    def test_run_and_check_are_scale_free(self, model, u):
+        g = 10.0**u
+        curves = _run_curves(_scale_document(model, g))
+        reference = _run_curves(_scale_document(model, 1.0))
+        assert np.max(np.abs(curves[:, 1] - reference[:, 1])) < 1e-12
+        assert np.max(np.abs(curves[:, 2] / g - reference[:, 2])) < 1e-12
 
 
 class TestAtomicWrite:

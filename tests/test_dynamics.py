@@ -163,12 +163,11 @@ class TestTrajectory:
         model = random_frame_model(rng, 3, extra_apparatus=2, g=1.3)
         psi0 = haar_state(rng, model.joint_dims)
         h = sum(
-            np.kron(np.outer(a.amplitudes, a.amplitudes.conj()), h_i.matrix)
-            for a, h_i in zip(model.system_eigenstates, model.branch_hamiltonians)
+            np.kron(np.outer(a, a.conj()), h_i)
+            for a, h_i in zip(model.system_frame.T, model.branch_hamiltonians)
         )
         pairs = np.column_stack([
-            np.kron(a.amplitudes, o.amplitudes)
-            for a, o in zip(model.system_eigenstates, model.pointer_states)
+            np.kron(a, o) for a, o in zip(model.system_frame.T, model.pointer_frame.T[1:])
         ])
         m = pairs @ pairs.conj().T
         r = 1j * (h @ m - m @ h)

@@ -194,6 +194,20 @@ class TestSpectral:
 
     def test_rejects_nan_reconstruction(self):
         # Finite and Hermitian, but its eigenvalue 2e308 overflows to inf and
-        # the reconstruction (inf * 0 in a complex product) is NaN.
-        with pytest.raises(EigensolverFailure), np.errstate(all="ignore"):
-            spectral(HermitianOperator((2,), np.full((2, 2), 1e308)))
+        # the reconstruction (inf * 0 in a complex product) is NaN; in a
+        # stack, that one matrix fails the whole decomposition.
+        huge = np.full((2, 2), 1e308)
+        for a in (HermitianOperator((2,), huge), np.stack([SX, huge])):
+            with pytest.raises(EigensolverFailure), np.errstate(all="ignore"):
+                spectral(a)
+
+    def test_stack_matches_each_matrix(self):
+        # One eigh call on a stack gives each matrix's own decomposition.
+        rng = np.random.default_rng(44)
+        stack = np.stack([random_hermitian(rng, 5, scale=s) for s in (1.0, 3.0, 1e6)])
+        dec = spectral(stack)
+        assert dec.eigenvalues.shape == (3, 5) and dec.eigenvectors.shape == (3, 5, 5)
+        for k, mat in enumerate(stack):
+            single = spectral(HermitianOperator((5,), mat))
+            assert np.array_equal(dec.eigenvalues[k], single.eigenvalues)
+            assert np.array_equal(dec.eigenvectors[k], single.eigenvectors)

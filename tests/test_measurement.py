@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import evolve_series, haar_state, random_frame_model, random_hermitian
+from conftest import evolve_series, haar_state, haar_unitary, random_frame_model, random_hermitian
 from mclock import (
     DimensionMismatch,
     HermitianOperator,
     InvalidParameter,
+    MeasurementModel,
     NumericalError,
     SchmidtDecomposition,
     StateVector,
@@ -56,8 +57,8 @@ class TestRotationModel:
 
     def test_branch_evolves_to_matched_pair(self):
         model = build_rotation_model(2, 1.0)
-        start = tensor_state(model.system_eigenstates[0], model.pointer_ready)
-        target = tensor_state(model.system_eigenstates[0], model.pointer_states[0])
+        start = tensor_state(basis_state(2, 0), model.pointer_ready)
+        target = tensor_state(basis_state(2, 0), basis_state(3, 1))
         out = evolve(model.interaction_hamiltonian, start, math.pi / 2)
         assert np.max(np.abs(out.amplitudes - target.amplitudes)) < 1e-10
 
@@ -106,8 +107,8 @@ class TestInteractionHamiltonian:
         for model in (build_imperfect_model(5, 1.3, 0.2),
                       random_frame_model(rng, 4, extra_apparatus=2, g=0.7)):
             expected = sum(
-                np.kron(np.outer(a.amplitudes, a.amplitudes.conj()), h_i.matrix)
-                for a, h_i in zip(model.system_eigenstates, model.branch_hamiltonians)
+                np.kron(np.outer(a, a.conj()), h_i)
+                for a, h_i in zip(model.system_frame.T, model.branch_hamiltonians)
             )
             h = model.interaction_hamiltonian
             assert h.dims == model.joint_dims
@@ -116,11 +117,65 @@ class TestInteractionHamiltonian:
 
     def test_rejects_branch_on_wrong_space(self):
         model = build_rotation_model(2, 1.0)
-        wide = HermitianOperator((4,), np.zeros((4, 4)))
         with pytest.raises(DimensionMismatch):
-            dataclasses.replace(model, branch_hamiltonians=(wide, wide))
-        with pytest.raises(InvalidParameter):
+            dataclasses.replace(model, branch_hamiltonians=np.zeros((2, 4, 4)))
+        with pytest.raises(DimensionMismatch):
             dataclasses.replace(model, branch_hamiltonians=model.branch_hamiltonians[:1])
+
+
+class TestModelContract:
+    """The model is three arrays, each checked once for shape, orthonormality or Hermiticity."""
+
+    def test_fields_are_the_arrays(self):
+        fields = [f.name for f in dataclasses.fields(MeasurementModel)]
+        assert fields == [
+            "system_frame", "pointer_frame", "branch_hamiltonians", "nominal_duration", "fidelity"
+        ]
+        model = build_imperfect_model(3, 1.0, 0.1)
+        assert (model.n_outcomes, model.system_dim, model.apparatus_dim) == (3, 3, 4)
+        assert model.branch_hamiltonians.shape == (3, 4, 4)
+        assert np.array_equal(model.pointer_ready.amplitudes, [1, 0, 0, 0])
+        with pytest.raises(ValueError):
+            model.branch_hamiltonians[0, 0, 0] = 1.0  # frozen
+
+    def test_rejects_misshapen_frames(self):
+        # Misshapen H_i stacks are tested in TestInteractionHamiltonian.
+        model = build_rotation_model(2, 1.0)
+        for change in ({"system_frame": np.eye(2, 3)}, {"pointer_frame": np.eye(3)[:, :2]}):
+            with pytest.raises((DimensionMismatch, InvalidParameter)):
+                dataclasses.replace(model, **change)
+
+    def test_rejects_non_orthonormal_frames(self):
+        model = build_rotation_model(2, 1.0)
+        with pytest.raises(NumericalError, match="system frame"):
+            dataclasses.replace(model, system_frame=[[1, 0], [1, 1]])
+        with pytest.raises(NumericalError, match="pointer frame"):
+            dataclasses.replace(model, pointer_frame=np.full((3, 3), 1 / math.sqrt(3)))
+
+    def test_rejects_bad_second_branch(self):
+        model = build_rotation_model(2, 1.0)
+        for entry in (1e-6j, np.nan):  # a Hermitian diagonal is real
+            h = model.branch_hamiltonians.copy()
+            h[1, 0, 0] = entry
+            with pytest.raises(NumericalError):
+                dataclasses.replace(model, branch_hamiltonians=h)
+
+    def test_hermiticity_tolerance_is_per_branch(self):
+        # H_2 = 1e6 H_1 built as U diag(w) U^H carries rounding asymmetry
+        # ~1e-10, far above an absolute 1e-12 but within 1e-12 x max|H_2|.
+        # The same asymmetry on the unit-sized H_1 is rejected, so the scale
+        # is each branch's own, not the stack's largest entry.
+        u = haar_unitary(np.random.default_rng(61), 3)
+        w = np.array([-1.0, 0.5, 2.0])
+        h1 = (u * w) @ u.conj().T
+        h2 = (u * (1e6 * w)) @ u.conj().T
+        asymmetry = h2 - h2.conj().T
+        assert np.max(np.abs(asymmetry)) > 1e-12
+        model = build_rotation_model(2, 1.0)
+        accepted = dataclasses.replace(model, branch_hamiltonians=[h1, h2])
+        assert np.array_equal(accepted.branch_hamiltonians[1], h2)
+        with pytest.raises(NumericalError):
+            dataclasses.replace(model, branch_hamiltonians=[h1 + asymmetry, h2])
 
 
 class TestImperfectModel:
@@ -163,11 +218,7 @@ class TestHappenedProjector:
     def test_defining_actions(self):
         model = build_rotation_model(2, 1.0)
         m = happened_projector(model).matrix
-        pairs = [
-            tensor_state(a, o).amplitudes
-            for a in model.system_eigenstates
-            for o in model.pointer_states
-        ]
+        pairs = [np.kron(a, o) for a in model.system_frame.T for o in model.pointer_frame.T[1:]]
         matched_aa, mismatched_ab, mismatched_ba, matched_bb = pairs
         assert np.max(np.abs(m @ matched_aa - matched_aa)) < 1e-12
         assert np.max(np.abs(m @ matched_bb - matched_bb)) < 1e-12
@@ -265,15 +316,15 @@ class TestHappenedProbability:
         for _ in range(5):
             coeffs = haar_state(rng, (2,)).amplitudes
             amps = sum(
-                c * tensor_state(a, o).amplitudes
-                for c, a, o in zip(coeffs, model.system_eigenstates, model.pointer_states)
+                c * np.kron(a, o)
+                for c, a, o in zip(coeffs, model.system_frame.T, model.pointer_frame.T[1:])
             )
             psi = StateVector(model.joint_dims, amps)
             assert happened_probability(model, psi) == pytest.approx(1.0, abs=1e-12)
 
     def test_mismatched_pair_gives_zero(self):
         model = build_rotation_model(2, 1.0)
-        psi = tensor_state(model.system_eigenstates[0], model.pointer_states[1])
+        psi = tensor_state(basis_state(2, 0), basis_state(3, 2))
         assert happened_probability(model, psi) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -291,8 +342,7 @@ class TestPremeasurementCheck:
 
     def test_zero_interaction_never_qualifies(self):
         model = build_rotation_model(2, 1.0)
-        zero = HermitianOperator((model.apparatus_dim,), np.zeros((3, 3)))
-        dead = dataclasses.replace(model, branch_hamiltonians=(zero, zero))
+        dead = dataclasses.replace(model, branch_hamiltonians=np.zeros((2, 3, 3)))
         report = premeasurement_check(dead)
         assert report.fidelities == (0.0, 0.0)
         assert report.max_deviation == 1.0

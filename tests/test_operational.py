@@ -7,6 +7,7 @@ from conftest import haar_state, random_frame_model
 from mclock import (
     InvalidParameter,
     StateVector,
+    basis_state,
     build_imperfect_model,
     build_rotation_model,
     evolve,
@@ -27,7 +28,7 @@ def balanced_start(model):
 class TestJointDistribution:
     def test_ready_state_all_mass_on_ready_pointer(self):
         model = build_rotation_model(2, 1.0)
-        dist = joint_distribution(model, balanced_start(model))
+        dist = joint_distribution(model, model.branch_components(balanced_start(model)))
         ready_mass = dist.probabilities[:, 0].sum()
         assert ready_mass == pytest.approx(1.0, abs=1e-12)
         assert dist.matched_probability() == pytest.approx(0.0, abs=1e-12)
@@ -36,7 +37,7 @@ class TestJointDistribution:
         model = build_rotation_model(2, 1.0)
         psi_t = evolve(model.interaction_hamiltonian, balanced_start(model),
                        model.nominal_duration)
-        dist = joint_distribution(model, psi_t)
+        dist = joint_distribution(model, model.branch_components(psi_t))
         assert dist.probabilities[0, 1] == pytest.approx(0.5, abs=1e-12)
         assert dist.probabilities[1, 2] == pytest.approx(0.5, abs=1e-12)
         assert dist.matched_probability() == pytest.approx(1.0, abs=1e-12)
@@ -44,7 +45,7 @@ class TestJointDistribution:
     def test_half_way_point(self):
         model = build_rotation_model(2, 1.0)
         psi = evolve(model.interaction_hamiltonian, balanced_start(model), math.pi / 4)
-        dist = joint_distribution(model, psi)
+        dist = joint_distribution(model, model.branch_components(psi))
         assert dist.matched_probability() == pytest.approx(0.5, abs=1e-12)
 
     def test_matched_mass_equals_projector_expectation(self):
@@ -53,7 +54,7 @@ class TestJointDistribution:
             n = int(rng.integers(2, 6))
             model = random_frame_model(rng, n, extra_apparatus=int(rng.integers(0, 3)))
             psi = haar_state(rng, model.joint_dims)
-            dist = joint_distribution(model, psi)
+            dist = joint_distribution(model, model.branch_components(psi))
             total = dist.probabilities.sum()
             assert abs(total - 1.0) < 1e-10
             assert abs(
@@ -64,7 +65,7 @@ class TestJointDistribution:
         rng = np.random.default_rng(47)
         model = random_frame_model(rng, 2, extra_apparatus=2)
         psi = haar_state(rng, model.joint_dims)
-        dist = joint_distribution(model, psi)
+        dist = joint_distribution(model, model.branch_components(psi))
         residual = dist.probabilities[:, 3].sum()
         assert residual > 1e-3  # a Haar state leaks outside the pointer frame
 
@@ -72,10 +73,11 @@ class TestJointDistribution:
 class TestSampleTrials:
     def test_concentrated_distribution_is_always_case1(self):
         model = build_rotation_model(2, 1.0)
-        pair = tensor_state(model.system_eigenstates[0], model.pointer_states[0])
+        pair = tensor_state(basis_state(2, 0), basis_state(3, 1))
         records, report = sample_trials(model, pair, 0.0, 1, seed=1)
         assert report.case1_count == 1
-        assert records[0]["case1"] and records[0]["q_outcome"] == 0
+        # Cell c = i (n + 2) + j: q outcome 0 with its matched pointer, j = 1.
+        assert records.dtype == np.int64 and divmod(int(records[0]), 4) == (0, 1)
 
     def test_single_trial_estimate_is_zero_or_one(self):
         model = build_rotation_model(2, 1.0)
