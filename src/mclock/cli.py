@@ -9,10 +9,6 @@ Subcommands map onto the three activities the library supports:
 Exit codes are a stable contract: 0 success, 2 input problem (file,
 parse, validation), 3 numerical failure, 4 a check failed. Summary text
 goes to stdout; data goes to files only, written atomically.
-
-The environment variable MCLOCK_TOL_SCALE (float, default 1) uniformly
-scales the check tolerances (the ``*_check`` fields of TOL) for
-exploratory use; leave it unset for acceptance runs.
 """
 
 from __future__ import annotations
@@ -59,7 +55,11 @@ def _atomic_write(path: str, text: str) -> None:
 
 def _load_scenario(path: str) -> ScenarioSpec:
     with open(path, encoding="utf-8") as handle:
-        return parse_scenario(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc.reason} at byte {exc.start}") from exc
+    return parse_scenario(text)
 
 
 def _prepare(spec: ScenarioSpec):
@@ -98,10 +98,10 @@ def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
     return EXIT_OK
 
 
-def _run_checks(spec: ScenarioSpec, scale: float, model, psi0):
+def _run_checks(spec: ScenarioSpec, model, psi0):
     """Yield (name, passed, detail) for each check of ``_prepare``'s output, in order."""
     report = premeasurement_check(model)
-    threshold = model.fidelity - TOL.premeasurement_check * scale
+    threshold = model.fidelity - TOL.premeasurement_check
     yield (
         "premeasurement",
         report.qualifies(threshold),
@@ -114,7 +114,7 @@ def _run_checks(spec: ScenarioSpec, scale: float, model, psi0):
     o = model.pointer_frame[:, 1:]
     gram = (a.conj().T @ a) * (o.conj().T @ o)
     dev = float(np.max(np.abs(gram - np.eye(model.n_outcomes))))
-    tol = TOL.projector_check * scale
+    tol = TOL.projector_check
     yield ("projector idempotence", dev < tol, f"max |G - I| = {dev:.3e} (tol {tol:.3e})")
 
     traj = trajectory(model, psi0, spec.grid)
@@ -124,29 +124,28 @@ def _run_checks(spec: ScenarioSpec, scale: float, model, psi0):
     # on coarse grids. Products, not powers: a float power that overflows raises.
     g = spec.coupling_g
     widening = (g * step) * (g * step)
-    unscaled = g * max(TOL.derivative_check, widening)
-    fd_tol = unscaled * scale
+    tol = g * max(TOL.derivative_check, widening)
     diffs = (traj.prob_happened[2:] - traj.prob_happened[:-2]) / (2.0 * step)
     err = float(np.max(np.abs(diffs - traj.rate[1:-1])))
-    detail = f"max |dP/dt - p| = {err:.3e} (tol {fd_tol:.3e})"
+    detail = f"max |dP/dt - p| = {err:.3e} (tol {tol:.3e})"
     if widening > TOL.derivative_check:
         detail += f"; tolerance widened for coarse step h = {step:.3g}"
     # Any pair of curves misses by at most max|dP/dt| + max|p|; a tolerance
-    # (before MCLOCK_TOL_SCALE) that is not below that bound tests nothing.
+    # that is not below that bound tests nothing.
     bound = float(np.max(np.abs(diffs)) + np.max(np.abs(traj.rate[1:-1])))
-    tested = unscaled < bound
+    tested = tol < bound
     if not tested:
         cause = "step is too coarse" if widening > TOL.derivative_check else "curves are too small"
         detail += f"; untested: any curve is within {bound:.3e}, the {cause} to test the identity"
-    yield ("derivative identity", tested and err < fd_tol, detail)
+    yield ("derivative identity", tested and err < tol, detail)
 
 
-def cmd_check(spec: ScenarioSpec, scale: float) -> int:
+def cmd_check(spec: ScenarioSpec) -> int:
     if spec.grid.n_points < 3:
         raise ValidationError(
             f"grid.points must be >= 3 for check's derivative identity, got {spec.grid.n_points}"
         )
-    for name, passed, detail in _run_checks(spec, scale, *_prepare(spec)):
+    for name, passed, detail in _run_checks(spec, *_prepare(spec)):
         if not passed:
             print(f"check {name}: FAILED ({detail})", file=sys.stderr)
             return EXIT_CHECK_FAILED
@@ -175,23 +174,13 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
 
-    raw_scale = os.environ.get("MCLOCK_TOL_SCALE", "1")
-    try:
-        scale = float(raw_scale)
-        if not scale > 0:
-            raise ValueError
-    except ValueError:
-        print(f"error: MCLOCK_TOL_SCALE must be a positive float, got {raw_scale!r}",
-              file=sys.stderr)
-        return EXIT_INPUT
-
     try:
         spec = _load_scenario(args.scenario)
         if args.command == "run":
             return cmd_run(spec, args.out)
         if args.command == "sample":
             return cmd_sample(spec, args.out)
-        return cmd_check(spec, scale)
+        return cmd_check(spec)
     except (ParseError, ValidationError) as exc:
         print(f"error: {args.scenario}: {exc}", file=sys.stderr)
         return EXIT_INPUT

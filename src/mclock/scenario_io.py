@@ -129,6 +129,8 @@ def parse_scenario(text: str) -> ScenarioSpec:
         data = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
+    except RecursionError as exc:
+        raise ParseError("invalid JSON: nested too deeply") from exc
 
     data = _as_object(data, "<document>", _TOP_KEYS)
     for key in ("model", "n", "g", "c", "grid"):
@@ -229,31 +231,16 @@ def initial_state(spec: ScenarioSpec, model: MeasurementModel) -> StateVector:
     return tensor_state(system, model.pointer_ready)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def emit_trajectory_csv(traj: TimingTrajectory) -> str:
     """CSV of the timing curves: header ``t,P,p``, one row per grid point."""
-    lines = ["t,P,p"]
-    for t, prob, rate in zip(traj.grid.times, traj.prob_happened, traj.rate):
-        lines.append(f"{_fmt(t)},{_fmt(prob)},{_fmt(rate)}")
-    return "\n".join(lines) + "\n"
+    rows = zip(traj.grid.times.tolist(), traj.prob_happened.tolist(), traj.rate.tolist())
+    return "".join(["t,P,p\n"] + ["%.17g,%.17g,%.17g\n" % row for row in rows])
 
 
 def emit_sampling_csv(report: EstimateReport) -> str:
     """One-row CSV of a sampling run: ``t,trials,case1,estimate,std_error,exact_P``."""
-    lines = [
-        "t,trials,case1,estimate,std_error,exact_P",
-        ",".join(
-            [
-                _fmt(report.t),
-                str(report.n_trials),
-                str(report.case1_count),
-                _fmt(report.estimate),
-                _fmt(report.std_error),
-                _fmt(report.exact_prob),
-            ]
-        ),
-    ]
-    return "\n".join(lines) + "\n"
+    row = "%.17g,%d,%d,%.17g,%.17g,%.17g\n" % (
+        report.t, report.n_trials, report.case1_count,
+        report.estimate, report.std_error, report.exact_prob,
+    )
+    return "t,trials,case1,estimate,std_error,exact_P\n" + row

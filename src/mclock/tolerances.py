@@ -19,7 +19,7 @@ class Tolerances:
     schmidt_cutoff: float = 1e-12   # singular values below this are dropped
     schmidt_reconstruction: float = 1e-9
     distribution_sum: float = 1e-10 # allowed |sum of probabilities - 1|
-    # Checks of ``mclock check``, scaled there by MCLOCK_TOL_SCALE:
+    # Checks of ``mclock check``:
     projector_check: float = 1e-12      # max |G - I|, G the Gram matrix of the pairs |a_i>|o_i>
     premeasurement_check: float = 1e-9  # slack below the declared fidelity
     derivative_check: float = 1e-4      # |dP/dt - p| / g, before widening to (g h)^2

@@ -184,7 +184,7 @@ def test_c8_schmidt_instability_demo():
 
 
 def _cli(args, cwd):
-    env = {k: v for k, v in os.environ.items() if k != "MCLOCK_TOL_SCALE"}
+    env = dict(os.environ)
     # The subprocess runs in cwd, so a relative PYTHONPATH entry would not resolve.
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])

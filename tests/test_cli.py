@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
@@ -17,11 +18,6 @@ from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO_ROOT / "scenarios"
-
-
-@pytest.fixture(autouse=True)
-def clean_tol_scale(monkeypatch):
-    monkeypatch.delenv("MCLOCK_TOL_SCALE", raising=False)
 
 
 def write_scenario(path: Path, **overrides) -> Path:
@@ -117,6 +113,21 @@ class TestSample:
         assert "sampling" in capsys.readouterr().err
 
 
+CHECKS = ("premeasurement", "projector idempotence", "derivative identity")
+
+
+def _dead_interaction(model):
+    """The model with every coupling zero: it cannot premeasure."""
+    return dataclasses.replace(model, branch_hamiltonians=np.zeros_like(model.branch_hamiltonians))
+
+
+def _tilted_pointer(model):
+    """The model with pointer 0 stretched by 2e-11: orthonormal within 1e-10, M not idempotent."""
+    frame = model.pointer_frame.copy()
+    frame[1, 1] = 1 + 2e-11  # pointer 0 is column 1
+    return dataclasses.replace(model, pointer_frame=frame)
+
+
 class TestCheck:
     def test_bundled_scenarios_pass(self, capsys):
         for name in ("rotation.json", "imperfect.json", "sampling.json"):
@@ -146,32 +157,39 @@ class TestCheck:
         assert cli.main(["check", str(scenario)]) == 0
         assert "tolerance widened" in capsys.readouterr().out
 
-    def test_shrunk_tolerances_fail_first_check(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MCLOCK_TOL_SCALE", "1e-12")
-        scenario = write_scenario(tmp_path / "s.json")
+    @pytest.mark.parametrize("failing, corrupt, overrides", [
+        ("premeasurement", _dead_interaction, {}),
+        ("projector idempotence", _tilted_pointer, {}),
+        ("derivative identity", None, {  # grid times near 1e12 are resolved to ~1e-4
+            "model": "imperfect", "epsilon": 0.1,
+            "grid": {"t0": 1e12, "t1": 1e12 + math.pi / 2, "points": 201},
+        }),
+    ], ids=["premeasurement", "projector", "derivative"])
+    def test_first_failing_check_ends_the_report(
+        self, failing, corrupt, overrides, tmp_path, capsys, monkeypatch
+    ):
+        # A tolerance scale in the environment, which would pass every input here, is ignored.
+        monkeypatch.setenv("MCLOCK_TOL_SCALE", "1000")
+        if corrupt is not None:
+            build = cli.build_model
+            monkeypatch.setattr(cli, "build_model", lambda spec: corrupt(build(spec)))
+        scenario = write_scenario(tmp_path / "s.json", **overrides)
         assert cli.main(["check", str(scenario)]) == 4
-        err = capsys.readouterr().err
-        assert "FAILED" in err and "premeasurement" in err
-
-    def test_invalid_tol_scale(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MCLOCK_TOL_SCALE", "banana")
-        scenario = write_scenario(tmp_path / "s.json")
-        assert cli.main(["check", str(scenario)]) == 2
-        assert "MCLOCK_TOL_SCALE" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert err.startswith(f"check {failing}: FAILED (") and err.count("\n") == 1
+        earlier = CHECKS[:CHECKS.index(failing)]
+        assert [line.split(": ok (")[0] for line in out.splitlines()] == [
+            f"check {name}" for name in earlier
+        ]
 
     def test_corrupted_model_fails_premeasurement(self, tmp_path):
         # A dead interaction (all couplings effectively zero) cannot
         # premeasure; the check harness reports it as the first failure.
-        import dataclasses
-
-        import numpy as np
-
         from mclock import build_rotation_model, initial_state, parse_scenario
 
         spec = parse_scenario(write_scenario(tmp_path / "s.json").read_text())
-        model = build_rotation_model(2, 1.0)
-        dead = dataclasses.replace(model, branch_hamiltonians=np.zeros((2, 3, 3)))
-        results = list(cli._run_checks(spec, 1.0, dead, initial_state(spec, dead)))
+        dead = _dead_interaction(build_rotation_model(2, 1.0))
+        results = list(cli._run_checks(spec, dead, initial_state(spec, dead)))
         assert results[0][0] == "premeasurement"
         assert results[0][1] is False
 
@@ -179,18 +197,12 @@ class TestCheck:
         # The pointer frame is orthonormal within the model's 1e-10, but the
         # happened projector misses idempotence by ~4e-11 > 1e-12. The branch
         # check and the dense oracle M^2 - M must agree on which model fails.
-        import dataclasses
-
-        import numpy as np
-
         from mclock import build_rotation_model, happened_projector, initial_state, parse_scenario
 
         spec = parse_scenario(write_scenario(tmp_path / "s.json").read_text())
         model = build_rotation_model(2, 1.0)
-        tilted = model.pointer_frame.copy()
-        tilted[1, 1] = 1 + 2e-11  # pointer 0 is column 1
-        bad = dataclasses.replace(model, pointer_frame=tilted)
-        results = list(cli._run_checks(spec, 1.0, bad, initial_state(spec, bad)))
+        bad = _tilted_pointer(model)
+        results = list(cli._run_checks(spec, bad, initial_state(spec, bad)))
         assert [(name, passed) for name, passed, _ in results[:2]] == [
             ("premeasurement", True), ("projector idempotence", False)
         ]
@@ -304,6 +316,18 @@ class TestInputErrors:
         scenario = write_scenario(tmp_path / "s.json", g=5e-324)
         assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
         assert "g = 5e-324" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "check", "sample"])
+    @pytest.mark.parametrize("document", [
+        b"\xff\xfe{}",
+        b'{"model": ' + b"[" * 200_000 + b"]" * 200_000 + b"}",
+    ], ids=["not-utf8", "nested-200000-deep"])
+    def test_unreadable_document(self, command, document, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_bytes(document)
+        out = [] if command == "check" else ["--out", str(tmp_path / "o.csv")]
+        assert cli.main([command, str(scenario)] + out) == 2
+        assert capsys.readouterr().err.startswith(f"error: {scenario}: ")
 
     def test_grid_span_beyond_float_range(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json", grid={"t0": -1e308, "t1": 1e308})

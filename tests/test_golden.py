@@ -27,11 +27,6 @@ CASES = (
 )
 
 
-@pytest.fixture(autouse=True)
-def clean_tol_scale(monkeypatch):
-    monkeypatch.delenv("MCLOCK_TOL_SCALE", raising=False)
-
-
 @pytest.mark.parametrize("command, name", CASES, ids=[f"{c}-{n}" for c, n in CASES])
 def test_output_matches_golden(command, name, tmp_path, capsys):
     scenario = str(REPO_ROOT / "scenarios" / f"{name}.json")
