@@ -12,7 +12,6 @@ from .errors import (
     EigensolverFailure,
     InvalidParameter,
     MClockError,
-    NonOrthonormalInput,
     NumericalError,
     ParseError,
     ValidationError,
@@ -22,7 +21,6 @@ from .hilbert import (
     StateVector,
     basis_state,
     expectation,
-    projector_onto,
     spectral,
     tensor_state,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "TOL",
     "MClockError",
     "DimensionMismatch",
-    "NonOrthonormalInput",
     "InvalidParameter",
     "NumericalError",
     "EigensolverFailure",
@@ -63,7 +60,6 @@ __all__ = [
     "HermitianOperator",
     "basis_state",
     "tensor_state",
-    "projector_onto",
     "expectation",
     "spectral",
     "TimeGrid",

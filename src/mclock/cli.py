@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 import tempfile
 
@@ -41,10 +42,19 @@ EXIT_CHECK_FAILED = 4
 
 
 def _atomic_write(path: str, text: str) -> None:
+    # Leave the mode open(path, "w") would: an existing file keeps its own,
+    # a new one gets 0o666 less the umask (mkstemp alone would give 0o600).
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mclock-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
+            os.fchmod(handle.fileno(), mode)
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -83,8 +93,7 @@ def cmd_run(spec: ScenarioSpec, out_path: str) -> int:
 
 def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
     if spec.sampling is None:
-        print("error: scenario has no sampling block", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValidationError("scenario has no sampling block")
     model, psi0 = _prepare(spec)
     sampling = spec.sampling
     _, report = sample_trials(model, psi0, sampling.t, sampling.n_trials, sampling.seed)
@@ -100,12 +109,12 @@ def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
 
 def _run_checks(spec: ScenarioSpec, model, psi0):
     """Yield (name, passed, detail) for each check of ``_prepare``'s output, in order."""
-    report = premeasurement_check(model)
+    worst = float(premeasurement_check(model).min())
     threshold = model.fidelity - TOL.premeasurement_check
     yield (
         "premeasurement",
-        report.qualifies(threshold),
-        f"min fidelity {min(report.fidelities):.12g}, declared {model.fidelity:.12g}",
+        worst >= threshold,
+        f"min fidelity {worst:.12g}, declared {model.fidelity:.12g}",
     )
 
     # M = V V^H for the pairs V = |a_i>|o_i> is Hermitian by construction, and

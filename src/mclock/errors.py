@@ -9,10 +9,6 @@ class DimensionMismatch(MClockError):
     """Operands live on incompatible tensor-product spaces."""
 
 
-class NonOrthonormalInput(MClockError):
-    """A state list expected to be orthonormal is not; orthonormalize first."""
-
-
 class InvalidParameter(MClockError):
     """A model or sampling parameter is outside its admissible range."""
 

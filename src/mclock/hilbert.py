@@ -19,7 +19,6 @@ from .errors import (
     EigensolverFailure,
     InvalidParameter,
     MClockError,
-    NonOrthonormalInput,
     NumericalError,
 )
 from .tolerances import TOL
@@ -150,22 +149,6 @@ def basis_state(dim: int, index: int) -> StateVector:
 def tensor_state(a: StateVector, b: StateVector) -> StateVector:
     """Kronecker product of two states; a's indices vary slowest."""
     return StateVector(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
-
-
-def projector_onto(states: Sequence[StateVector]) -> HermitianOperator:
-    """Orthogonal projector onto the span of a mutually orthonormal state list.
-
-    Raises NonOrthonormalInput if the Gram matrix deviates from the identity
-    beyond tolerance; the caller must orthonormalize first.
-    """
-    if not states:
-        raise InvalidParameter("projector_onto needs at least one state")
-    dims = states[0].dims
-    if any(s.dims != dims for s in states):
-        raise DimensionMismatch("all states must share the same factor dimensions")
-    v = np.column_stack([s.amplitudes for s in states])
-    check_orthonormal(v, NonOrthonormalInput, "input states")
-    return HermitianOperator(dims, v @ v.conj().T)
 
 
 def expectations(a: HermitianOperator | np.ndarray, columns: np.ndarray) -> np.ndarray:

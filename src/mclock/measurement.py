@@ -14,7 +14,9 @@ psi(t) is the probability that it has happened by time t, and i[H, .] of
 it gives the time density of the happening. On system branch i, M is
 |pointer_i><pointer_i|, so P, p and ``check``'s projector check are computed
 in branch form; ``happened_projector`` and ``rate_operator`` build M and
-i[H, M] as dense joint-space operators, for tests with arbitrary H.
+i[H, M] as dense joint-space operators, for tests with arbitrary H. Both
+start from the pair columns V (column i is |a_i> (x) |pointer_i>):
+M = V V^H, and i[H, M] = i(X - X^H) with X = (H V) V^H.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .hilbert import (
     check_orthonormal,
     check_unit_norm,
     expectation,
-    projector_onto,
     spectral,
 )
 from .tolerances import TOL
@@ -177,8 +178,14 @@ def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
     return _build_canonical_model(n, g, epsilon)
 
 
+def _pair_columns(model: MeasurementModel) -> np.ndarray:
+    """V, whose column i is the pair |a_i> (x) |pointer_i>, shaped (n d, n)."""
+    a, o = model.system_frame, model.pointer_frame[:, 1:]
+    return (a[:, None, :] * o[None, :, :]).reshape(-1, model.n_outcomes)
+
+
 def happened_projector(model: MeasurementModel) -> HermitianOperator:
-    """Projector onto the correlated pairs |a_i> (x) |pointer_i>.
+    """M = V V^H, the projector onto the correlated pairs |a_i> (x) |pointer_i>.
 
     Eigenvalue 1 means the pointer correctly indicates the system outcome
     ("the measurement has happened"); rank equals n_outcomes. It maps each
@@ -186,9 +193,8 @@ def happened_projector(model: MeasurementModel) -> HermitianOperator:
     state whose apparatus factor is orthogonal to all pointer states to
     zero.
     """
-    a, o = model.system_frame, model.pointer_frame[:, 1:]
-    pairs = [StateVector(model.joint_dims, np.kron(a_i, o_i)) for a_i, o_i in zip(a.T, o.T)]
-    return projector_onto(pairs)
+    v = _pair_columns(model)
+    return HermitianOperator(model.joint_dims, v @ v.conj().T)
 
 
 def rate_operator(model: MeasurementModel, hamiltonian: HermitianOperator) -> HermitianOperator:
@@ -196,12 +202,15 @@ def rate_operator(model: MeasurementModel, hamiltonian: HermitianOperator) -> He
 
     With hbar = 1 this is Hermitian and satisfies
     d/dt <psi(t)|M|psi(t)> = <psi(t)| i[H, M] |psi(t)> exactly.
+    X = (H V) V^H is H M and M H = X^H, so i[H, M] = i(X - X^H), in O(D^2 n).
     """
-    m = happened_projector(model)
-    if hamiltonian.dims != m.dims:
-        raise DimensionMismatch(f"H dims {hamiltonian.dims} != joint dims {m.dims}")
-    h = hamiltonian.matrix
-    return HermitianOperator(m.dims, 1j * (h @ m.matrix - m.matrix @ h))
+    if hamiltonian.dims != model.joint_dims:
+        raise DimensionMismatch(f"H dims {hamiltonian.dims} != joint dims {model.joint_dims}")
+    v = _pair_columns(model)
+    x = (hamiltonian.matrix @ v) @ v.conj().T
+    x -= x.conj().T
+    x *= 1j
+    return HermitianOperator(model.joint_dims, x)
 
 
 def happened_probability(model: MeasurementModel, psi: StateVector) -> float:
@@ -212,23 +221,11 @@ def happened_probability(model: MeasurementModel, psi: StateVector) -> float:
     return value
 
 
-@dataclass(frozen=True)
-class PremeasurementReport:
-    """Per-outcome fidelities of the ready -> pointer evolution at nominal duration."""
-
-    fidelities: tuple[float, ...]
-    max_deviation: float
-
-    def qualifies(self, threshold: float) -> bool:
-        """True when every outcome branch reaches at least the given fidelity."""
-        return all(f >= threshold for f in self.fidelities)
-
-
-def premeasurement_check(model: MeasurementModel) -> PremeasurementReport:
+def premeasurement_check(model: MeasurementModel) -> np.ndarray:
     """Evolve each |a_i> (x) |ready> for the nominal duration and score it.
 
-    Reports |<a_i, pointer_i | psi(T)>|^2 per outcome plus the worst
-    deviation from 1. H keeps the system in |a_i>, so this is the overlap
+    Returns the (n,) fidelities |<a_i, pointer_i | psi(T)>|^2, one per
+    outcome. H keeps the system in |a_i>, so this is the overlap
     of pointer_i with |ready> evolved under H_i alone, all branches at once.
     Diagnostic only: it never raises on a bad model.
     """
@@ -236,8 +233,7 @@ def premeasurement_check(model: MeasurementModel) -> PremeasurementReport:
     evolved = _propagator(model.branch_spectra, ready)(np.array([model.nominal_duration]))
     check_unit_norm(evolved[..., 0].T)
     overlaps = model.pointer_frame.T[1:, None, :].conj() @ evolved
-    fidelities = tuple(float(f) for f in np.abs(overlaps.ravel()) ** 2)
-    return PremeasurementReport(fidelities, max(1.0 - f for f in fidelities))
+    return np.abs(overlaps.ravel()) ** 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,13 +278,12 @@ def schmidt_decompose(psi: StateVector, split: int) -> SchmidtDecomposition:
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
 
     keep = max(1, int(np.sum(s > TOL.schmidt_cutoff)))
-    u, s, vh = u[:, :keep].copy(), s[:keep].copy(), vh[:keep, :].copy()
+    u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
 
-    for k in range(keep):
-        j = int(np.argmax(np.abs(u[:, k])))
-        phase = u[j, k] / abs(u[j, k])
-        u[:, k] *= phase.conjugate()
-        vh[k, :] *= phase
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(keep)]
+    phase = peak / np.abs(peak)
+    u *= phase.conj()
+    vh *= phase[:, None]
 
     order = sorted(
         range(keep),
@@ -300,9 +295,7 @@ def schmidt_decompose(psi: StateVector, split: int) -> SchmidtDecomposition:
     right = tuple(StateVector(psi.dims[split:], vh[k, :]) for k in range(keep))
     dec = SchmidtDecomposition(s, left, right)
 
-    recon = np.zeros_like(psi.amplitudes)
-    for c, l, r in zip(dec.coefficients, left, right):
-        recon = recon + c * np.kron(l.amplitudes, r.amplitudes)
+    recon = ((u * s) @ vh).ravel()
     err = float(np.linalg.norm(recon - psi.amplitudes))
     if err > TOL.schmidt_reconstruction:
         raise NumericalError(f"Schmidt reconstruction off by {err:.3e}")

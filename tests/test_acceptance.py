@@ -219,8 +219,10 @@ def test_c9_pipeline_integrity(tmp_path):
                 tmp_path).returncode == 2
 
     # 'sample' without a sampling block is an input error by contract
-    assert _cli(["sample", str(SCENARIOS / "rotation.json"),
-                 "--out", str(tmp_path / "x.csv")], tmp_path).returncode == 2
+    no_block = _cli(["sample", str(SCENARIOS / "rotation.json"),
+                     "--out", str(tmp_path / "x.csv")], tmp_path)
+    assert no_block.returncode == 2
+    assert f"error: {SCENARIOS / 'rotation.json'}: scenario has no sampling block" in no_block.stderr
 
     # 17-significant-digit rendering round-trips bit-exactly
     lines = traj_csv.read_text().strip().split("\n")

@@ -110,7 +110,7 @@ class TestSample:
     def test_missing_sampling_block(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json")
         assert cli.main(["sample", str(scenario), "--out", str(tmp_path / "r.csv")]) == 2
-        assert "sampling" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {scenario}: scenario has no sampling block\n"
 
 
 CHECKS = ("premeasurement", "projector idempotence", "derivative identity")
@@ -465,3 +465,21 @@ class TestAtomicWrite:
         target.write_text("old")
         cli._atomic_write(str(target), "new")
         assert target.read_text() == "new"
+
+    @pytest.fixture
+    def umask_022(self):
+        old = os.umask(0o022)
+        yield
+        os.umask(old)
+
+    def test_new_file_mode_follows_umask(self, tmp_path, umask_022):
+        target = tmp_path / "out.csv"
+        cli._atomic_write(str(target), "new")
+        assert target.stat().st_mode & 0o777 == 0o644
+
+    def test_existing_file_keeps_its_mode(self, tmp_path, umask_022):
+        target = tmp_path / "out.csv"
+        target.write_text("old")
+        target.chmod(0o600)
+        cli._atomic_write(str(target), "new")
+        assert target.stat().st_mode & 0o777 == 0o600

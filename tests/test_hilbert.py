@@ -9,12 +9,10 @@ from mclock import (
     EigensolverFailure,
     HermitianOperator,
     InvalidParameter,
-    NonOrthonormalInput,
     NumericalError,
     StateVector,
     basis_state,
     expectation,
-    projector_onto,
     spectral,
     tensor_state,
 )
@@ -89,51 +87,17 @@ class TestTensorState:
 
 
 class TestProjector:
-    def test_rank_one(self):
-        p = projector_onto([basis_state(2, 0)])
-        assert np.array_equal(p.matrix, [[1, 0], [0, 0]])
-
-    def test_completeness(self):
-        for d in (2, 3, 5):
-            p = projector_onto([basis_state(d, k) for k in range(d)])
-            assert np.max(np.abs(p.matrix - np.eye(d))) < 1e-15
-
-    def test_hand_outer_product(self):
-        p = projector_onto([StateVector((2, 2), [SQ2, 0, 0, SQ2])])
-        expected = np.zeros((4, 4))
-        expected[0, 0] = expected[0, 3] = expected[3, 0] = expected[3, 3] = 0.5
-        assert np.allclose(p.matrix, expected, atol=1e-15)
-
-    def test_rejects_non_orthonormal(self):
-        tilted = StateVector((2,), [SQ2, SQ2])
-        with pytest.raises(NonOrthonormalInput):
-            projector_onto([basis_state(2, 0), tilted])
-
-    def test_rejects_empty(self):
-        with pytest.raises(InvalidParameter):
-            projector_onto([])
-
     def test_gram_check_rejects_nan_column(self):
-        with pytest.raises(NonOrthonormalInput):
-            check_orthonormal(np.array([[np.nan], [0.0]]), NonOrthonormalInput, "columns")
-
-    def test_idempotent_hermitian_property(self):
-        rng = np.random.default_rng(23)
-        for _ in range(20):
-            d = int(rng.integers(2, 17))
-            k = int(rng.integers(1, d + 1))
-            u = haar_unitary(rng, d)
-            p = projector_onto([StateVector((d,), u[:, j]) for j in range(k)]).matrix
-            assert np.max(np.abs(p @ p - p)) < 1e-12
-            assert np.max(np.abs(p - p.conj().T)) < 1e-12
+        with pytest.raises(NumericalError):
+            check_orthonormal(np.array([[np.nan], [0.0]]), NumericalError, "columns")
 
     def test_projector_expectation_in_unit_interval(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
             d = int(rng.integers(2, 13))
             k = int(rng.integers(1, d + 1))
-            u = haar_unitary(rng, d)
-            p = projector_onto([StateVector((d,), u[:, j]) for j in range(k)])
+            u = haar_unitary(rng, d)[:, :k]
+            p = HermitianOperator((d,), u @ u.conj().T)
             val = expectation(p, haar_state(rng, (d,)))
             assert -1e-10 <= val <= 1 + 1e-10
 
