@@ -2,7 +2,9 @@
 
 The files in ``tests/golden/`` hold the ``run`` CSVs of the bundled
 scenarios, the ``sample`` CSV of ``scenarios/sampling.json`` and the
-standard output of ``check`` on each bundled scenario. A change that is
+standard output of ``check`` on each bundled scenario. ``wide.json``
+(n = 20, Haar-random coefficients) is the one with many branches, so it
+pins the branch kernel where each branch touches 2 of its 21 apparatus rows. A change that is
 meant to keep every output reruns the command here and must reproduce the
 file exactly. A change that alters an output on purpose regenerates the
 file, e.g. ``mclock run scenarios/rotation.json --out
@@ -18,7 +20,7 @@ import mclock.cli as cli
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = REPO_ROOT / "tests" / "golden"
-BUNDLED = ("rotation", "imperfect", "sampling")
+BUNDLED = ("rotation", "imperfect", "sampling", "wide")
 
 CASES = (
     [("run", name) for name in BUNDLED]
