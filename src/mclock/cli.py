@@ -42,6 +42,8 @@ EXIT_CHECK_FAILED = 4
 
 
 def _atomic_write(path: str, text: str) -> None:
+    # Write where open(path, "w") would: through a symlink, to its target.
+    path = os.path.realpath(path)
     # Leave the mode open(path, "w") would: an existing file keeps its own,
     # a new one gets 0o666 less the umask (mkstemp alone would give 0o600).
     try:
@@ -50,7 +52,7 @@ def _atomic_write(path: str, text: str) -> None:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    directory = os.path.dirname(os.path.abspath(path))
+    directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mclock-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
@@ -134,11 +136,24 @@ def _run_checks(spec: ScenarioSpec, model, psi0):
     g = spec.coupling_g
     widening = (g * step) * (g * step)
     tol = g * max(TOL.derivative_check, widening)
-    diffs = (traj.prob_happened[2:] - traj.prob_happened[:-2]) / (2.0 * step)
+    # Three-point derivative on the stored times, which rounding spaces
+    # unevenly far from t = 0: the spacings are a h and b h. Differencing t
+    # before dividing by h keeps the spacings; a and b near 1 cannot underflow.
+    t, prob = traj.grid.times, traj.prob_happened
+    a = (t[1:-1] - t[:-2]) / step
+    b = (t[2:] - t[1:-1]) / step
+    diffs = (a * a * prob[2:] - b * b * prob[:-2] + (b * b - a * a) * prob[1:-1]) / (
+        a * b * (a + b) * step
+    )
     err = float(np.max(np.abs(diffs - traj.rate[1:-1])))
     detail = f"max |dP/dt - p| = {err:.3e} (tol {tol:.3e})"
     if widening > TOL.derivative_check:
         detail += f"; tolerance widened for coarse step h = {step:.3g}"
+    # Each phase lambda t is rounded to about |lambda t| 2^-52 radians.
+    phase_error = float(np.max(np.abs(model.branch_spectra.eigenvalues))) * float(
+        np.max(np.abs(t))) * 2.0**-52
+    if not err < tol and phase_error > TOL.derivative_check:
+        detail += f"; phases unresolved: max|lambda| max|t| 2^-52 = {phase_error:.3e}"
     # Any pair of curves misses by at most max|dP/dt| + max|p|; a tolerance
     # that is not below that bound tests nothing.
     bound = float(np.max(np.abs(diffs)) + np.max(np.abs(traj.rate[1:-1])))

@@ -22,10 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
-from .hilbert import (
-    HermitianOperator, SpectralDecomposition, StateVector, check_unit_norm, expectations,
-    spectral,
-)
+from .hilbert import HermitianOperator, SpectralDecomposition, StateVector, expectations, spectral
 from .tolerances import TOL
 
 if TYPE_CHECKING:
@@ -90,27 +87,40 @@ class TimingTrajectory:
         object.__setattr__(self, "rate", rate)
 
 
-def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray):
-    """Map times to the (..., d, k) exp(-i H_b t) amplitudes[b], H_b in dec; one exp per level."""
-    vecs = dec.eigenvectors
+def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray, rows: np.ndarray):
+    """Eigenbasis coefficients c of amplitudes[b], and a map from times to the (..., s, k) rows.
+
+    ``rows`` holds the eigenvector rows to form: the (..., d, d) eigenvectors
+    of ``dec`` for whole states, or a (..., s, d) gather of them. The map
+    returns rows[b] @ (exp(-i lambda t) c[b]), H_b in dec, exponentiating each
+    distinct level once per time; it raises NumericalError unless every
+    phase is unimodular, which also catches an overflowing lambda t.
+    """
     levels, index = np.unique(dec.eigenvalues, return_inverse=True)
     index = index.reshape(dec.eigenvalues.shape)
-    coeffs = vecs.conj().swapaxes(-1, -2) @ amplitudes[..., None]
+    coeffs = dec.eigenvectors.conj().swapaxes(-1, -2) @ amplitudes[..., None]
 
     def at(times: np.ndarray) -> np.ndarray:
-        phases = -1j * np.multiply.outer(levels, times)
-        amps = np.exp(phases, out=phases)[index]
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = -1j * np.multiply.outer(levels, times)
+            np.exp(phases, out=phases)
+        dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
+        if not dev <= TOL.norm:  # NaN fails too
+            raise NumericalError(f"phase exp(-i lambda t) deviates from modulus 1 by {dev:.3e}")
+        amps = phases[index]
         amps *= coeffs
-        return vecs @ amps
+        return rows @ amps
 
-    return at
+    return coeffs, at
 
 
 def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> StateVector:
     """exp(-iHt) psi0 via the spectral decomposition of H."""
     if hamiltonian.dims != psi0.dims:
         raise DimensionMismatch(f"H dims {hamiltonian.dims} != state dims {psi0.dims}")
-    amps = _propagator(spectral(hamiltonian), psi0.amplitudes)(np.array([t]))
+    dec = spectral(hamiltonian)
+    _, propagate = _propagator(dec, psi0.amplitudes, dec.eigenvectors)
+    amps = propagate(np.array([t]))
     return StateVector(psi0.dims, amps[:, 0])
 
 
@@ -119,17 +129,37 @@ def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> Ti
 
     Branch i of psi(t) is phi_i(t) = exp(-i H_i t) chi_i, so
     P = sum_i |<o_i|phi_i>|^2 and p = sum_i <phi_i| i[H_i, |o_i><o_i|] |phi_i>.
-    The model's one spectral decomposition per H_i serves all points, so there
-    is no error accumulation between samples. Points are evaluated in
-    blocks of at most BLOCK_AMPLITUDES joint amplitudes, all branches at
-    once, each state checked for unit norm.
+    Both operators of branch i vanish outside the rows and columns
+    S_i = supp(o_i) u supp(H_i o_i), so only those rows of phi_i are formed,
+    padded to the largest support. The model's one spectral decomposition
+    per H_i serves all points, so there is no error accumulation between
+    samples. Points are evaluated in blocks of at most BLOCK_AMPLITUDES joint
+    amplitudes, all branches at once. The eigenbasis coefficients must have
+    total weight 1 and every phase modulus 1; with orthonormal eigenvectors
+    that makes every state unit-norm.
     """
-    propagate = _propagator(model.branch_spectra, model.branch_components(psi0))
+    spectra = model.branch_spectra
     h = model.branch_hamiltonians
     pointers = model.pointer_frame.T[1:, :, None]
     # happened[i] = |o_i><o_i| and rate_ops[i] = i[H_i, |o_i><o_i|].
     happened = pointers @ pointers.conj().transpose(0, 2, 1)
     rate_ops = 1j * (h @ happened - happened @ h)
+
+    # Support rows first, in ascending order, padded with other rows to s.
+    # Columns count too: a rounded H_i need not give rate_ops[i] a symmetric pattern.
+    nonzero = (happened != 0) | (rate_ops != 0)
+    support = nonzero.any(axis=2) | nonzero.any(axis=1)
+    s = int(support.sum(axis=1).max())
+    idx = np.argsort(~support, axis=1, kind="stable")[:, :s, None]
+    rows = np.take_along_axis(spectra.eigenvectors, idx, axis=1)
+    cols = idx.transpose(0, 2, 1)
+    happened = np.take_along_axis(np.take_along_axis(happened, idx, axis=1), cols, axis=2)
+    rate_ops = np.take_along_axis(np.take_along_axis(rate_ops, idx, axis=1), cols, axis=2)
+
+    coeffs, propagate = _propagator(spectra, model.branch_components(psi0), rows)
+    weight = float(np.sum(np.abs(coeffs) ** 2))
+    if not abs(weight - 1.0) <= TOL.norm:  # NaN fails too
+        raise NumericalError(f"eigenbasis coefficients have total weight {weight!r}, not 1")
 
     times = grid.times
     prob = np.empty(times.size)
@@ -138,7 +168,6 @@ def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> Ti
     for start in range(0, times.size, block):
         points = slice(start, start + block)
         branches = propagate(times[points])
-        check_unit_norm(branches.reshape(psi0.dim, -1))
         prob[points] = expectations(happened, branches).sum(axis=0)
         rate[points] = expectations(rate_ops, branches).sum(axis=0)
     return TimingTrajectory(grid, prob, rate)

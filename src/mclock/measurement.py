@@ -230,7 +230,9 @@ def premeasurement_check(model: MeasurementModel) -> np.ndarray:
     Diagnostic only: it never raises on a bad model.
     """
     ready = np.tile(model.pointer_frame[:, 0], (model.n_outcomes, 1))
-    evolved = _propagator(model.branch_spectra, ready)(np.array([model.nominal_duration]))
+    spectra = model.branch_spectra
+    _, propagate = _propagator(spectra, ready, spectra.eigenvectors)
+    evolved = propagate(np.array([model.nominal_duration]))
     check_unit_norm(evolved[..., 0].T)
     overlaps = model.pointer_frame.T[1:, None, :].conj() @ evolved
     return np.abs(overlaps.ravel()) ** 2

@@ -103,7 +103,9 @@ def sample_trials(
     """
     if n_trials < 1:
         raise InvalidParameter(f"n_trials must be >= 1, got {n_trials}")
-    branches = _propagator(model.branch_spectra, model.branch_components(psi0))(np.array([t]))
+    spectra = model.branch_spectra
+    _, propagate = _propagator(spectra, model.branch_components(psi0), spectra.eigenvectors)
+    branches = propagate(np.array([t]))
     dist = joint_distribution(model, branches[:, :, 0])
 
     cumulative = np.cumsum(dist.probabilities)

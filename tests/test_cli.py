@@ -182,6 +182,18 @@ class TestCheck:
             f"check {name}" for name in earlier
         ]
 
+    def test_far_grid_uses_the_stored_spacings(self, tmp_path, capsys):
+        # Near t = 1e12 the stored times are spaced 0.0078125 and 0.00793457
+        # apart, not h. The rotation model's phases g t are exact there, so
+        # its identity holds; the imperfect model's g(1 - eps) t are rounded
+        # to ~2e-4, and the failure names that cause.
+        grid = {"t0": 1e12, "t1": 1e12 + math.pi / 2, "points": 201}
+        assert cli.main(["check", str(write_scenario(tmp_path / "r.json", grid=grid))]) == 0
+        capsys.readouterr()
+        imperfect = write_scenario(tmp_path / "i.json", model="imperfect", epsilon=0.1, grid=grid)
+        assert cli.main(["check", str(imperfect)]) == 4
+        assert "phases unresolved: max|lambda| max|t| 2^-52 = 2.220e-04" in capsys.readouterr().err
+
     def test_corrupted_model_fails_premeasurement(self, tmp_path):
         # A dead interaction (all couplings effectively zero) cannot
         # premeasure; the check harness reports it as the first failure.
@@ -483,3 +495,13 @@ class TestAtomicWrite:
         target.chmod(0o600)
         cli._atomic_write(str(target), "new")
         assert target.stat().st_mode & 0o777 == 0o600
+
+    def test_writes_through_a_symlink(self, tmp_path, umask_022):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old")
+        real.chmod(0o640)
+        link.symlink_to(real)
+        scenario = write_scenario(tmp_path / "s.json")
+        assert cli.main(["run", str(scenario), "--out", str(link)]) == 0
+        assert link.is_symlink() and real.read_text().startswith("t,P,p\n")
+        assert real.stat().st_mode & 0o777 == 0o640

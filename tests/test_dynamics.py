@@ -1,13 +1,16 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+import mclock.cli as cli
 from conftest import evolve_series, haar_state, random_frame_model, random_hermitian
 from mclock import (
     DimensionMismatch,
     HermitianOperator,
     InvalidParameter,
+    MeasurementModel,
     NumericalError,
     StateVector,
     TimeGrid,
@@ -209,6 +212,59 @@ class TestTrajectory:
             phase = g * grid.times
             assert np.max(np.abs(traj.prob_happened - np.sin(phase) ** 2)) < 1e-12
             assert np.max(np.abs(traj.rate / g - np.sin(2 * phase))) < 1e-12
+
+    def test_padded_supports_match_series_oracle(self):
+        # n = 3 on a 6-level apparatus (levels 4 and 5 are outside the pointer
+        # frame). Branch 0 also couples pointer 0 to level 4, so its operators
+        # touch rows {0, 1, 4}; the other branches touch 2 rows and are padded
+        # to 3. Branch 1 also couples ready to level 5, a row outside its
+        # support through which its state still flows.
+        n, d, g = 3, 6, 1.1
+        h = np.zeros((n, d, d), dtype=complex)
+        for i in range(n):
+            h[i, i + 1, 0], h[i, 0, i + 1] = 1j * g, -1j * g
+        h[0, 4, 1], h[0, 1, 4] = 0.7, 0.7
+        h[1, 5, 0], h[1, 0, 5] = 0.4j, -0.4j
+        model = MeasurementModel(np.eye(n), np.eye(d)[:, : n + 1], h, math.pi / (2 * g), 0.0)
+        psi0 = haar_state(np.random.default_rng(14), model.joint_dims)
+        joint = sum(np.kron(np.diag(np.eye(n)[i]), h[i]) for i in range(n))
+        pairs = np.column_stack([np.kron(np.eye(n)[i], np.eye(d)[i + 1]) for i in range(n)])
+        m = pairs @ pairs.T
+        r = 1j * (joint @ m - m @ joint)
+        grid = TimeGrid(0.0, 3.0, 31)
+        traj = trajectory(model, psi0, grid)
+        for k, t in enumerate(grid.times):
+            psi_t = evolve_series(joint, psi0.amplitudes, t)
+            assert abs(traj.prob_happened[k] - np.vdot(psi_t, m @ psi_t).real) < 1e-12
+            assert abs(traj.rate[k] - np.vdot(psi_t, r @ psi_t).real) < 1e-12
+
+    def test_overflowing_phase_raises(self):
+        # lambda t = 1e310 overflows; the phase check turns the NaN into an error.
+        model = build_rotation_model(2, 1e300)
+        psi0 = tensor_state(StateVector((2,), [SQ2, SQ2]), model.pointer_ready)
+        with pytest.raises(NumericalError, match="phase"):
+            trajectory(model, psi0, TimeGrid(0.0, 1e10, 11))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_phase_is_a_numerical_failure_without_warnings(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps({
+            "model": "rotation", "n": 2, "g": 1e300, "c": [[SQ2, 0.0], [SQ2, 0.0]],
+            "grid": {"t0": 0.0, "t1": 1e10, "points": 11},
+        }))
+        for args in (["run", str(scenario), "--out", str(tmp_path / "t.csv")],
+                     ["check", str(scenario)]):
+            assert cli.main(args) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_non_unit_coefficients_raise(self, monkeypatch):
+        model, _, psi0 = _rotation_setup()
+        split = MeasurementModel.branch_components
+        monkeypatch.setattr(MeasurementModel, "branch_components",
+                            lambda self, psi: 1.001 * split(self, psi))
+        with pytest.raises(NumericalError, match="coefficients"):
+            trajectory(model, psi0, TimeGrid(0.0, 1.0, 3))
 
     def test_rejects_state_on_other_space(self):
         model, _, _ = _rotation_setup()
