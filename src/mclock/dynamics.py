@@ -8,9 +8,17 @@ never mixes system branches, so ``trajectory`` splits the state into its
 branches and evolves each under its H_i, from the model's ``branch_spectra``
 (one decomposition of the (n, d, d) stack). Both, and the model's
 premeasurement check and sampling, run one kernel: the coefficients in each
-eigenbasis are computed once per call, and each distinct eigenvalue is
-exponentiated once per time. Trajectories take the grid in blocks, as one
-dimension x points array would dominate memory.
+eigenbasis are computed once per call, each distinct eigenvalue is
+exponentiated once per time, and only the eigenvector rows the caller asks
+for are formed. ``trajectory`` asks for the support rows of each branch, the
+rows on which |o_i><o_i| and i[H_i, |o_i><o_i|] act (2 of the n + 1 for the
+canonical models), so P and p cost O(n s d) per point for the largest
+support s, not O(n d^2). Its states are never formed whole, so their norm
+is kept by invariants instead of measured: the eigenvectors are orthonormal
+(``SpectralDecomposition``), the coefficients have total weight 1 (once per
+call) and every phase has modulus 1 (once per block of points, which also
+catches an overflowing lambda t). Trajectories take the grid in blocks, as
+one dimension x points array would dominate memory.
 """
 
 from __future__ import annotations
