@@ -36,7 +36,9 @@ from .tolerances import TOL
 if TYPE_CHECKING:
     from .measurement import MeasurementModel
 
-# Complex amplitudes held per block of grid points in ``trajectory``.
+# Block size bounding temporaries: complex amplitudes held per block of grid
+# points in ``trajectory``, and uniforms drawn per block in
+# ``operational.sample_trials``.
 BLOCK_AMPLITUDES = 2**16
 
 

@@ -8,7 +8,9 @@ probability. On system branch i the happened projector is |o_i><o_i| on
 the apparatus, so the matched-pair mass of the joint distribution is
 exactly the projector's expectation. This identity is what makes the
 operator and operational definitions agree, and the matched mass is the
-exact probability ``sample_trials`` reports.
+exact probability ``sample_trials`` reports. Sampled trials are tallied
+per joint cell, not kept one by one, so memory does not grow with the
+trial count.
 
 Pointer outcome encoding: 0 is the ready state, j in 1..n is the pointer
 state for outcome j, and n+1 is the residual bucket collecting apparatus
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import _propagator
+from .dynamics import BLOCK_AMPLITUDES, _propagator
 from .errors import InvalidParameter, NumericalError
 from .hilbert import StateVector
 from .measurement import MeasurementModel
@@ -87,6 +89,22 @@ def joint_distribution(model: MeasurementModel, branches: np.ndarray) -> JointOu
     return JointOutcomeDistribution(np.column_stack([frame_probs, residual]))
 
 
+def _tally(cumulative: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
+    """Count n_trials seeded inverse-CDF draws per cell of a cumulative distribution."""
+    # Draw u falls in cell min(#{k : cumulative[k] <= u}, size - 1), so
+    # below[c], the number of draws under cumulative[c], counts cells 0..c,
+    # and the last cell also takes every draw at or above cumulative[-1].
+    # Sorting a block of draws finds each below[c] by one binary search.
+    rng = np.random.default_rng(seed)
+    below = np.zeros(cumulative.size, dtype=np.int64)
+    for start in range(0, n_trials, BLOCK_AMPLITUDES):
+        block = rng.random(min(BLOCK_AMPLITUDES, n_trials - start))
+        block.sort()
+        below += np.searchsorted(block, cumulative, side="left")
+    below[-1] = n_trials
+    return np.diff(below, prepend=0)
+
+
 def sample_trials(
     model: MeasurementModel, psi0: StateVector, t: float, n_trials: int, seed: int
 ) -> tuple[np.ndarray, EstimateReport]:
@@ -96,10 +114,10 @@ def sample_trials(
     joint distribution computed once; the report's exact probability is its
     matched mass, the branch form of the happened-projector expectation.
     Trials are independent categorical draws from the distribution. The
-    records are the int64 array of drawn cells, one per trial: cell
-    c = i (n + 2) + j is q outcome i with pointer position j, so
-    (i, j) = divmod(c, n + 2), and the trial is Case 1 when j == i + 1.
-    Identical inputs and seed produce identical records.
+    counts are the int64 (n, n + 2) tally of the trials: counts[i, j] is
+    the number of trials with q outcome i and pointer position j, and the
+    trial is Case 1 when j == i + 1. Identical inputs and seed produce
+    identical counts.
     """
     if n_trials < 1:
         raise InvalidParameter(f"n_trials must be >= 1, got {n_trials}")
@@ -108,16 +126,13 @@ def sample_trials(
     branches = propagate(np.array([t]))
     dist = joint_distribution(model, branches[:, :, 0])
 
-    cumulative = np.cumsum(dist.probabilities)
-    uniforms = np.random.default_rng(seed).random(n_trials)
-    records = np.searchsorted(cumulative, uniforms, side="right")
-    np.minimum(records, cumulative.size - 1, out=records)
-    case1 = np.eye(model.n_outcomes, model.n_outcomes + 2, k=1, dtype=bool).ravel()
-    case1_count = int(np.count_nonzero(case1[records]))
+    n = model.n_outcomes
+    counts = _tally(np.cumsum(dist.probabilities), n_trials, seed).reshape(n, n + 2)
+    case1_count = int(np.trace(counts, offset=1))
 
     estimate = case1_count / n_trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / n_trials)
     report = EstimateReport(
         t, n_trials, case1_count, estimate, std_error, dist.matched_probability()
     )
-    return records, report
+    return counts, report

@@ -43,8 +43,9 @@ COEFF_NORM_SLACK = 1e-3
 # Resource limits; a scenario beyond one is an input error, not an
 # out-of-memory kill. No command builds a joint-space matrix; at n = 50
 # (imperfect model, 2001 points, 1e5 trials) ``run`` and ``check`` peak near
-# 50 MB and ``sample`` near 45 MB. At the grid and trial limits ``run`` peaks
-# near 300 MB and ``sample`` near 210 MB.
+# 50 MB and ``sample`` near 45 MB. At the grid limit ``run`` peaks near
+# 300 MB; at the trial limit ``sample`` peaks near 39 MB at n = 8 and 46 MB
+# at n = 50, since trials are tallied in fixed-size blocks.
 MAX_OUTCOMES = 50
 MAX_GRID_POINTS = 1_000_000
 MAX_TRIALS = 10_000_000

@@ -144,11 +144,11 @@ def test_c6_operational_equivalence_statistical():
     model = build_rotation_model(2, 1.0)
     psi0 = balanced_start(model)
     t_half = math.pi / 4  # P(t) = 1/2 exactly
-    records_a, report_a = sample_trials(model, psi0, t_half, 100000, seed=20260810)
+    counts_a, report_a = sample_trials(model, psi0, t_half, 100000, seed=20260810)
     assert abs(report_a.exact_prob - 0.5) < 1e-10
     assert abs(report_a.estimate - 0.5) < 4 * report_a.std_error
-    records_b, report_b = sample_trials(model, psi0, t_half, 100000, seed=20260810)
-    assert np.array_equal(records_a, records_b)
+    counts_b, report_b = sample_trials(model, psi0, t_half, 100000, seed=20260810)
+    assert np.array_equal(counts_a, counts_b)
     assert emit_sampling_csv(report_a).encode() == emit_sampling_csv(report_b).encode()
     _pass(
         6,

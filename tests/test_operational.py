@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from mclock import (
     sample_trials,
     tensor_state,
 )
+from mclock.dynamics import BLOCK_AMPLITUDES
+from mclock.operational import _tally
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -74,10 +77,11 @@ class TestSampleTrials:
     def test_concentrated_distribution_is_always_case1(self):
         model = build_rotation_model(2, 1.0)
         pair = tensor_state(basis_state(2, 0), basis_state(3, 1))
-        records, report = sample_trials(model, pair, 0.0, 1, seed=1)
+        counts, report = sample_trials(model, pair, 0.0, 1, seed=1)
         assert report.case1_count == 1
-        # Cell c = i (n + 2) + j: q outcome 0 with its matched pointer, j = 1.
-        assert records.dtype == np.int64 and divmod(int(records[0]), 4) == (0, 1)
+        assert counts.dtype == np.int64 and counts.shape == (2, 4)
+        # The one trial is q outcome 0 with its matched pointer, j = 1.
+        assert counts.sum() == 1 and counts[0, 1] == 1
 
     def test_single_trial_estimate_is_zero_or_one(self):
         model = build_rotation_model(2, 1.0)
@@ -124,3 +128,47 @@ class TestSampleTrials:
         model = build_rotation_model(2, 1.0)
         with pytest.raises(InvalidParameter):
             sample_trials(model, balanced_start(model), 0.5, 0, seed=1)
+
+
+def inverse_cdf_counts(cumulative, n_trials, seed):
+    """Reference tally: invert the CDF for each draw, then count the cells."""
+    uniforms = np.random.default_rng(seed).random(n_trials)
+    cells = np.searchsorted(cumulative, uniforms, side="right")
+    np.minimum(cells, cumulative.size - 1, out=cells)
+    return np.bincount(cells, minlength=cumulative.size)
+
+
+class TestTally:
+    B = BLOCK_AMPLITUDES
+
+    @pytest.mark.parametrize("n_trials", [1, B - 1, B, B + 1, 3 * B + 7])
+    def test_matches_per_trial_inverse_cdf(self, n_trials):
+        rng = np.random.default_rng(59)
+        imperfect = build_imperfect_model(8, 1.0, 0.1)  # many zero cells
+        frame = random_frame_model(rng, 4, extra_apparatus=2)
+        cases = [
+            (imperfect, balanced_start(imperfect), 0.7),
+            (frame, haar_state(rng, frame.joint_dims), 0.8),
+        ]
+        for seed, (model, psi0, t) in enumerate(cases):
+            counts, report = sample_trials(model, psi0, t, n_trials, seed)
+            psi_t = evolve(model.interaction_hamiltonian, psi0, t)
+            dist = joint_distribution(model, model.branch_components(psi_t))
+            cumulative = np.cumsum(dist.probabilities)
+            assert np.array_equal(counts.ravel(), inverse_cdf_counts(cumulative, n_trials, seed))
+            assert report.case1_count == np.trace(counts, offset=1)
+        # A cumulative ending below 1 sends every draw above it to the last cell.
+        short = np.array([0.0, 0.2, 0.2, 0.5])
+        assert np.array_equal(_tally(short, n_trials, 3), inverse_cdf_counts(short, n_trials, 3))
+
+    def test_memory_does_not_grow_with_trials(self):
+        model = build_imperfect_model(8, 1.0, 0.1)
+        psi0 = balanced_start(model)
+        sample_trials(model, psi0, 0.5, 1, seed=1)  # build the cached spectra first
+        tracemalloc.start()
+        try:
+            sample_trials(model, psi0, 0.5, 1_000_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
