@@ -151,12 +151,16 @@ def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> Ti
     spectra = model.branch_spectra
     h = model.branch_hamiltonians
     pointers = model.pointer_frame.T[1:, :, None]
-    # happened[i] = |o_i><o_i| and rate_ops[i] = i[H_i, |o_i><o_i|].
-    happened = pointers @ pointers.conj().transpose(0, 2, 1)
-    rate_ops = 1j * (h @ happened - happened @ h)
+    bras = pointers.conj().transpose(0, 2, 1)
+    # happened[i] = |o_i><o_i|. X = (H_i |o_i>) <o_i| is H_i |o_i><o_i| and X^H
+    # is |o_i><o_i| H_i, so rate_ops[i] = i[H_i, |o_i><o_i|] = i(X - X^H), in O(n d^2).
+    happened = pointers @ bras
+    rate_ops = (h @ pointers) @ bras
+    rate_ops -= rate_ops.conj().transpose(0, 2, 1)
+    rate_ops *= 1j
 
     # Support rows first, in ascending order, padded with other rows to s.
-    # Columns count too: a rounded H_i need not give rate_ops[i] a symmetric pattern.
+    # Columns count too, so the mask does not rely on a symmetric zero pattern.
     nonzero = (happened != 0) | (rate_ops != 0)
     support = nonzero.any(axis=2) | nonzero.any(axis=1)
     s = int(support.sum(axis=1).max())

@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -297,6 +299,54 @@ def test_no_command_builds_a_joint_space_operator(tmp_path, monkeypatch):
         assert cli.main(["run", str(SCENARIOS / name), "--out", out]) == 0
         assert cli.main(["check", str(SCENARIOS / name)]) == 0
     assert cli.main(["sample", str(SCENARIOS / "sampling.json"), "--out", out]) == 0
+
+
+def _fresh_python(code: str, **env) -> str:
+    """Stdout of ``code`` in a fresh interpreter with OPENBLAS_NUM_THREADS unset unless given.
+
+    This process may hold the variable already: importing ``mclock.cli`` sets it.
+    """
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
+    )
+    child_env.update(env)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True
+    ).stdout
+
+
+class TestBlasThreads:
+    REPORT = "; import os, sys; print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+    def test_library_import_loads_no_numpy_and_sets_nothing(self):
+        assert _fresh_python("import mclock" + self.REPORT) == "False None\n"
+
+    def test_cli_pins_one_thread(self):
+        assert _fresh_python("import mclock.cli" + self.REPORT) == "True 1\n"
+
+    def test_user_setting_wins(self):
+        assert _fresh_python("import mclock.cli" + self.REPORT, OPENBLAS_NUM_THREADS="2") == (
+            "True 2\n"
+        )
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_pin_precedes_numpy(self):
+        # The variable only counts if it is set before numpy starts its BLAS threads.
+        threads = "; import os; print(len(os.listdir('/proc/self/task')))"
+        pinned = _fresh_python("import numpy" + threads, OPENBLAS_NUM_THREADS="1")
+        assert _fresh_python("import mclock.cli" + threads) == pinned
+
+
+def test_lazy_exports_resolve_to_their_definitions():
+    import mclock
+
+    for name in mclock.__all__:
+        value = getattr(mclock, name)
+        if name != "__version__":
+            assert getattr(sys.modules[value.__module__], name) is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        mclock.no_such_name
 
 
 class TestInputErrors:
