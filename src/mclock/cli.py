@@ -54,11 +54,20 @@ def _atomic_write(path: str, text: str) -> None:
     # Leave the mode open(path, "w") would: an existing file keeps its own,
     # a new one gets 0o666 less the umask (mkstemp alone would give 0o600).
     try:
-        mode = stat.S_IMODE(os.stat(path).st_mode)
+        st_mode = os.stat(path).st_mode
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
+    else:
+        if not stat.S_ISREG(st_mode):
+            # A FIFO or device is written in place, as open(path, "w") would;
+            # a rename would swap the node itself for a regular file. A
+            # directory fails here, naming the path.
+            with open(path, "w") as handle:
+                handle.write(text)
+            return
+        mode = stat.S_IMODE(st_mode)
     directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mclock-", suffix=".tmp")
     try:

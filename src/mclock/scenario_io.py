@@ -24,7 +24,6 @@ round-trips IEEE doubles bit-exactly.
 from __future__ import annotations
 
 import json
-import logging
 import math
 from dataclasses import dataclass
 
@@ -35,8 +34,6 @@ from .errors import InvalidParameter, ParseError, ValidationError
 from .hilbert import StateVector, tensor_state
 from .measurement import MeasurementModel, build_imperfect_model, build_rotation_model
 from .operational import EstimateReport
-
-log = logging.getLogger(__name__)
 
 COEFF_NORM_SLACK = 1e-3
 
@@ -183,7 +180,13 @@ def parse_scenario(text: str) -> ScenarioSpec:
             f"{COEFF_NORM_SLACK} signal a mistake"
         )
     if norm != 1.0:
-        log.info("renormalizing initial coefficients by factor %.17g", 1.0 / norm)
+        # Imported here, on the one path that logs: loading logging costs ~5 ms
+        # of every command's start-up.
+        import logging
+
+        logging.getLogger(__name__).info(
+            "renormalizing initial coefficients by factor %.17g", 1.0 / norm
+        )
         coeffs = [z / norm for z in coeffs]
 
     grid_obj = _as_object(data["grid"], "grid", _GRID_KEYS)

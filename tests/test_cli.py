@@ -4,9 +4,11 @@ import itertools
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -301,10 +303,11 @@ def test_no_command_builds_a_joint_space_operator(tmp_path, monkeypatch):
     assert cli.main(["sample", str(SCENARIOS / "sampling.json"), "--out", out]) == 0
 
 
-def _fresh_python(code: str, **env) -> str:
-    """Stdout of ``code`` in a fresh interpreter with OPENBLAS_NUM_THREADS unset unless given.
+def _fresh_python(*args: str, **env) -> str:
+    """Stdout of ``python *args`` in a fresh interpreter.
 
-    This process may hold the variable already: importing ``mclock.cli`` sets it.
+    OPENBLAS_NUM_THREADS is unset unless given. This process may hold the
+    variable already: importing ``mclock.cli`` sets it.
     """
     child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     child_env["PYTHONPATH"] = os.pathsep.join(
@@ -312,7 +315,7 @@ def _fresh_python(code: str, **env) -> str:
     )
     child_env.update(env)
     return subprocess.run(
-        [sys.executable, "-c", code], env=child_env, capture_output=True, text=True, check=True
+        [sys.executable, *args], env=child_env, capture_output=True, text=True, check=True
     ).stdout
 
 
@@ -320,22 +323,66 @@ class TestBlasThreads:
     REPORT = "; import os, sys; print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))"
 
     def test_library_import_loads_no_numpy_and_sets_nothing(self):
-        assert _fresh_python("import mclock" + self.REPORT) == "False None\n"
+        assert _fresh_python("-c", "import mclock" + self.REPORT) == "False None\n"
 
     def test_cli_pins_one_thread(self):
-        assert _fresh_python("import mclock.cli" + self.REPORT) == "True 1\n"
+        assert _fresh_python("-c", "import mclock.cli" + self.REPORT) == "True 1\n"
 
     def test_user_setting_wins(self):
-        assert _fresh_python("import mclock.cli" + self.REPORT, OPENBLAS_NUM_THREADS="2") == (
-            "True 2\n"
-        )
+        assert _fresh_python(
+            "-c", "import mclock.cli" + self.REPORT, OPENBLAS_NUM_THREADS="2"
+        ) == "True 2\n"
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
     def test_pin_precedes_numpy(self):
         # The variable only counts if it is set before numpy starts its BLAS threads.
         threads = "; import os; print(len(os.listdir('/proc/self/task')))"
-        pinned = _fresh_python("import numpy" + threads, OPENBLAS_NUM_THREADS="1")
-        assert _fresh_python("import mclock.cli" + threads) == pinned
+        pinned = _fresh_python("-c", "import numpy" + threads, OPENBLAS_NUM_THREADS="1")
+        assert _fresh_python("-c", "import mclock.cli" + threads) == pinned
+
+
+class TestEntry:
+    """Only the process entry freezes the import-time heap; importers keep theirs."""
+
+    GC = "; import gc; print(gc.get_freeze_count(), gc.isenabled())"
+    GOLDEN = REPO_ROOT / "tests" / "golden"
+
+    @pytest.mark.parametrize("module", ["mclock", "mclock.cli"])
+    def test_library_import_freezes_nothing(self, module):
+        assert _fresh_python("-c", f"import {module}" + self.GC) == "0 True\n"
+
+    def test_entry_module_freezes_the_import_heap(self):
+        frozen, enabled = _fresh_python("-c", "import mclock.__main__" + self.GC).split()
+        assert int(frozen) > 10_000 and enabled == "True"
+
+    def test_cli_import_loads_no_logging(self):
+        code = "import sys, mclock.cli; print('logging' in sys.modules)"
+        assert _fresh_python("-c", code) == "False\n"
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs tomllib")
+    def test_console_script_runs_the_entry(self):
+        import tomllib
+
+        with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
+            target = tomllib.load(handle)["project"]["scripts"]["mclock"]
+        assert target == "mclock.__main__:entry"
+        # Run the target as the installed script does, without importing
+        # mclock.__main__ here, which would freeze this process's heap.
+        module, name = target.split(":")
+        scenario = str(SCENARIOS / "imperfect.json")
+        code = (
+            f"import importlib, sys; sys.argv = ['mclock', 'check', {scenario!r}]; "
+            f"importlib.import_module({module!r}).{name}()"
+        )
+        expected = (self.GOLDEN / "imperfect.check.txt").read_bytes()
+        assert _fresh_python("-c", code).encode() == expected
+
+    def test_module_entry_matches_golden(self, tmp_path):
+        scenario, out = str(SCENARIOS / "imperfect.json"), tmp_path / "out.csv"
+        _fresh_python("-m", "mclock", "run", scenario, "--out", str(out))
+        assert out.read_bytes() == (self.GOLDEN / "imperfect.run.csv").read_bytes()
+        checked = _fresh_python("-m", "mclock", "check", scenario)
+        assert checked.encode() == (self.GOLDEN / "imperfect.check.txt").read_bytes()
 
 
 def test_lazy_exports_resolve_to_their_definitions():
@@ -555,3 +602,40 @@ class TestAtomicWrite:
         assert cli.main(["run", str(scenario), "--out", str(link)]) == 0
         assert link.is_symlink() and real.read_text().startswith("t,P,p\n")
         assert real.stat().st_mode & 0o777 == 0o640
+
+    def test_writes_into_a_fifo(self, tmp_path):
+        scenario = write_scenario(tmp_path / "s.json")
+        regular = tmp_path / "regular.csv"
+        assert cli.main(["run", str(scenario), "--out", str(regular)]) == 0
+        fifo = tmp_path / "out.csv"
+        os.mkfifo(fifo)
+        # The read end opens without blocking, and a second write end holds
+        # off end-of-file until the command is done, so the reader thread can
+        # block on it; neither side waits forever, even if the command never
+        # opens the FIFO.
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        os.set_blocking(reader, True)
+        keeper = os.open(fifo, os.O_WRONLY)
+        chunks = []
+        thread = threading.Thread(
+            target=lambda: chunks.extend(iter(lambda: os.read(reader, 1 << 16), b""))
+        )
+        thread.start()
+        try:
+            assert cli.main(["run", str(scenario), "--out", str(fifo)]) == 0
+        finally:
+            os.close(keeper)
+            thread.join(timeout=10)
+            os.close(reader)
+        assert not thread.is_alive()
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert b"".join(chunks) == regular.read_bytes()
+
+    def test_directory_is_an_input_error_naming_it(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "s.json")
+        target = tmp_path / "out"
+        target.mkdir()
+        assert cli.main(["run", str(scenario), "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert repr(str(target)) in err and ".mclock-" not in err
+        assert target.is_dir() and not any(p.startswith(".mclock-") for p in os.listdir(tmp_path))
