@@ -13,11 +13,5 @@ from .cli import main
 # mclock or mclock.cli keeps its heap as it was.
 gc.freeze()
 
-
-def entry() -> None:
-    """Run the command line on ``sys.argv`` and exit with its code."""
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

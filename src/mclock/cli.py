@@ -49,8 +49,6 @@ EXIT_CHECK_FAILED = 4
 
 
 def _atomic_write(path: str, text: str) -> None:
-    # Write where open(path, "w") would: through a symlink, to its target.
-    path = os.path.realpath(path)
     # Leave the mode open(path, "w") would: an existing file keeps its own,
     # a new one gets 0o666 less the umask (mkstemp alone would give 0o600).
     try:
@@ -61,13 +59,17 @@ def _atomic_write(path: str, text: str) -> None:
         mode = 0o666 & ~umask
     else:
         if not stat.S_ISREG(st_mode):
-            # A FIFO or device is written in place, as open(path, "w") would;
-            # a rename would swap the node itself for a regular file. A
-            # directory fails here, naming the path.
+            # A FIFO, pipe or device is written in place, as open(path, "w")
+            # would; a rename would swap the node itself for a regular file.
+            # The path is opened as given: /dev/stdout or /dev/fd/N onto a
+            # pipe resolve to no name that can be opened. A directory fails
+            # here, naming the path.
             with open(path, "w") as handle:
                 handle.write(text)
             return
         mode = stat.S_IMODE(st_mode)
+    # Write where open(path, "w") would: through a symlink, to its target.
+    path = os.path.realpath(path)
     directory = os.path.dirname(path)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mclock-", suffix=".tmp")
     try:
@@ -230,7 +232,3 @@ def main(argv: list[str] | None = None) -> int:
     except MClockError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -365,14 +365,14 @@ class TestEntry:
 
         with open(REPO_ROOT / "pyproject.toml", "rb") as handle:
             target = tomllib.load(handle)["project"]["scripts"]["mclock"]
-        assert target == "mclock.__main__:entry"
+        assert target == "mclock.__main__:main"
         # Run the target as the installed script does, without importing
         # mclock.__main__ here, which would freeze this process's heap.
         module, name = target.split(":")
         scenario = str(SCENARIOS / "imperfect.json")
         code = (
             f"import importlib, sys; sys.argv = ['mclock', 'check', {scenario!r}]; "
-            f"importlib.import_module({module!r}).{name}()"
+            f"sys.exit(importlib.import_module({module!r}).{name}())"
         )
         expected = (self.GOLDEN / "imperfect.check.txt").read_bytes()
         assert _fresh_python("-c", code).encode() == expected
@@ -381,8 +381,6 @@ class TestEntry:
         scenario, out = str(SCENARIOS / "imperfect.json"), tmp_path / "out.csv"
         _fresh_python("-m", "mclock", "run", scenario, "--out", str(out))
         assert out.read_bytes() == (self.GOLDEN / "imperfect.run.csv").read_bytes()
-        checked = _fresh_python("-m", "mclock", "check", scenario)
-        assert checked.encode() == (self.GOLDEN / "imperfect.check.txt").read_bytes()
 
 
 def test_lazy_exports_resolve_to_their_definitions():
@@ -629,6 +627,29 @@ class TestAtomicWrite:
             os.close(reader)
         assert not thread.is_alive()
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert b"".join(chunks) == regular.read_bytes()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_writes_into_a_pipe_named_by_its_descriptor(self, tmp_path):
+        # /proc/self/fd/N, like /dev/stdout onto a pipe, resolves to a name
+        # that cannot be opened; only the path as given reaches the pipe.
+        scenario = write_scenario(tmp_path / "s.json")
+        regular = tmp_path / "regular.csv"
+        assert cli.main(["run", str(scenario), "--out", str(regular)]) == 0
+        reader, writer = os.pipe()
+        chunks = []
+        thread = threading.Thread(
+            target=lambda: chunks.extend(iter(lambda: os.read(reader, 1 << 16), b""))
+        )
+        thread.start()
+        try:
+            out = f"/proc/self/fd/{writer}"
+            assert cli.main(["run", str(scenario), "--out", out]) == 0
+        finally:
+            os.close(writer)
+            thread.join(timeout=10)
+            os.close(reader)
+        assert not thread.is_alive()
         assert b"".join(chunks) == regular.read_bytes()
 
     def test_directory_is_an_input_error_naming_it(self, tmp_path, capsys):
