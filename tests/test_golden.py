@@ -1,10 +1,12 @@
 """Byte-for-byte regression of the CLI's outputs on the bundled scenarios.
 
 The files in ``tests/golden/`` hold the ``run`` CSVs of the bundled
-scenarios, the ``sample`` CSV of ``scenarios/sampling.json`` and the
-standard output of ``check`` on each bundled scenario. ``wide.json``
-(n = 20, Haar-random coefficients) is the one with many branches, so it
-pins the branch kernel where each branch touches 2 of its 21 apparatus rows. A change that is
+scenarios, the ``sample`` CSVs of ``scenarios/sampling.json`` and
+``scenarios/wide.json`` and the standard output of ``check`` on each
+bundled scenario. ``wide.json`` (n = 20, Haar-random coefficients) is the
+one with many branches, so it pins the branch kernel where each branch
+touches 2 of its 21 apparatus rows, and sampling from 20 x 22 joint cells
+with complex coefficients. A change that is
 meant to keep every output reruns the command here and must reproduce the
 file exactly. A change that alters an output on purpose regenerates the
 file, e.g. ``mclock run scenarios/rotation.json --out
@@ -24,7 +26,7 @@ BUNDLED = ("rotation", "imperfect", "sampling", "wide")
 
 CASES = (
     [("run", name) for name in BUNDLED]
-    + [("sample", "sampling")]
+    + [("sample", name) for name in ("sampling", "wide")]
     + [("check", name) for name in BUNDLED]
 )
 
