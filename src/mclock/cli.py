@@ -31,7 +31,7 @@ import numpy as np
 from .dynamics import trajectory
 from .errors import MClockError, ParseError, ValidationError
 from .measurement import premeasurement_check
-from .operational import sample_trials
+from .operational import RNG_ALGORITHM, sample_trials
 from .scenario_io import (
     ScenarioSpec,
     build_model,
@@ -98,8 +98,8 @@ def _prepare(spec: ScenarioSpec):
 
 
 def cmd_run(spec: ScenarioSpec, out_path: str) -> int:
-    model, psi0 = _prepare(spec)
-    traj = trajectory(model, psi0, spec.grid)
+    model, branches = _prepare(spec)
+    traj = trajectory(model, branches, spec.grid)
     _atomic_write(out_path, emit_trajectory_csv(traj))
 
     times = traj.grid.times
@@ -114,20 +114,20 @@ def cmd_run(spec: ScenarioSpec, out_path: str) -> int:
 def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
     if spec.sampling is None:
         raise ValidationError("scenario has no sampling block")
-    model, psi0 = _prepare(spec)
+    model, branches = _prepare(spec)
     sampling = spec.sampling
-    _, report = sample_trials(model, psi0, sampling.t, sampling.n_trials, sampling.seed)
+    _, report = sample_trials(model, branches, sampling.t, sampling.n_trials, sampling.seed)
     _atomic_write(out_path, emit_sampling_csv(report))
     print(
         f"estimate = {report.estimate:.6g} +/- {report.std_error:.3g} "
         f"(exact P = {report.exact_prob:.12g}, {report.n_trials} trials, "
-        f"rng {report.rng_algorithm})"
+        f"rng {RNG_ALGORITHM})"
     )
     print(f"wrote {out_path}")
     return EXIT_OK
 
 
-def _run_checks(spec: ScenarioSpec, model, psi0):
+def _run_checks(spec: ScenarioSpec, model, branches):
     """Yield (name, passed, detail) for each check of ``_prepare``'s output, in order."""
     worst = float(premeasurement_check(model).min())
     threshold = model.fidelity - TOL.premeasurement_check
@@ -146,7 +146,7 @@ def _run_checks(spec: ScenarioSpec, model, psi0):
     tol = TOL.projector_check
     yield ("projector idempotence", dev < tol, f"max |G - I| = {dev:.3e} (tol {tol:.3e})")
 
-    traj = trajectory(model, psi0, spec.grid)
+    traj = trajectory(model, branches, spec.grid)
     step = spec.grid.step
     # The tolerance is in units of g, as p is. Central-difference truncation
     # grows like |P'''| h^2 / 6 <= (2/3) g^3 h^2 for these models, so it widens

@@ -4,16 +4,17 @@ Evolution is computed from exact spectral decompositions rather than a
 step-wise integrator, which keeps integrator error out of every downstream
 tolerance. ``evolve`` takes any Hamiltonian on the joint space and
 diagonalises it whole. A measurement model's own H = sum_i |a_i><a_i| (x) H_i
-never mixes system branches, so ``trajectory`` splits the state into its
-branches and evolves each under its H_i, from the model's ``branch_spectra``
-(one decomposition of the (n, d, d) stack). Both, and the model's
-premeasurement check and sampling, run one kernel: the coefficients in each
-eigenbasis are computed once per call, each distinct eigenvalue is
-exponentiated once per time, and only the eigenvector rows the caller asks
-for are formed. ``trajectory`` asks for the support rows of each branch, the
-rows on which |o_i><o_i| and i[H_i, |o_i><o_i|] act (2 of the n + 1 for the
-canonical models), so P and p cost O(n s d) per point for the largest
-support s, not O(n d^2). Its states are never formed whole, so their norm
+never mixes system branches, so ``trajectory`` takes the state as its branch
+rows, the (n, d) array whose row i is chi_i = (<a_i| (x) I) psi, and evolves
+each under its H_i, from the model's ``branch_spectra`` (one decomposition of
+the (n, d, d) stack). Both, and the model's premeasurement check and
+sampling, run one kernel, which refuses amplitudes not shaped like the
+spectra's eigenvalues: the coefficients in each eigenbasis are computed once
+per call, each distinct eigenvalue is exponentiated once per time, and only
+the eigenvector rows the caller asks for are formed. ``trajectory`` asks for
+the support rows of each branch, the rows on which |o_i><o_i| and
+i[H_i, |o_i><o_i|] act (2 of the n + 1 for the canonical models), so P and p
+cost O(n s d) per point for the largest support s, not O(n d^2). Its states are never formed whole, so their norm
 is kept by invariants instead of measured: the eigenvectors are orthonormal
 (``SpectralDecomposition``), the coefficients have total weight 1 (once per
 call) and every phase has modulus 1 (once per block of points, which also
@@ -105,7 +106,12 @@ def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray, rows: np.nda
     returns rows[b] @ (exp(-i lambda t) c[b]), H_b in dec, exponentiating each
     distinct level once per time; it raises NumericalError unless every
     phase is unimodular, which also catches an overflowing lambda t.
+    Raises DimensionMismatch unless amplitudes has the shape of dec.eigenvalues.
     """
+    if amplitudes.shape != dec.eigenvalues.shape:
+        raise DimensionMismatch(
+            f"amplitudes {amplitudes.shape} do not match the spectra {dec.eigenvalues.shape}"
+        )
     levels, index = np.unique(dec.eigenvalues, return_inverse=True)
     index = index.reshape(dec.eigenvalues.shape)
     coeffs = dec.eigenvectors.conj().swapaxes(-1, -2) @ amplitudes[..., None]
@@ -134,10 +140,12 @@ def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> State
     return StateVector(psi0.dims, amps[:, 0])
 
 
-def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> TimingTrajectory:
-    """P(t) and p(t) of the model on every grid point, starting from psi0.
+def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) -> TimingTrajectory:
+    """P(t) and p(t) of the model on every grid point, starting from the branch rows.
 
-    Branch i of psi(t) is phi_i(t) = exp(-i H_i t) chi_i, so
+    Row i of the (n, d) ``branches`` is chi_i = (<a_i| (x) I) psi(0), as
+    ``scenario_io.initial_state`` returns it. Branch i of psi(t) is
+    phi_i(t) = exp(-i H_i t) chi_i, so
     P = sum_i |<o_i|phi_i>|^2 and p = sum_i <phi_i| i[H_i, |o_i><o_i|] |phi_i>.
     Both operators of branch i vanish outside the rows and columns
     S_i = supp(o_i) u supp(H_i o_i), so only those rows of phi_i are formed,
@@ -170,7 +178,7 @@ def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> Ti
     happened = np.take_along_axis(np.take_along_axis(happened, idx, axis=1), cols, axis=2)
     rate_ops = np.take_along_axis(np.take_along_axis(rate_ops, idx, axis=1), cols, axis=2)
 
-    coeffs, propagate = _propagator(spectra, model.branch_components(psi0), rows)
+    coeffs, propagate = _propagator(spectra, branches, rows)
     weight = float(np.sum(np.abs(coeffs) ** 2))
     if not abs(weight - 1.0) <= TOL.norm:  # NaN fails too
         raise NumericalError(f"eigenbasis coefficients have total weight {weight!r}, not 1")
@@ -178,10 +186,10 @@ def trajectory(model: MeasurementModel, psi0: StateVector, grid: TimeGrid) -> Ti
     times = grid.times
     prob = np.empty(times.size)
     rate = np.empty(times.size)
-    block = max(1, BLOCK_AMPLITUDES // psi0.dim)
+    block = max(1, BLOCK_AMPLITUDES // branches.size)
     for start in range(0, times.size, block):
         points = slice(start, start + block)
-        branches = propagate(times[points])
-        prob[points] = expectations(happened, branches).sum(axis=0)
-        rate[points] = expectations(rate_ops, branches).sum(axis=0)
+        phis = propagate(times[points])
+        prob[points] = expectations(happened, phis).sum(axis=0)
+        rate[points] = expectations(rate_ops, phis).sum(axis=0)
     return TimingTrajectory(grid, prob, rate)

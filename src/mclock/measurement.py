@@ -99,16 +99,6 @@ class MeasurementModel:
     def joint_dims(self) -> tuple[int, int]:
         return (self.system_dim, self.apparatus_dim)
 
-    @property
-    def pointer_ready(self) -> StateVector:
-        return StateVector((self.apparatus_dim,), self.pointer_frame[:, 0])
-
-    def branch_components(self, psi: StateVector) -> np.ndarray:
-        """Row i is chi_i = (<a_i| (x) I) psi; the system frame is complete, so any psi splits."""
-        if psi.dims != self.joint_dims:
-            raise DimensionMismatch(f"state dims {psi.dims} != joint dims {self.joint_dims}")
-        return self.system_frame.conj().T @ psi.amplitudes.reshape(self.joint_dims)
-
     @cached_property
     def branch_spectra(self) -> SpectralDecomposition:
         """spectral(H_i) of every branch from one stacked eigh, computed on first use."""

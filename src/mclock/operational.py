@@ -8,9 +8,10 @@ probability. On system branch i the happened projector is |o_i><o_i| on
 the apparatus, so the matched-pair mass of the joint distribution is
 exactly the projector's expectation. This identity is what makes the
 operator and operational definitions agree, and the matched mass is the
-exact probability ``sample_trials`` reports. Sampled trials are tallied
-per joint cell, not kept one by one, so memory does not grow with the
-trial count.
+exact probability ``sample_trials`` reports. Both functions read the state
+as its (n, d) branch rows, and the joint distribution is a plain read-only
+(n, n + 2) array. Sampled trials are tallied per joint cell, not kept one
+by one, so memory does not grow with the trial count.
 
 Pointer outcome encoding: 0 is the ready state, j in 1..n is the pointer
 state for outcome j, and n+1 is the residual bucket collecting apparatus
@@ -27,38 +28,12 @@ import numpy as np
 
 from .dynamics import BLOCK_AMPLITUDES, _propagator
 from .errors import InvalidParameter, NumericalError
-from .hilbert import StateVector
 from .measurement import MeasurementModel
 from .tolerances import TOL
 
 # Sampling draws one uniform per trial and inverts the cumulative
 # distribution; the generator is numpy's seeded PCG64.
 RNG_ALGORITHM = "numpy-pcg64/inverse-cdf"
-
-
-@dataclass(frozen=True, eq=False)
-class JointOutcomeDistribution:
-    """Born-rule probabilities over (system outcome, pointer position) pairs.
-
-    probabilities[i, j] is the probability of q outcome i with pointer
-    outcome j, in the module's pointer encoding; the shape is (n, n + 2).
-    """
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        probs = np.array(self.probabilities, dtype=np.float64)
-        if not np.all(probs >= 0):
-            raise NumericalError("joint probabilities must be nonnegative")
-        total = float(np.sum(probs))
-        if not abs(total - 1.0) <= TOL.distribution_sum:
-            raise NumericalError(f"joint probabilities sum to {total!r}, not 1")
-        probs.setflags(write=False)
-        object.__setattr__(self, "probabilities", probs)
-
-    def matched_probability(self) -> float:
-        """Total mass on Case-1 pairs (pointer index == q index + 1)."""
-        return float(np.trace(self.probabilities, offset=1))
 
 
 @dataclass(frozen=True)
@@ -71,22 +46,29 @@ class EstimateReport:
     estimate: float
     std_error: float
     exact_prob: float
-    rng_algorithm: str = RNG_ALGORITHM
 
 
-def joint_distribution(model: MeasurementModel, branches: np.ndarray) -> JointOutcomeDistribution:
-    """Probabilities of every (q outcome, pointer position) pair of a state's branch rows.
+def joint_distribution(model: MeasurementModel, branches: np.ndarray) -> np.ndarray:
+    """Born-rule probabilities of every (q outcome, pointer position) pair of branch rows.
 
-    Row i of ``branches`` is chi_i = (<a_i| (x) I) psi (``model.branch_components``);
-    row i of the result covers its ready state, all n pointer states and the
-    residual complement, so the rows together sum to one. The matched-pair
-    mass equals happened_probability(model, psi) identically; this is the
+    Row i of ``branches`` is chi_i = (<a_i| (x) I) psi. Entry [i, j] of the
+    read-only (n, n + 2) result is the probability of q outcome i with
+    pointer outcome j, in the module's pointer encoding, so the entries sum
+    to one (else NumericalError). The matched-pair mass, the trace at offset
+    1, equals happened_probability(model, psi) identically; this is the
     operational/operator equivalence.
     """
     frame_probs = np.abs(branches @ model.pointer_frame.conj()) ** 2  # n x (n + 1)
     row_totals = np.sum(np.abs(branches) ** 2, axis=1)
     residual = np.clip(row_totals - frame_probs.sum(axis=1), 0.0, None)
-    return JointOutcomeDistribution(np.column_stack([frame_probs, residual]))
+    probs = np.column_stack([frame_probs, residual])
+    if not np.all(probs >= 0):  # NaN fails too
+        raise NumericalError("joint probabilities must be nonnegative")
+    total = float(np.sum(probs))
+    if not abs(total - 1.0) <= TOL.distribution_sum:
+        raise NumericalError(f"joint probabilities sum to {total!r}, not 1")
+    probs.setflags(write=False)
+    return probs
 
 
 def _tally(cumulative: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
@@ -106,13 +88,15 @@ def _tally(cumulative: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
 
 
 def sample_trials(
-    model: MeasurementModel, psi0: StateVector, t: float, n_trials: int, seed: int
+    model: MeasurementModel, branches: np.ndarray, t: float, n_trials: int, seed: int
 ) -> tuple[np.ndarray, EstimateReport]:
     """Draw repeated joint measurements at time t and estimate the happened probability.
 
-    psi0 is evolved once under the model's H, branch by branch, and the
-    joint distribution computed once; the report's exact probability is its
-    matched mass, the branch form of the happened-projector expectation.
+    ``branches`` holds the (n, d) branch rows of the state at time 0, as
+    ``scenario_io.initial_state`` returns them. Each row is evolved once
+    under its H_i and the joint distribution computed once; the report's
+    exact probability is its matched mass, the branch form of the
+    happened-projector expectation.
     Trials are independent categorical draws from the distribution. The
     counts are the int64 (n, n + 2) tally of the trials: counts[i, j] is
     the number of trials with q outcome i and pointer position j, and the
@@ -122,17 +106,16 @@ def sample_trials(
     if n_trials < 1:
         raise InvalidParameter(f"n_trials must be >= 1, got {n_trials}")
     spectra = model.branch_spectra
-    _, propagate = _propagator(spectra, model.branch_components(psi0), spectra.eigenvectors)
-    branches = propagate(np.array([t]))
-    dist = joint_distribution(model, branches[:, :, 0])
+    _, propagate = _propagator(spectra, branches, spectra.eigenvectors)
+    dist = joint_distribution(model, propagate(np.array([t]))[:, :, 0])
 
     n = model.n_outcomes
-    counts = _tally(np.cumsum(dist.probabilities), n_trials, seed).reshape(n, n + 2)
+    counts = _tally(np.cumsum(dist), n_trials, seed).reshape(n, n + 2)
     case1_count = int(np.trace(counts, offset=1))
 
     estimate = case1_count / n_trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / n_trials)
     report = EstimateReport(
-        t, n_trials, case1_count, estimate, std_error, dist.matched_probability()
+        t, n_trials, case1_count, estimate, std_error, float(np.trace(dist, offset=1))
     )
     return counts, report

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dynamics import TimeGrid, TimingTrajectory
 from .errors import InvalidParameter, ParseError, ValidationError
-from .hilbert import StateVector, tensor_state
+from .hilbert import check_unit_norm
 from .measurement import MeasurementModel, build_imperfect_model, build_rotation_model
 from .operational import EstimateReport
 
@@ -228,11 +228,17 @@ def build_model(spec: ScenarioSpec) -> MeasurementModel:
     return build_imperfect_model(spec.n_outcomes, spec.coupling_g, spec.epsilon)
 
 
-def initial_state(spec: ScenarioSpec, model: MeasurementModel) -> StateVector:
-    """(sum_i c_i |a_i>) (x) |ready> on the joint space."""
-    amps = model.system_frame @ np.array(spec.initial_coefficients, dtype=np.complex128)
-    system = StateVector((model.system_dim,), amps)
-    return tensor_state(system, model.pointer_ready)
+def initial_state(spec: ScenarioSpec, model: MeasurementModel) -> np.ndarray:
+    """The branch rows of (sum_i c_i |a_i>) (x) |ready>: the read-only (n, d) array c_i |ready>.
+
+    Row i is chi_i = (<a_i| (x) I) psi, the apparatus state on system branch
+    i; together the rows have norm 1.
+    """
+    c = np.array(spec.initial_coefficients, dtype=np.complex128)
+    rows = np.multiply.outer(c, model.pointer_frame[:, 0])
+    check_unit_norm(rows.ravel())
+    rows.setflags(write=False)
+    return rows
 
 
 def emit_trajectory_csv(traj: TimingTrajectory) -> str:

@@ -2,7 +2,9 @@
 
 The matrix exponential here is an independent power-series oracle: it never
 touches the library's spectral-decomposition evolution path, so the two can
-cross-check each other.
+cross-check each other. Tests that build a joint-space state, for the dense
+oracle or as a Haar-random start, hand the library its branch rows through
+``branch_rows``.
 """
 
 import math
@@ -33,6 +35,17 @@ def series_expm(a: np.ndarray, tol: float = 1e-16, max_terms: int = 80) -> np.nd
 def evolve_series(hamiltonian_matrix: np.ndarray, amplitudes: np.ndarray, t: float) -> np.ndarray:
     """Schrodinger propagation of raw amplitudes by the power-series oracle."""
     return series_expm(-1j * t * np.asarray(hamiltonian_matrix)) @ amplitudes
+
+
+def branch_rows(model: MeasurementModel, psi: StateVector) -> np.ndarray:
+    """Row i is chi_i = (<a_i| (x) I) psi; the system frame is complete, so any psi splits."""
+    assert psi.dims == model.joint_dims
+    return model.system_frame.conj().T @ psi.amplitudes.reshape(model.joint_dims)
+
+
+def ready_state(model: MeasurementModel) -> StateVector:
+    """The apparatus ready state, column 0 of the pointer frame."""
+    return StateVector((model.apparatus_dim,), model.pointer_frame[:, 0])
 
 
 def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:

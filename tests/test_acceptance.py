@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import haar_state, random_frame_model, random_hermitian
+from conftest import branch_rows, haar_state, random_frame_model, random_hermitian, ready_state
 from mclock import (
     HermitianOperator,
     StateVector,
@@ -44,7 +44,7 @@ def _pass(criterion: int, detail: str) -> None:
 
 def balanced_start(model):
     amps = np.full(model.system_dim, 1 / math.sqrt(model.system_dim), dtype=complex)
-    return tensor_state(StateVector((model.system_dim,), amps), model.pointer_ready)
+    return tensor_state(StateVector((model.system_dim,), amps), ready_state(model))
 
 
 def test_c1_projector_algebra():
@@ -63,7 +63,7 @@ def test_c1_projector_algebra():
                     assert np.max(np.abs(image - pair)) < 1e-12
                 else:
                     assert np.max(np.abs(image)) < 1e-12
-        ready_product = tensor_state(haar_state(rng, (n,)), model.pointer_ready)
+        ready_product = tensor_state(haar_state(rng, (n,)), ready_state(model))
         assert np.max(np.abs(m @ ready_product.amplitudes)) < 1e-12
     _pass(1, "projector algebra and defining actions for n in {2, 3, 6}")
 
@@ -71,7 +71,7 @@ def test_c1_projector_algebra():
 def _reference_run():
     model = build_rotation_model(2, 1.0)
     grid = TimeGrid(0.0, math.pi / 2, 201)
-    traj = trajectory(model, balanced_start(model), grid)
+    traj = trajectory(model, branch_rows(model, balanced_start(model)), grid)
     return grid, traj
 
 
@@ -132,9 +132,9 @@ def test_c5_operational_equivalence_exact():
         else:
             model = random_frame_model(rng, n, extra_apparatus=kind - 2)
         psi = haar_state(rng, model.joint_dims)
-        dist = joint_distribution(model, model.branch_components(psi))
-        assert abs(dist.probabilities.sum() - 1.0) < 1e-10
-        err = abs(dist.matched_probability() - happened_probability(model, psi))
+        dist = joint_distribution(model, branch_rows(model, psi))
+        assert abs(dist.sum() - 1.0) < 1e-10
+        err = abs(np.trace(dist, offset=1) - happened_probability(model, psi))
         worst = max(worst, err)
         assert err < 1e-10
     _pass(5, f"100 random (model, state) pairs, worst identity gap = {worst:.2e}")
@@ -142,7 +142,7 @@ def test_c5_operational_equivalence_exact():
 
 def test_c6_operational_equivalence_statistical():
     model = build_rotation_model(2, 1.0)
-    psi0 = balanced_start(model)
+    psi0 = branch_rows(model, balanced_start(model))
     t_half = math.pi / 4  # P(t) = 1/2 exactly
     counts_a, report_a = sample_trials(model, psi0, t_half, 100000, seed=20260810)
     assert abs(report_a.exact_prob - 0.5) < 1e-10

@@ -285,8 +285,9 @@ class TestCheck:
 
 def test_no_command_builds_a_joint_space_operator(tmp_path, monkeypatch):
     # Every command works in branch form: no operator on the n(n + 1)-sided
-    # joint space is constructed, whatever the scenario.
-    from mclock import HermitianOperator
+    # joint space is constructed, whatever the scenario. The state is its
+    # (n, d) branch rows, so no StateVector is built either, on any space.
+    from mclock import HermitianOperator, StateVector
 
     original = HermitianOperator.__post_init__
 
@@ -295,12 +296,17 @@ def test_no_command_builds_a_joint_space_operator(tmp_path, monkeypatch):
             raise AssertionError(f"joint-space operator {tuple(self.dims)}")
         original(self)
 
+    def no_state_vector(self):
+        raise AssertionError(f"StateVector {tuple(self.dims)}")
+
     monkeypatch.setattr(HermitianOperator, "__post_init__", branch_only)
+    monkeypatch.setattr(StateVector, "__post_init__", no_state_vector)
     out = str(tmp_path / "o.csv")
-    for name in ("rotation.json", "imperfect.json", "sampling.json"):
+    for name in ("rotation.json", "imperfect.json", "sampling.json", "wide.json"):
         assert cli.main(["run", str(SCENARIOS / name), "--out", out]) == 0
         assert cli.main(["check", str(SCENARIOS / name)]) == 0
-    assert cli.main(["sample", str(SCENARIOS / "sampling.json"), "--out", out]) == 0
+    for name in ("sampling.json", "wide.json"):
+        assert cli.main(["sample", str(SCENARIOS / name), "--out", out]) == 0
 
 
 def _fresh_python(*args: str, **env) -> str:

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 import mclock.cli as cli
-from conftest import evolve_series, haar_state, random_frame_model, random_hermitian
+from conftest import (
+    branch_rows,
+    evolve_series,
+    haar_state,
+    random_frame_model,
+    random_hermitian,
+    ready_state,
+)
 from mclock import (
     DimensionMismatch,
     HermitianOperator,
@@ -93,7 +100,7 @@ class TestEvolve:
 def _rotation_setup():
     model = build_rotation_model(2, 1.0)
     h = model.interaction_hamiltonian
-    psi0 = tensor_state(StateVector((2,), [SQ2, SQ2]), model.pointer_ready)
+    psi0 = tensor_state(StateVector((2,), [SQ2, SQ2]), ready_state(model))
     return model, h, psi0
 
 
@@ -105,7 +112,7 @@ class TestTrajectory:
     def test_two_point_rotation_curve(self):
         model, _, psi0 = _rotation_setup()
         grid = TimeGrid(0.0, model.nominal_duration, 2)
-        traj = trajectory(model, psi0, grid)
+        traj = trajectory(model, branch_rows(model, psi0), grid)
         assert np.allclose(traj.prob_happened, [0.0, 1.0], atol=1e-10)
 
     def test_full_space_projector_gives_one(self):
@@ -123,7 +130,7 @@ class TestTrajectory:
     def test_finite_difference_matches_rate(self):
         model, _, psi0 = _rotation_setup()
         grid = TimeGrid(0.0, model.nominal_duration, 401)
-        traj = trajectory(model, psi0, grid)
+        traj = trajectory(model, branch_rows(model, psi0), grid)
         hstep = grid.step
         diffs = (traj.prob_happened[2:] - traj.prob_happened[:-2]) / (2 * hstep)
         tol = max(1e-4, hstep**2)
@@ -132,7 +139,7 @@ class TestTrajectory:
     def test_trapezoidal_integral_of_rate(self):
         model, _, psi0 = _rotation_setup()
         grid = TimeGrid(0.0, model.nominal_duration, 1001)
-        traj = trajectory(model, psi0, grid)
+        traj = trajectory(model, branch_rows(model, psi0), grid)
         hstep = grid.step
         integral = hstep * (np.sum(traj.rate) - 0.5 * (traj.rate[0] + traj.rate[-1]))
         assert abs(integral - (traj.prob_happened[-1] - traj.prob_happened[0])) < 1e-4
@@ -152,7 +159,7 @@ class TestTrajectory:
             psi0 = haar_state(rng, model.joint_dims)
             grid = TimeGrid(0.0, 3.0, 3 * (BLOCK_AMPLITUDES // psi0.dim) + 1)
             rate_op = rate_operator(model, h)
-            traj = trajectory(model, psi0, grid)
+            traj = trajectory(model, branch_rows(model, psi0), grid)
             for k, t in enumerate(grid.times):
                 psi_t = evolve(h, psi0, t)
                 assert abs(traj.prob_happened[k] - happened_probability(model, psi_t)) < 1e-14
@@ -175,7 +182,7 @@ class TestTrajectory:
         m = pairs @ pairs.conj().T
         r = 1j * (h @ m - m @ h)
         grid = TimeGrid(0.0, 2.5, 26)
-        traj = trajectory(model, psi0, grid)
+        traj = trajectory(model, branch_rows(model, psi0), grid)
         for k, t in enumerate(grid.times):
             psi_t = evolve_series(h, psi0.amplitudes, t)
             assert abs(traj.prob_happened[k] - np.vdot(psi_t, m @ psi_t).real) < 1e-12
@@ -188,9 +195,9 @@ class TestTrajectory:
         n, g, eps = 20, 1.7, 0.3
         model = build_imperfect_model(n, g, eps)
         coeffs = haar_state(rng, (n,))
-        psi0 = tensor_state(coeffs, model.pointer_ready)
+        psi0 = tensor_state(coeffs, ready_state(model))
         grid = TimeGrid(0.0, 2 * model.nominal_duration, 301)
-        traj = trajectory(model, psi0, grid)
+        traj = trajectory(model, branch_rows(model, psi0), grid)
         weights = np.abs(coeffs.amplitudes) ** 2
         rates = np.full(n, g)
         rates[0] = g * (1 - eps)
@@ -206,9 +213,9 @@ class TestTrajectory:
         for g in (1e6, 1e9):
             model = random_frame_model(np.random.default_rng(3), 3, extra_apparatus=2, g=g)
             system = StateVector((3,), model.system_frame @ np.full(3, 1 / math.sqrt(3)))
-            psi0 = tensor_state(system, model.pointer_ready)
+            psi0 = tensor_state(system, ready_state(model))
             grid = TimeGrid(0.0, math.pi / (2 * g), 201)
-            traj = trajectory(model, psi0, grid)
+            traj = trajectory(model, branch_rows(model, psi0), grid)
             phase = g * grid.times
             assert np.max(np.abs(traj.prob_happened - np.sin(phase) ** 2)) < 1e-12
             assert np.max(np.abs(traj.rate / g - np.sin(2 * phase))) < 1e-12
@@ -232,7 +239,7 @@ class TestTrajectory:
         m = pairs @ pairs.T
         r = 1j * (joint @ m - m @ joint)
         grid = TimeGrid(0.0, 3.0, 31)
-        traj = trajectory(model, psi0, grid)
+        traj = trajectory(model, branch_rows(model, psi0), grid)
         for k, t in enumerate(grid.times):
             psi_t = evolve_series(joint, psi0.amplitudes, t)
             assert abs(traj.prob_happened[k] - np.vdot(psi_t, m @ psi_t).real) < 1e-12
@@ -241,9 +248,9 @@ class TestTrajectory:
     def test_overflowing_phase_raises(self):
         # lambda t = 1e310 overflows; the phase check turns the NaN into an error.
         model = build_rotation_model(2, 1e300)
-        psi0 = tensor_state(StateVector((2,), [SQ2, SQ2]), model.pointer_ready)
+        psi0 = tensor_state(StateVector((2,), [SQ2, SQ2]), ready_state(model))
         with pytest.raises(NumericalError, match="phase"):
-            trajectory(model, psi0, TimeGrid(0.0, 1e10, 11))
+            trajectory(model, branch_rows(model, psi0), TimeGrid(0.0, 1e10, 11))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_phase_is_a_numerical_failure_without_warnings(self, tmp_path, capsys):
@@ -258,18 +265,20 @@ class TestTrajectory:
             err = capsys.readouterr().err
             assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
-    def test_non_unit_coefficients_raise(self, monkeypatch):
+    def test_non_unit_coefficients_raise(self):
         model, _, psi0 = _rotation_setup()
-        split = MeasurementModel.branch_components
-        monkeypatch.setattr(MeasurementModel, "branch_components",
-                            lambda self, psi: 1.001 * split(self, psi))
+        rows = branch_rows(model, psi0)
         with pytest.raises(NumericalError, match="coefficients"):
-            trajectory(model, psi0, TimeGrid(0.0, 1.0, 3))
+            trajectory(model, 1.001 * rows, TimeGrid(0.0, 1.0, 3))
 
     def test_rejects_state_on_other_space(self):
-        model, _, _ = _rotation_setup()
-        with pytest.raises(DimensionMismatch):
-            trajectory(model, basis_state(6, 0), TimeGrid(0.0, 1.0, 3))
+        # The rows must be (n, d): the joint amplitudes flattened, the rows
+        # transposed or cut to fewer apparatus levels are all refused.
+        model, _, psi0 = _rotation_setup()
+        rows = branch_rows(model, psi0)
+        for wrong in (basis_state(6, 0).amplitudes, rows.T, rows[:, :2]):
+            with pytest.raises(DimensionMismatch):
+                trajectory(model, wrong, TimeGrid(0.0, 1.0, 3))
 
     def test_imaginary_expectation_raises(self):
         # iδ·(all ones) passes the Hermiticity check (deviation 2δ = 9e-13)

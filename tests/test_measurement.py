@@ -4,7 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import evolve_series, haar_state, haar_unitary, random_frame_model, random_hermitian
+from conftest import (
+    branch_rows,
+    evolve_series,
+    haar_state,
+    haar_unitary,
+    random_frame_model,
+    random_hermitian,
+    ready_state,
+)
 from mclock import (
     DimensionMismatch,
     HermitianOperator,
@@ -34,7 +42,7 @@ SQ2 = 1 / math.sqrt(2)
 
 def balanced_initial_state(model):
     amps = np.full(model.system_dim, 1 / math.sqrt(model.system_dim), dtype=complex)
-    return tensor_state(StateVector((model.system_dim,), amps), model.pointer_ready)
+    return tensor_state(StateVector((model.system_dim,), amps), ready_state(model))
 
 
 class TestRotationModel:
@@ -57,7 +65,7 @@ class TestRotationModel:
 
     def test_branch_evolves_to_matched_pair(self):
         model = build_rotation_model(2, 1.0)
-        start = tensor_state(basis_state(2, 0), model.pointer_ready)
+        start = tensor_state(basis_state(2, 0), ready_state(model))
         target = tensor_state(basis_state(2, 0), basis_state(3, 1))
         out = evolve(model.interaction_hamiltonian, start, math.pi / 2)
         assert np.max(np.abs(out.amplitudes - target.amplitudes)) < 1e-10
@@ -81,7 +89,7 @@ class TestRotationModel:
     def test_probability_curve_monotone(self):
         model = build_rotation_model(2, 1.0)
         grid = TimeGrid(0.0, model.nominal_duration, 201)
-        traj = trajectory(model, balanced_initial_state(model), grid)
+        traj = trajectory(model, branch_rows(model, balanced_initial_state(model)), grid)
         assert np.all(np.diff(traj.prob_happened) >= -1e-12)
 
     def test_curve_independent_of_initial_coefficients(self):
@@ -91,8 +99,8 @@ class TestRotationModel:
         reference = None
         for _ in range(4):
             coeffs = haar_state(rng, (3,))
-            psi0 = tensor_state(coeffs, model.pointer_ready)
-            curve = trajectory(model, psi0, grid).prob_happened
+            psi0 = tensor_state(coeffs, ready_state(model))
+            curve = trajectory(model, branch_rows(model, psi0), grid).prob_happened
             if reference is None:
                 reference = curve
             else:
@@ -134,7 +142,7 @@ class TestModelContract:
         model = build_imperfect_model(3, 1.0, 0.1)
         assert (model.n_outcomes, model.system_dim, model.apparatus_dim) == (3, 3, 4)
         assert model.branch_hamiltonians.shape == (3, 4, 4)
-        assert np.array_equal(model.pointer_ready.amplitudes, [1, 0, 0, 0])
+        assert np.array_equal(model.pointer_frame[:, 0], [1, 0, 0, 0])
         with pytest.raises(ValueError):
             model.branch_hamiltonians[0, 0, 0] = 1.0  # frozen
 
@@ -230,7 +238,7 @@ class TestHappenedProjector:
         model = build_rotation_model(3, 1.0)
         m = happened_projector(model).matrix
         for _ in range(5):
-            product = tensor_state(haar_state(rng, (3,)), model.pointer_ready)
+            product = tensor_state(haar_state(rng, (3,)), ready_state(model))
             assert np.max(np.abs(m @ product.amplitudes)) < 1e-12
 
     def test_trace_equals_outcome_count(self):

@@ -4,9 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import haar_state, random_frame_model
+from conftest import branch_rows, haar_state, random_frame_model, ready_state
 from mclock import (
+    DimensionMismatch,
     InvalidParameter,
+    NumericalError,
     StateVector,
     basis_state,
     build_imperfect_model,
@@ -25,31 +27,35 @@ SQ2 = 1 / math.sqrt(2)
 
 def balanced_start(model):
     amps = np.full(model.system_dim, 1 / math.sqrt(model.system_dim), dtype=complex)
-    return tensor_state(StateVector((model.system_dim,), amps), model.pointer_ready)
+    return tensor_state(StateVector((model.system_dim,), amps), ready_state(model))
+
+
+def balanced_rows(model):
+    return branch_rows(model, balanced_start(model))
 
 
 class TestJointDistribution:
     def test_ready_state_all_mass_on_ready_pointer(self):
         model = build_rotation_model(2, 1.0)
-        dist = joint_distribution(model, model.branch_components(balanced_start(model)))
-        ready_mass = dist.probabilities[:, 0].sum()
+        dist = joint_distribution(model, balanced_rows(model))
+        ready_mass = dist[:, 0].sum()
         assert ready_mass == pytest.approx(1.0, abs=1e-12)
-        assert dist.matched_probability() == pytest.approx(0.0, abs=1e-12)
+        assert np.trace(dist, offset=1) == pytest.approx(0.0, abs=1e-12)
 
     def test_correlated_state_fully_matched(self):
         model = build_rotation_model(2, 1.0)
         psi_t = evolve(model.interaction_hamiltonian, balanced_start(model),
                        model.nominal_duration)
-        dist = joint_distribution(model, model.branch_components(psi_t))
-        assert dist.probabilities[0, 1] == pytest.approx(0.5, abs=1e-12)
-        assert dist.probabilities[1, 2] == pytest.approx(0.5, abs=1e-12)
-        assert dist.matched_probability() == pytest.approx(1.0, abs=1e-12)
+        dist = joint_distribution(model, branch_rows(model, psi_t))
+        assert dist[0, 1] == pytest.approx(0.5, abs=1e-12)
+        assert dist[1, 2] == pytest.approx(0.5, abs=1e-12)
+        assert np.trace(dist, offset=1) == pytest.approx(1.0, abs=1e-12)
 
     def test_half_way_point(self):
         model = build_rotation_model(2, 1.0)
         psi = evolve(model.interaction_hamiltonian, balanced_start(model), math.pi / 4)
-        dist = joint_distribution(model, model.branch_components(psi))
-        assert dist.matched_probability() == pytest.approx(0.5, abs=1e-12)
+        dist = joint_distribution(model, branch_rows(model, psi))
+        assert np.trace(dist, offset=1) == pytest.approx(0.5, abs=1e-12)
 
     def test_matched_mass_equals_projector_expectation(self):
         rng = np.random.default_rng(43)
@@ -57,19 +63,30 @@ class TestJointDistribution:
             n = int(rng.integers(2, 6))
             model = random_frame_model(rng, n, extra_apparatus=int(rng.integers(0, 3)))
             psi = haar_state(rng, model.joint_dims)
-            dist = joint_distribution(model, model.branch_components(psi))
-            total = dist.probabilities.sum()
+            dist = joint_distribution(model, branch_rows(model, psi))
+            total = dist.sum()
             assert abs(total - 1.0) < 1e-10
             assert abs(
-                dist.matched_probability() - happened_probability(model, psi)
+                np.trace(dist, offset=1) - happened_probability(model, psi)
             ) < 1e-10
+
+    def test_is_read_only_and_rejects_rows_off_unit_norm(self):
+        model = build_rotation_model(2, 1.0)
+        rows = balanced_rows(model)
+        dist = joint_distribution(model, rows)
+        assert dist.shape == (2, 4)
+        with pytest.raises(ValueError):
+            dist[0, 0] = 0.5
+        for bad in (1.001 * rows, np.full_like(rows, np.nan)):
+            with pytest.raises(NumericalError):
+                joint_distribution(model, bad)
 
     def test_residual_bucket_collects_leakage(self):
         rng = np.random.default_rng(47)
         model = random_frame_model(rng, 2, extra_apparatus=2)
         psi = haar_state(rng, model.joint_dims)
-        dist = joint_distribution(model, model.branch_components(psi))
-        residual = dist.probabilities[:, 3].sum()
+        dist = joint_distribution(model, branch_rows(model, psi))
+        residual = dist[:, 3].sum()
         assert residual > 1e-3  # a Haar state leaks outside the pointer frame
 
 
@@ -77,7 +94,7 @@ class TestSampleTrials:
     def test_concentrated_distribution_is_always_case1(self):
         model = build_rotation_model(2, 1.0)
         pair = tensor_state(basis_state(2, 0), basis_state(3, 1))
-        counts, report = sample_trials(model, pair, 0.0, 1, seed=1)
+        counts, report = sample_trials(model, branch_rows(model, pair), 0.0, 1, seed=1)
         assert report.case1_count == 1
         assert counts.dtype == np.int64 and counts.shape == (2, 4)
         # The one trial is q outcome 0 with its matched pointer, j = 1.
@@ -85,20 +102,20 @@ class TestSampleTrials:
 
     def test_single_trial_estimate_is_zero_or_one(self):
         model = build_rotation_model(2, 1.0)
-        _, report = sample_trials(model, balanced_start(model), math.pi / 4, 1, seed=5)
+        _, report = sample_trials(model, balanced_rows(model), math.pi / 4, 1, seed=5)
         assert report.estimate in (0.0, 1.0)
 
     def test_seed_determinism(self):
         model = build_rotation_model(2, 1.0)
-        first = sample_trials(model, balanced_start(model), 0.9, 500, seed=123)
-        second = sample_trials(model, balanced_start(model), 0.9, 500, seed=123)
+        first = sample_trials(model, balanced_rows(model), 0.9, 500, seed=123)
+        second = sample_trials(model, balanced_rows(model), 0.9, 500, seed=123)
         assert np.array_equal(first[0], second[0])
         assert first[1] == second[1]
 
     def test_different_seeds_differ(self):
         model = build_rotation_model(2, 1.0)
-        first = sample_trials(model, balanced_start(model), 0.9, 500, seed=1)
-        second = sample_trials(model, balanced_start(model), 0.9, 500, seed=2)
+        first = sample_trials(model, balanced_rows(model), 0.9, 500, seed=1)
+        second = sample_trials(model, balanced_rows(model), 0.9, 500, seed=2)
         assert not np.array_equal(first[0], second[0])
 
     def test_estimator_consistency_matrix(self):
@@ -109,7 +126,7 @@ class TestSampleTrials:
             (build_imperfect_model(2, 1.0, 0.2), 1.2, 14),
         ]
         for model, t, seed in cases:
-            _, report = sample_trials(model, balanced_start(model), t, 20000, seed=seed)
+            _, report = sample_trials(model, balanced_rows(model), t, 20000, seed=seed)
             # 4-sigma budget keeps this deterministic-seed test robust.
             assert abs(report.estimate - report.exact_prob) < 4 * report.std_error
 
@@ -119,7 +136,7 @@ class TestSampleTrials:
         rng = np.random.default_rng(53)
         model = random_frame_model(rng, 4, extra_apparatus=2, g=1.4)
         psi0 = haar_state(rng, model.joint_dims)
-        _, report = sample_trials(model, psi0, 0.8, 20000, seed=8)
+        _, report = sample_trials(model, branch_rows(model, psi0), 0.8, 20000, seed=8)
         dense = happened_probability(model, evolve(model.interaction_hamiltonian, psi0, 0.8))
         assert abs(report.exact_prob - dense) < 1e-12
         assert abs(report.estimate - report.exact_prob) < 4 * report.std_error
@@ -127,7 +144,16 @@ class TestSampleTrials:
     def test_rejects_zero_trials(self):
         model = build_rotation_model(2, 1.0)
         with pytest.raises(InvalidParameter):
-            sample_trials(model, balanced_start(model), 0.5, 0, seed=1)
+            sample_trials(model, balanced_rows(model), 0.5, 0, seed=1)
+
+    def test_rejects_state_on_other_space(self):
+        # The rows must be (n, d): the joint amplitudes flattened, the rows
+        # transposed or cut to fewer apparatus levels are all refused.
+        model = build_rotation_model(2, 1.0)
+        rows = balanced_rows(model)
+        for wrong in (rows.ravel(), rows.T, rows[:, :2]):
+            with pytest.raises(DimensionMismatch):
+                sample_trials(model, wrong, 0.5, 1, seed=1)
 
 
 def inverse_cdf_counts(cumulative, n_trials, seed):
@@ -151,10 +177,10 @@ class TestTally:
             (frame, haar_state(rng, frame.joint_dims), 0.8),
         ]
         for seed, (model, psi0, t) in enumerate(cases):
-            counts, report = sample_trials(model, psi0, t, n_trials, seed)
+            counts, report = sample_trials(model, branch_rows(model, psi0), t, n_trials, seed)
             psi_t = evolve(model.interaction_hamiltonian, psi0, t)
-            dist = joint_distribution(model, model.branch_components(psi_t))
-            cumulative = np.cumsum(dist.probabilities)
+            dist = joint_distribution(model, branch_rows(model, psi_t))
+            cumulative = np.cumsum(dist)
             assert np.array_equal(counts.ravel(), inverse_cdf_counts(cumulative, n_trials, seed))
             assert report.case1_count == np.trace(counts, offset=1)
         # A cumulative ending below 1 sends every draw above it to the last cell.
@@ -163,7 +189,7 @@ class TestTally:
 
     def test_memory_does_not_grow_with_trials(self):
         model = build_imperfect_model(8, 1.0, 0.1)
-        psi0 = balanced_start(model)
+        psi0 = balanced_rows(model)
         sample_trials(model, psi0, 0.5, 1, seed=1)  # build the cached spectra first
         tracemalloc.start()
         try:

@@ -223,9 +223,9 @@ class TestEmitSamplingCsv:
         model = build_rotation_model(2, 1.0)
         spec = parse_scenario(scenario_with(
             sampling={"t": 0.7853981633974483, "trials": 250, "seed": 3}))
-        psi0 = initial_state(spec, model)
+        rows = initial_state(spec, model)
         _, report = sample_trials(
-            model, psi0, spec.sampling.t, spec.sampling.n_trials, spec.sampling.seed,
+            model, rows, spec.sampling.t, spec.sampling.n_trials, spec.sampling.seed,
         )
         text = emit_sampling_csv(report)
         header, row = text.strip().split("\n")
@@ -240,11 +240,13 @@ class TestModelWiring:
     def test_rotation_initial_state(self):
         spec = parse_scenario(scenario_with(n=3, c=[[1, 0], [0, 0], [0, 0]]))
         model = build_model(spec)
-        psi0 = initial_state(spec, model)
-        expected = np.zeros(12)
-        expected[0] = 1.0
-        assert np.allclose(psi0.amplitudes, expected, atol=1e-15)
-        assert psi0.dims == (3, 4)
+        rows = initial_state(spec, model)
+        expected = np.zeros((3, 4))
+        expected[0, 0] = 1.0
+        assert np.allclose(rows, expected, atol=1e-15)
+        assert rows.shape == (3, 4)
+        with pytest.raises(ValueError):
+            rows[0, 0] = 0.0  # read-only
 
     def test_imperfect_model_kind(self):
         spec = parse_scenario(scenario_with(model="imperfect", epsilon=0.25))
