@@ -69,17 +69,19 @@ def _atomic_write(path: str, text: str) -> None:
             return
         mode = stat.S_IMODE(st_mode)
     # Write where open(path, "w") would: through a symlink, to its target.
-    path = os.path.realpath(path)
-    directory = os.path.dirname(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".mclock-", suffix=".tmp")
+    target = os.path.realpath(path)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".mclock-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             os.fchmod(handle.fileno(), mode)
             handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        os.replace(tmp, target)
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # name the path as given, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 

@@ -12,14 +12,15 @@ sampling, run one kernel, which refuses amplitudes not shaped like the
 spectra's eigenvalues: the coefficients in each eigenbasis are computed once
 per call, each distinct eigenvalue is exponentiated once per time, and only
 the eigenvector rows the caller asks for are formed. ``trajectory`` asks for
-the support rows of each branch, the rows on which |o_i><o_i| and
-i[H_i, |o_i><o_i|] act (2 of the n + 1 for the canonical models), so P and p
-cost O(n s d) per point for the largest support s, not O(n d^2). Its states are never formed whole, so their norm
-is kept by invariants instead of measured: the eigenvectors are orthonormal
-(``SpectralDecomposition``), the coefficients have total weight 1 (once per
-call) and every phase has modulus 1 (once per block of points, which also
-catches an overflowing lambda t). Trajectories take the grid in blocks, as
-one dimension x points array would dominate memory.
+the rows S_i = supp(o_i) u supp(H_i o_i) where |o_i><o_i| and
+i[H_i, |o_i><o_i|] act (2 of the n + 1 for the canonical models) and builds
+both operators there from o_i and H_i o_i, so P and p cost O(n s d) per
+point for the largest support s, not O(n d^2). Its states are never formed
+whole, so their norm is kept by invariants instead of measured: orthonormal
+eigenvectors (``SpectralDecomposition``), coefficients of total weight 1
+(once per call) and phases of modulus 1 (once per block of points, which
+also catches an overflowing lambda t). Trajectories take the grid in blocks,
+as one dimension x points array would dominate memory.
 """
 
 from __future__ import annotations
@@ -101,11 +102,11 @@ class TimingTrajectory:
 def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray, rows: np.ndarray):
     """Eigenbasis coefficients c of amplitudes[b], and a map from times to the (..., s, k) rows.
 
-    ``rows`` holds the eigenvector rows to form: the (..., d, d) eigenvectors
-    of ``dec`` for whole states, or a (..., s, d) gather of them. The map
-    returns rows[b] @ (exp(-i lambda t) c[b]), H_b in dec, exponentiating each
-    distinct level once per time; it raises NumericalError unless every
-    phase is unimodular, which also catches an overflowing lambda t.
+    ``rows`` are any (..., s, d) rows to form against the eigenvectors V of
+    ``dec``: V itself for whole states, a gather of its rows, or <o_i| V_i for
+    overlaps. The map returns rows[b] @ (exp(-i lambda t) c[b]), H_b in dec,
+    exponentiating each distinct level once per time; it raises NumericalError
+    unless every phase is unimodular, which also catches an overflowing lambda t.
     Raises DimensionMismatch unless amplitudes has the shape of dec.eigenvalues.
     """
     if amplitudes.shape != dec.eigenvalues.shape:
@@ -147,36 +148,31 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
     ``scenario_io.initial_state`` returns it. Branch i of psi(t) is
     phi_i(t) = exp(-i H_i t) chi_i, so
     P = sum_i |<o_i|phi_i>|^2 and p = sum_i <phi_i| i[H_i, |o_i><o_i|] |phi_i>.
-    Both operators of branch i vanish outside the rows and columns
-    S_i = supp(o_i) u supp(H_i o_i), so only those rows of phi_i are formed,
-    padded to the largest support. The model's one spectral decomposition
-    per H_i serves all points, so there is no error accumulation between
-    samples. Points are evaluated in blocks of at most BLOCK_AMPLITUDES joint
-    amplitudes, all branches at once. The eigenbasis coefficients must have
-    total weight 1 and every phase modulus 1; with orthonormal eigenvectors
-    that makes every state unit-norm.
+    Both operators of branch i act within the rows and columns
+    S_i = supp(o_i) u supp(H_i o_i), so they are built there from o_i and
+    H_i o_i, and only those rows of phi_i are formed, padded to the largest
+    support. The model's one spectral decomposition per H_i serves all points,
+    so there is no error accumulation between samples. Points are evaluated in
+    blocks of at most BLOCK_AMPLITUDES joint amplitudes, all branches at once.
+    The eigenbasis coefficients must have total weight 1 and every phase
+    modulus 1; with orthonormal eigenvectors that makes every state unit-norm.
     """
     spectra = model.branch_spectra
-    h = model.branch_hamiltonians
-    pointers = model.pointer_frame.T[1:, :, None]
-    bras = pointers.conj().transpose(0, 2, 1)
-    # happened[i] = |o_i><o_i|. X = (H_i |o_i>) <o_i| is H_i |o_i><o_i| and X^H
-    # is |o_i><o_i| H_i, so rate_ops[i] = i[H_i, |o_i><o_i|] = i(X - X^H), in O(n d^2).
-    happened = pointers @ bras
-    rate_ops = (h @ pointers) @ bras
-    rate_ops -= rate_ops.conj().transpose(0, 2, 1)
-    rate_ops *= 1j
-
+    o = model.pointer_frame.T[1:, :, None]
+    kicked = model.branch_hamiltonians @ o
     # Support rows first, in ascending order, padded with other rows to s.
-    # Columns count too, so the mask does not rely on a symmetric zero pattern.
-    nonzero = (happened != 0) | (rate_ops != 0)
-    support = nonzero.any(axis=2) | nonzero.any(axis=1)
+    support = ((o != 0) | (kicked != 0))[:, :, 0]
     s = int(support.sum(axis=1).max())
     idx = np.argsort(~support, axis=1, kind="stable")[:, :s, None]
     rows = np.take_along_axis(spectra.eigenvectors, idx, axis=1)
-    cols = idx.transpose(0, 2, 1)
-    happened = np.take_along_axis(np.take_along_axis(happened, idx, axis=1), cols, axis=2)
-    rate_ops = np.take_along_axis(np.take_along_axis(rate_ops, idx, axis=1), cols, axis=2)
+    o = np.take_along_axis(o, idx, axis=1)
+    bras = o.conj().transpose(0, 2, 1)
+    # On S_i, happened[i] = |o_i><o_i|. X = (H_i |o_i>) <o_i| is H_i |o_i><o_i| and
+    # X^H is |o_i><o_i| H_i, so rate_ops[i] = i[H_i, |o_i><o_i|] = i(X - X^H).
+    happened = o @ bras
+    rate_ops = np.take_along_axis(kicked, idx, axis=1) @ bras
+    rate_ops -= rate_ops.conj().transpose(0, 2, 1)
+    rate_ops *= 1j
 
     coeffs, propagate = _propagator(spectra, branches, rows)
     weight = float(np.sum(np.abs(coeffs) ** 2))

@@ -10,13 +10,14 @@ The dense joint H is built only on demand. One stacked eigh diagonalises
 every H_i (``branch_spectra``) for all branch-form computations to share. The
 projector M onto the perfectly correlated system-pointer subspace answers
 "has the measurement happened" (eigenvalue 1 = yes); its expectation in
-psi(t) is the probability that it has happened by time t, and i[H, .] of
-it gives the time density of the happening. On system branch i, M is
-|pointer_i><pointer_i|, so P, p and ``check``'s projector check are computed
-in branch form; ``happened_projector`` and ``rate_operator`` build M and
-i[H, M] as dense joint-space operators, for tests with arbitrary H. Both
-start from the pair columns V (column i is |a_i> (x) |pointer_i>):
-M = V V^H, and i[H, M] = i(X - X^H) with X = (H V) V^H.
+psi(t) is the probability that it has happened by time t, and i[H, .] of it
+gives the time density of the happening. On system branch i, M is
+|pointer_i><pointer_i|, so P, p and the premeasurement fidelity read only
+pointer_i and H_i pointer_i, and ``check``'s projector check only the frames;
+``happened_projector`` and ``rate_operator`` build M and i[H, M] as dense
+joint-space operators, for tests with arbitrary H. Both start from the pair
+columns V (column i is |a_i> (x) |pointer_i>): M = V V^H, and
+i[H, M] = i(X - X^H) with X = (H V) V^H.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .hilbert import (
     StateVector,
     check_hermitian,
     check_orthonormal,
-    check_unit_norm,
     expectation,
     spectral,
 )
@@ -214,17 +214,19 @@ def happened_probability(model: MeasurementModel, psi: StateVector) -> float:
 def premeasurement_check(model: MeasurementModel) -> np.ndarray:
     """Evolve each |a_i> (x) |ready> for the nominal duration and score it.
 
-    Returns the (n,) fidelities |<a_i, pointer_i | psi(T)>|^2, one per
-    outcome. H keeps the system in |a_i>, so this is the overlap
-    of pointer_i with |ready> evolved under H_i alone, all branches at once.
-    Diagnostic only: it never raises on a bad model.
+    Returns the (n,) fidelities |<a_i, pointer_i | psi(T)>|^2 =
+    |<o_i| exp(-i H_i T) |ready>|^2, all branches at once. The kernel's row for
+    branch i is <o_i| V_i, V_i the eigenvectors of H_i, so it returns the
+    overlaps and forms no state; the orthonormal pointer frame and V_i and the
+    unimodular phases keep their norm. A bad model gets a low fidelity, not an
+    exception; only EigensolverFailure (``branch_spectra``) or a phase off
+    modulus 1 (NumericalError) raises.
     """
     ready = np.tile(model.pointer_frame[:, 0], (model.n_outcomes, 1))
     spectra = model.branch_spectra
-    _, propagate = _propagator(spectra, ready, spectra.eigenvectors)
-    evolved = propagate(np.array([model.nominal_duration]))
-    check_unit_norm(evolved[..., 0].T)
-    overlaps = model.pointer_frame.T[1:, None, :].conj() @ evolved
+    rows = model.pointer_frame.T[1:, None, :].conj() @ spectra.eigenvectors
+    _, propagate = _propagator(spectra, ready, rows)
+    overlaps = propagate(np.array([model.nominal_duration]))
     return np.abs(overlaps.ravel()) ** 2
 
 

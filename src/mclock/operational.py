@@ -62,8 +62,6 @@ def joint_distribution(model: MeasurementModel, branches: np.ndarray) -> np.ndar
     row_totals = np.sum(np.abs(branches) ** 2, axis=1)
     residual = np.clip(row_totals - frame_probs.sum(axis=1), 0.0, None)
     probs = np.column_stack([frame_probs, residual])
-    if not np.all(probs >= 0):  # NaN fails too
-        raise NumericalError("joint probabilities must be nonnegative")
     total = float(np.sum(probs))
     if not abs(total - 1.0) <= TOL.distribution_sum:
         raise NumericalError(f"joint probabilities sum to {total!r}, not 1")

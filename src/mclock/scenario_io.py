@@ -31,7 +31,6 @@ import numpy as np
 
 from .dynamics import TimeGrid, TimingTrajectory
 from .errors import InvalidParameter, ParseError, ValidationError
-from .hilbert import check_unit_norm
 from .measurement import MeasurementModel, build_imperfect_model, build_rotation_model
 from .operational import EstimateReport
 
@@ -232,11 +231,11 @@ def initial_state(spec: ScenarioSpec, model: MeasurementModel) -> np.ndarray:
     """The branch rows of (sum_i c_i |a_i>) (x) |ready>: the read-only (n, d) array c_i |ready>.
 
     Row i is chi_i = (<a_i| (x) I) psi, the apparatus state on system branch
-    i; together the rows have norm 1.
+    i; the rows have the norm of c, which ``parse_scenario`` made 1, and the
+    ``trajectory`` coefficient weight or ``joint_distribution`` sum checks it.
     """
     c = np.array(spec.initial_coefficients, dtype=np.complex128)
     rows = np.multiply.outer(c, model.pointer_frame[:, 0])
-    check_unit_norm(rows.ravel())
     rows.setflags(write=False)
     return rows
 

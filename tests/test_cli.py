@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import itertools
 import json
 import math
@@ -657,6 +658,29 @@ class TestAtomicWrite:
             os.close(reader)
         assert not thread.is_alive()
         assert b"".join(chunks) == regular.read_bytes()
+
+    def test_missing_directory_is_an_input_error_naming_the_path(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path / "s.json")
+        target = tmp_path / "missing" / "out.csv"
+        assert cli.main(["run", str(scenario), "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 2] No such file or directory: {str(target)!r}\n"
+        assert sorted(os.listdir(tmp_path)) == ["s.json"]
+
+    def test_failed_rename_names_the_path_and_leaves_no_temp_file(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        scenario = write_scenario(tmp_path / "s.json")
+        target = tmp_path / "out.csv"
+
+        def refuse(src, dst):
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV), src, dst)
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert cli.main(["run", str(scenario), "--out", str(target)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno {errno.EXDEV}] {os.strerror(errno.EXDEV)}: {str(target)!r}\n"
+        assert sorted(os.listdir(tmp_path)) == ["s.json"]
 
     def test_directory_is_an_input_error_naming_it(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json")

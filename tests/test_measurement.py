@@ -380,6 +380,25 @@ class TestPremeasurementCheck:
         assert np.max(np.abs(fid - expected)) < 1e-12
         assert 1 - fid.min() == pytest.approx(1 - expected[0], abs=1e-12)
 
+    @pytest.mark.parametrize("random_branches", [False, True])
+    def test_complex_frames_match_dense_oracle(self, random_branches):
+        # Haar frames are complex, so an unconjugated pointer bra scores the
+        # wrong overlap; random H_i make every fidelity a generic number.
+        rng = np.random.default_rng(61)
+        model = random_frame_model(rng, 3, extra_apparatus=1)
+        if random_branches:
+            stack = np.stack([random_hermitian(rng, model.apparatus_dim) for _ in range(3)])
+            model = dataclasses.replace(model, branch_hamiltonians=stack)
+        joint = model.interaction_hamiltonian.matrix
+        expected = []
+        for i in range(3):
+            a = model.system_frame[:, i]
+            start = np.kron(a, model.pointer_frame[:, 0])
+            evolved = evolve_series(joint, start, model.nominal_duration)
+            pair = np.kron(a, model.pointer_frame[:, i + 1])
+            expected.append(abs(pair.conj() @ evolved) ** 2)
+        assert np.max(np.abs(premeasurement_check(model) - expected)) < 1e-10
+
 
 class TestSchmidtDecompose:
     def test_product_state_single_coefficient(self):

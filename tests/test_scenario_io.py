@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import math
@@ -7,6 +8,7 @@ import pytest
 
 from mclock import (
     MClockError,
+    NumericalError,
     ParseError,
     TimeGrid,
     ValidationError,
@@ -247,6 +249,21 @@ class TestModelWiring:
         assert rows.shape == (3, 4)
         with pytest.raises(ValueError):
             rows[0, 0] = 0.0  # read-only
+
+    def test_off_norm_coefficients_are_caught_where_the_rows_are_used(self):
+        # initial_state does not check the norm again: parse_scenario has
+        # normalised c, and trajectory's coefficient weight or
+        # joint_distribution's sum catches rows built from any other c.
+        spec = parse_scenario(scenario_with(
+            sampling={"t": 0.7853981633974483, "trials": 250, "seed": 3}))
+        spec = dataclasses.replace(
+            spec, initial_coefficients=tuple(1.001 * z for z in spec.initial_coefficients))
+        model = build_model(spec)
+        rows = initial_state(spec, model)
+        with pytest.raises(NumericalError, match="total weight"):
+            trajectory(model, rows, spec.grid)
+        with pytest.raises(NumericalError, match="sum to"):
+            sample_trials(model, rows, spec.sampling.t, 250, 3)
 
     def test_imperfect_model_kind(self):
         spec = parse_scenario(scenario_with(model="imperfect", epsilon=0.25))
