@@ -22,15 +22,12 @@ _EXPORTS = {
             "MClockError", "DimensionMismatch", "InvalidParameter", "NumericalError",
             "EigensolverFailure", "ParseError", "ValidationError",
         ),
-        "hilbert": (
-            "StateVector", "HermitianOperator", "basis_state", "tensor_state", "expectation",
-            "spectral",
-        ),
+        "hilbert": ("StateVector", "HermitianOperator", "expectation", "spectral"),
         "dynamics": ("TimeGrid", "TimingTrajectory", "evolve", "trajectory"),
         "measurement": (
             "MeasurementModel", "SchmidtDecomposition", "build_rotation_model",
             "build_imperfect_model", "happened_projector", "rate_operator",
-            "happened_probability", "premeasurement_check", "schmidt_decompose",
+            "premeasurement_check", "schmidt_decompose",
         ),
         "operational": ("joint_distribution", "sample_trials"),
         "scenario_io": (

@@ -160,6 +160,11 @@ def _run_checks(spec: ScenarioSpec, model, branches):
     # unevenly far from t = 0: the spacings are a h and b h. Differencing t
     # before dividing by h keeps the spacings; a and b near 1 cannot underflow.
     t, prob = traj.grid.times, traj.prob_happened
+    k = int(np.argmin(np.diff(t)))
+    if t[k + 1] == t[k]:  # a zero spacing leaves the derivative undefined
+        yield ("derivative identity", False,
+               f"untested: stored times t[{k}] = t[{k + 1}] = {t[k]:.17g} coincide")
+        return
     a = (t[1:-1] - t[:-2]) / step
     b = (t[2:] - t[1:-1]) / step
     diffs = (a * a * prob[2:] - b * b * prob[:-2] + (b * b - a * a) * prob[1:-1]) / (

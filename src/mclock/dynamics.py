@@ -135,7 +135,7 @@ def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> State
     """exp(-iHt) psi0 via the spectral decomposition of H."""
     if hamiltonian.dims != psi0.dims:
         raise DimensionMismatch(f"H dims {hamiltonian.dims} != state dims {psi0.dims}")
-    dec = spectral(hamiltonian)
+    dec = spectral(hamiltonian.matrix)
     _, propagate = _propagator(dec, psi0.amplitudes, dec.eigenvectors)
     amps = propagate(np.array([t]))
     return StateVector(psi0.dims, amps[:, 0])

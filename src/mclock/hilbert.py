@@ -1,9 +1,10 @@
 """Dense linear algebra on finite-dimensional tensor-product Hilbert spaces.
 
-States and operators carry the list of factor dimensions they live on.
-One index convention holds everywhere: the first tensor factor varies
-slowest (row-major over factors), which is what ``numpy.kron`` produces.
-Units use hbar = 1; all values are immutable after construction.
+The validators, ``expectations`` and ``spectral`` take plain arrays or stacks
+of them; ``StateVector`` and ``HermitianOperator`` carry the factor dims of a
+joint-space state or operator. The first tensor factor varies slowest
+(row-major over factors), as ``numpy.kron`` produces. Units use hbar = 1;
+all values are immutable after construction.
 """
 
 from __future__ import annotations
@@ -89,10 +90,6 @@ class StateVector:
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
-    @property
-    def dim(self) -> int:
-        return self.amplitudes.size
-
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
@@ -112,10 +109,6 @@ class HermitianOperator:
         check_hermitian(mat)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "matrix", _freeze(mat))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,29 +130,13 @@ class SpectralDecomposition:
         object.__setattr__(self, "eigenvectors", _freeze(v))
 
 
-def basis_state(dim: int, index: int) -> StateVector:
-    """Computational basis vector e_index of a single factor C^dim."""
-    if not 0 <= index < dim:
-        raise InvalidParameter(f"index {index} outside [0, {dim})")
-    amps = np.zeros(dim, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector((dim,), amps)
-
-
-def tensor_state(a: StateVector, b: StateVector) -> StateVector:
-    """Kronecker product of two states; a's indices vary slowest."""
-    return StateVector(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
-
-
-def expectations(a: HermitianOperator | np.ndarray, columns: np.ndarray) -> np.ndarray:
+def expectations(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Real expectation values <psi_k|A|psi_k>, one per amplitude column psi_k.
 
-    ``a`` is a HermitianOperator, or a stack of matrices (..., d, d) applied
-    to columns (..., d, k). Every imaginary part must vanish within
-    tolerance, relative to max(1, max|A|) of its own operator; they are
-    checked and discarded.
+    ``matrix`` is A, or a stack of matrices (..., d, d) applied to columns
+    (..., d, k). Every imaginary part must vanish within tolerance, relative
+    to max(1, max|A|) of its own operator; they are checked and discarded.
     """
-    matrix = a.matrix if isinstance(a, HermitianOperator) else a
     if columns.shape[-2] != matrix.shape[-1]:
         raise DimensionMismatch(f"operator {matrix.shape} cannot act on columns {columns.shape}")
     vals = np.einsum("...ij,...ij->...j", columns.conj(), matrix @ columns)
@@ -174,17 +151,16 @@ def expectation(a: HermitianOperator, psi: StateVector) -> float:
     """Real expectation value <psi|A|psi>: the one-state case of ``expectations``."""
     if a.dims != psi.dims:
         raise DimensionMismatch(f"operator dims {a.dims} != state dims {psi.dims}")
-    return float(expectations(a, psi.amplitudes[:, None])[0])
+    return float(expectations(a.matrix, psi.amplitudes[:, None])[0])
 
 
-def spectral(a: HermitianOperator | np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a Hermitian operator, or of a (..., d, d) stack, eigenvalues ascending.
+def spectral(matrix: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a Hermitian matrix, or of a (..., d, d) stack, eigenvalues ascending.
 
     One ``eigh`` call serves the whole stack. Raises EigensolverFailure on
     non-convergence or if any matrix A fails to reconstruct within
     TOL.spectral x max(1, max|A|).
     """
-    matrix = a.matrix if isinstance(a, HermitianOperator) else a
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:

@@ -6,18 +6,17 @@ pointer states. Every model is a von Neumann premeasurement,
 H = sum_i |a_i><a_i| (x) H_i, and is stored as three arrays: the system
 frame (columns |a_i>), the pointer frame (|ready>, then the pointer states)
 and the (n, d, d) stack of branch Hamiltonians H_i on the apparatus space.
-The dense joint H is built only on demand. One stacked eigh diagonalises
-every H_i (``branch_spectra``) for all branch-form computations to share. The
-projector M onto the perfectly correlated system-pointer subspace answers
-"has the measurement happened" (eigenvalue 1 = yes); its expectation in
-psi(t) is the probability that it has happened by time t, and i[H, .] of it
-gives the time density of the happening. On system branch i, M is
-|pointer_i><pointer_i|, so P, p and the premeasurement fidelity read only
-pointer_i and H_i pointer_i, and ``check``'s projector check only the frames;
-``happened_projector`` and ``rate_operator`` build M and i[H, M] as dense
-joint-space operators, for tests with arbitrary H. Both start from the pair
-columns V (column i is |a_i> (x) |pointer_i>): M = V V^H, and
-i[H, M] = i(X - X^H) with X = (H V) V^H.
+One stacked eigh diagonalises every H_i (``branch_spectra``) for all
+branch-form computations to share. The projector M onto the perfectly
+correlated system-pointer subspace answers "has the measurement happened"
+(eigenvalue 1 = yes); its expectation in psi(t) is the probability that it
+has happened by time t, and i[H, .] of it gives the time density of the
+happening. On system branch i, M is |pointer_i><pointer_i|, so P, p and the
+premeasurement fidelity read only pointer_i and H_i pointer_i, and
+``check``'s projector check only the frames. The dense joint H, M = V V^H and
+i[H, M] = i(X - X^H), X = (H V) V^H, with column i of V the pair
+|a_i> (x) |pointer_i>, are built only on demand, as oracles for arbitrary H.
+``schmidt_decompose`` splits a joint amplitude array across a bipartition.
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ from .errors import DimensionMismatch, InvalidParameter, NumericalError
 from .hilbert import (
     HermitianOperator,
     SpectralDecomposition,
-    StateVector,
+    _as_dims,
     check_hermitian,
     check_orthonormal,
-    expectation,
+    check_unit_norm,
     spectral,
 )
 from .tolerances import TOL
@@ -75,8 +74,8 @@ class MeasurementModel:
         check_orthonormal(a, NumericalError, "system frame")
         check_orthonormal(o, NumericalError, "pointer frame (ready + pointer states)")
         check_hermitian(h)
-        if not self.nominal_duration > 0:
-            raise InvalidParameter("nominal_duration must be positive")
+        if not (math.isfinite(self.nominal_duration) and self.nominal_duration > 0):
+            raise InvalidParameter(f"nominal_duration {self.nominal_duration} must be finite > 0")
         if not 0.0 <= self.fidelity <= 1.0 + TOL.probability:
             raise InvalidParameter(f"declared fidelity {self.fidelity} outside [0, 1]")
         for name, arr in zip(names, (a, o, h)):
@@ -116,7 +115,24 @@ class MeasurementModel:
         return HermitianOperator(self.joint_dims, joint.reshape(side, side))
 
 
-def _build_canonical_model(n: int, g: float, epsilon: float) -> MeasurementModel:
+def build_rotation_model(n: int, g: float) -> MeasurementModel:
+    """Exactly solvable n-outcome model: each branch rotates ready -> pointer.
+
+    The coupling g drives |a_i> (x) |ready> to
+    cos(g t)|a_i>(x)|ready> + sin(g t)|a_i>(x)|pointer_i>, so the happened
+    probability is sin^2(g t) for every initial system superposition and
+    reaches exactly 1 at the nominal duration pi/(2 g).
+    """
+    return build_imperfect_model(n, g, 0.0)
+
+
+def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
+    """Rotation model whose first outcome couples at g(1 - epsilon).
+
+    At the nominal duration the first branch has only rotated by
+    (1 - epsilon) pi/2, so the pointer correlation is imperfect and the
+    happened probability stays strictly below 1 for epsilon > 0.
+    """
     if n < 2:
         raise InvalidParameter(f"need at least 2 outcomes, got {n}")
     if not g > 0:
@@ -145,27 +161,6 @@ def _build_canonical_model(n: int, g: float, epsilon: float) -> MeasurementModel
         nominal_duration=duration,
         fidelity=fidelity,
     )
-
-
-def build_rotation_model(n: int, g: float) -> MeasurementModel:
-    """Exactly solvable n-outcome model: each branch rotates ready -> pointer.
-
-    The coupling g drives |a_i> (x) |ready> to
-    cos(g t)|a_i>(x)|ready> + sin(g t)|a_i>(x)|pointer_i>, so the happened
-    probability is sin^2(g t) for every initial system superposition and
-    reaches exactly 1 at the nominal duration pi/(2 g).
-    """
-    return _build_canonical_model(n, g, 0.0)
-
-
-def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
-    """Rotation model whose first outcome couples at g(1 - epsilon).
-
-    At the nominal duration the first branch has only rotated by
-    (1 - epsilon) pi/2, so the pointer correlation is imperfect and the
-    happened probability stays strictly below 1 for epsilon > 0.
-    """
-    return _build_canonical_model(n, g, epsilon)
 
 
 def _pair_columns(model: MeasurementModel) -> np.ndarray:
@@ -203,14 +198,6 @@ def rate_operator(model: MeasurementModel, hamiltonian: HermitianOperator) -> He
     return HermitianOperator(model.joint_dims, x)
 
 
-def happened_probability(model: MeasurementModel, psi: StateVector) -> float:
-    """Probability that the measurement has happened in state psi."""
-    value = expectation(happened_projector(model), psi)
-    if not -TOL.probability <= value <= 1.0 + TOL.probability:
-        raise NumericalError(f"happened probability {value!r} outside [0, 1]")
-    return value
-
-
 def premeasurement_check(model: MeasurementModel) -> np.ndarray:
     """Evolve each |a_i> (x) |ready> for the nominal duration and score it.
 
@@ -232,29 +219,29 @@ def premeasurement_check(model: MeasurementModel) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SchmidtDecomposition:
-    """Biorthogonal form of a bipartite pure state: sum_k c_k |l_k> (x) |r_k>."""
+    """Bipartite state sum_k c_k |l_k> (x) |r_k>; rows k of ``left`` and ``right`` are l_k, r_k."""
 
     coefficients: np.ndarray
-    left_vectors: tuple[StateVector, ...]
-    right_vectors: tuple[StateVector, ...]
+    left: np.ndarray
+    right: np.ndarray
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=np.float64).reshape(-1)
-        if not (coeffs.size == len(self.left_vectors) == len(self.right_vectors)):
-            raise DimensionMismatch("coefficients and vector lists must have equal length")
+        left, right = (np.array(v, dtype=np.complex128, ndmin=2) for v in (self.left, self.right))
+        if not (coeffs.size == left.shape[0] == right.shape[0]):
+            raise DimensionMismatch("coefficients and vector rows must have equal length")
         if np.any(coeffs < 0) or np.any(np.diff(coeffs) > 0):
             raise NumericalError("coefficients must be nonnegative and descending")
         total = float(np.sum(coeffs**2))
         if abs(total - 1.0) > TOL.orthonormality:
             raise NumericalError(f"squared coefficients sum to {total!r}, not 1")
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "left_vectors", tuple(self.left_vectors))
-        object.__setattr__(self, "right_vectors", tuple(self.right_vectors))
+        for name, arr in zip(("coefficients", "left", "right"), (coeffs, left, right)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
-def schmidt_decompose(psi: StateVector, split: int) -> SchmidtDecomposition:
-    """Schmidt decomposition across the bipartition dims[:split] | dims[split:].
+def schmidt_decompose(amplitudes: np.ndarray, dims, split: int) -> SchmidtDecomposition:
+    """Schmidt decomposition of a unit state on dims across dims[:split] | dims[split:].
 
     Singular values below the cutoff are dropped (at least one is kept).
     Each kept pair is phase-normalized so the largest-magnitude entry of
@@ -262,13 +249,16 @@ def schmidt_decompose(psi: StateVector, split: int) -> SchmidtDecomposition:
     ordered by descending lexicographic comparison of the left vectors'
     (Re, Im) entry pairs, which makes the output deterministic.
     """
-    if not 0 < split < len(psi.dims):
+    dims = _as_dims(dims)
+    amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
+    if amps.size != math.prod(dims):
+        raise DimensionMismatch(f"amplitude length {amps.size} != product of dims {dims}")
+    check_unit_norm(amps)
+    if not 0 < split < len(dims):
         raise DimensionMismatch(
-            f"split {split} must leave at least one factor on each side of {psi.dims}"
+            f"split {split} must leave at least one factor on each side of {dims}"
         )
-    d_left = math.prod(psi.dims[:split])
-    d_right = math.prod(psi.dims[split:])
-    matrix = psi.amplitudes.reshape(d_left, d_right)
+    matrix = amps.reshape(math.prod(dims[:split]), -1)
     u, s, vh = np.linalg.svd(matrix, full_matrices=False)
 
     keep = max(1, int(np.sum(s > TOL.schmidt_cutoff)))
@@ -284,13 +274,10 @@ def schmidt_decompose(psi: StateVector, split: int) -> SchmidtDecomposition:
         key=lambda k: (-s[k], tuple((-z.real, -z.imag) for z in u[:, k])),
     )
     u, s, vh = u[:, order], s[order], vh[order, :]
-
-    left = tuple(StateVector(psi.dims[:split], u[:, k]) for k in range(keep))
-    right = tuple(StateVector(psi.dims[split:], vh[k, :]) for k in range(keep))
-    dec = SchmidtDecomposition(s, left, right)
+    dec = SchmidtDecomposition(s, u.T, vh)
 
     recon = ((u * s) @ vh).ravel()
-    err = float(np.linalg.norm(recon - psi.amplitudes))
+    err = float(np.linalg.norm(recon - amps))
     if err > TOL.schmidt_reconstruction:
         raise NumericalError(f"Schmidt reconstruction off by {err:.3e}")
     return dec

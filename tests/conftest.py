@@ -4,14 +4,15 @@ The matrix exponential here is an independent power-series oracle: it never
 touches the library's spectral-decomposition evolution path, so the two can
 cross-check each other. Tests that build a joint-space state, for the dense
 oracle or as a Haar-random start, hand the library its branch rows through
-``branch_rows``.
+``branch_rows``. ``basis_state``, ``tensor_state`` and ``happened_probability``
+build such states and read the dense happened projector in them.
 """
 
 import math
 
 import numpy as np
 
-from mclock import MeasurementModel, StateVector
+from mclock import MeasurementModel, StateVector, expectation, happened_projector
 
 
 def series_expm(a: np.ndarray, tol: float = 1e-16, max_terms: int = 80) -> np.ndarray:
@@ -41,6 +42,21 @@ def branch_rows(model: MeasurementModel, psi: StateVector) -> np.ndarray:
     """Row i is chi_i = (<a_i| (x) I) psi; the system frame is complete, so any psi splits."""
     assert psi.dims == model.joint_dims
     return model.system_frame.conj().T @ psi.amplitudes.reshape(model.joint_dims)
+
+
+def basis_state(dim: int, index: int) -> StateVector:
+    """Computational basis vector e_index of a single factor C^dim."""
+    return StateVector((dim,), np.eye(dim)[index])
+
+
+def tensor_state(a: StateVector, b: StateVector) -> StateVector:
+    """Kronecker product of two states; a's indices vary slowest."""
+    return StateVector(a.dims + b.dims, np.kron(a.amplitudes, b.amplitudes))
+
+
+def happened_probability(model: MeasurementModel, psi: StateVector) -> float:
+    """<psi|M|psi> for the model's dense happened projector M."""
+    return expectation(happened_projector(model), psi)
 
 
 def ready_state(model: MeasurementModel) -> StateVector:

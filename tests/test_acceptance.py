@@ -13,7 +13,15 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import branch_rows, haar_state, random_frame_model, random_hermitian, ready_state
+from conftest import (
+    branch_rows,
+    haar_state,
+    happened_probability,
+    random_frame_model,
+    random_hermitian,
+    ready_state,
+    tensor_state,
+)
 from mclock import (
     HermitianOperator,
     StateVector,
@@ -23,13 +31,11 @@ from mclock import (
     emit_sampling_csv,
     evolve,
     expectation,
-    happened_probability,
     happened_projector,
     joint_distribution,
     rate_operator,
     sample_trials,
     schmidt_decompose,
-    tensor_state,
     trajectory,
 )
 
@@ -176,9 +182,9 @@ def test_c8_schmidt_instability_demo():
     gap = float(np.linalg.norm(straight - tilted))
     assert gap < 1e-3
 
-    lead_a = schmidt_decompose(StateVector((2, 2), straight), 1).left_vectors[0]
-    lead_b = schmidt_decompose(StateVector((2, 2), tilted), 1).left_vectors[0]
-    angle = math.acos(min(1.0, abs(np.vdot(lead_a.amplitudes, lead_b.amplitudes))))
+    lead_a = schmidt_decompose(straight, (2, 2), 1).left[0]
+    lead_b = schmidt_decompose(tilted, (2, 2), 1).left[0]
+    angle = math.acos(min(1.0, abs(np.vdot(lead_a, lead_b))))
     assert angle > 0.5
     _pass(8, f"states {gap:.2e} apart, leading Schmidt bases {angle:.3f} rad apart")
 

@@ -199,6 +199,19 @@ class TestCheck:
         assert cli.main(["check", str(imperfect)]) == 4
         assert "phases unresolved: max|lambda| max|t| 2^-52 = 2.220e-04" in capsys.readouterr().err
 
+    def test_coinciding_stored_times_leave_the_identity_untested(self, tmp_path, capsys):
+        # linspace stores [1, 1, 1.0000000000000002]: the zero spacing leaves
+        # the three-point derivative undefined, so check fails without a
+        # warning and names the coinciding times; run still writes the curve.
+        grid = {"t0": 1.0, "t1": 1.0000000000000002, "points": 3}
+        scenario = write_scenario(tmp_path / "s.json", model="imperfect", epsilon=0.1, grid=grid)
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 0
+        capsys.readouterr()
+        assert cli.main(["check", str(scenario)]) == 4
+        err = capsys.readouterr().err
+        assert err == ("check derivative identity: FAILED "
+                       "(untested: stored times t[0] = t[1] = 1 coincide)\n")
+
     def test_corrupted_model_fails_premeasurement(self, tmp_path):
         # A dead interaction (all couplings effectively zero) cannot
         # premeasure; the check harness reports it as the first failure.

@@ -5,13 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import (
+    basis_state,
     branch_rows,
     evolve_series,
     haar_state,
     haar_unitary,
+    happened_probability,
     random_frame_model,
     random_hermitian,
     ready_state,
+    tensor_state,
 )
 from mclock import (
     DimensionMismatch,
@@ -22,17 +25,14 @@ from mclock import (
     SchmidtDecomposition,
     StateVector,
     TimeGrid,
-    basis_state,
     build_imperfect_model,
     build_rotation_model,
     evolve,
     expectation,
-    happened_probability,
     happened_projector,
     premeasurement_check,
     rate_operator,
     schmidt_decompose,
-    tensor_state,
     trajectory,
 )
 from mclock.hilbert import expectations
@@ -168,6 +168,13 @@ class TestModelContract:
             with pytest.raises(NumericalError):
                 dataclasses.replace(model, branch_hamiltonians=h)
 
+    def test_rejects_duration_that_is_not_finite_and_positive(self):
+        # An infinite duration would reach premeasurement_check as a NaN phase.
+        model = build_rotation_model(2, 1.0)
+        for duration in (math.inf, math.nan, 0.0, -1.0):
+            with pytest.raises(InvalidParameter, match="nominal_duration"):
+                dataclasses.replace(model, nominal_duration=duration)
+
     def test_hermiticity_tolerance_is_per_branch(self):
         # H_2 = 1e6 H_1 built as U diag(w) U^H carries rounding asymmetry
         # ~1e-10, far above an absolute 1e-12 but within 1e-12 x max|H_2|.
@@ -274,7 +281,7 @@ class TestRateOperator:
         states = np.column_stack(
             [evolve(happened, psi0, t).amplitudes for t in TimeGrid(0.0, 2.0, 21).times]
         )
-        prob = expectations(happened, states)
+        prob = expectations(happened.matrix, states)
         assert np.max(np.abs(prob - prob[0])) < 1e-12
 
     def test_rotation_rate_closed_form(self):
@@ -404,7 +411,7 @@ class TestSchmidtDecompose:
     def test_product_state_single_coefficient(self):
         rng = np.random.default_rng(37)
         psi = tensor_state(haar_state(rng, (3,)), haar_state(rng, (4,)))
-        dec = schmidt_decompose(psi, 1)
+        dec = schmidt_decompose(psi.amplitudes, psi.dims, 1)
         assert dec.coefficients.shape == (1,)
         assert dec.coefficients[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -415,22 +422,22 @@ class TestSchmidtDecompose:
             balanced_initial_state(model),
             model.nominal_duration,
         )
-        dec = schmidt_decompose(psi_t, 1)
+        dec = schmidt_decompose(psi_t.amplitudes, psi_t.dims, 1)
         assert np.allclose(dec.coefficients, [SQ2, SQ2], atol=1e-10)
-        assert np.allclose(dec.left_vectors[0].amplitudes, [1, 0], atol=1e-8)
-        assert np.allclose(dec.left_vectors[1].amplitudes, [0, 1], atol=1e-8)
-        assert np.allclose(dec.right_vectors[0].amplitudes, [0, 1, 0], atol=1e-8)
-        assert np.allclose(dec.right_vectors[1].amplitudes, [0, 0, 1], atol=1e-8)
+        assert np.allclose(dec.left, [[1, 0], [0, 1]], atol=1e-8)
+        assert np.allclose(dec.right, [[0, 1, 0], [0, 0, 1]], atol=1e-8)
+        for rows in (dec.left, dec.right):  # read-only
+            with pytest.raises(ValueError):
+                rows[0, 0] = 0.0
 
     def test_reconstruction_random_states(self):
         rng = np.random.default_rng(41)
         for dims in ((2, 5), (3, 4), (2, 2, 3)):
             psi = haar_state(rng, dims)
             for split in range(1, len(dims)):
-                dec = schmidt_decompose(psi, split)
+                dec = schmidt_decompose(psi.amplitudes, dims, split)
                 recon = sum(
-                    c * np.kron(l.amplitudes, r.amplitudes)
-                    for c, l, r in zip(dec.coefficients, dec.left_vectors, dec.right_vectors)
+                    c * np.kron(l, r) for c, l, r in zip(dec.coefficients, dec.left, dec.right)
                 )
                 assert np.linalg.norm(recon - psi.amplitudes) < 1e-9
                 assert abs(np.sum(dec.coefficients**2) - 1.0) < 1e-10
@@ -445,21 +452,25 @@ class TestSchmidtDecompose:
         tilted /= np.linalg.norm(tilted)
         assert np.linalg.norm(straight - tilted) < 1e-3
 
-        lead_a = schmidt_decompose(StateVector((2, 2), straight), 1).left_vectors[0]
-        lead_b = schmidt_decompose(StateVector((2, 2), tilted), 1).left_vectors[0]
-        overlap = abs(np.vdot(lead_a.amplitudes, lead_b.amplitudes))
+        lead_a = schmidt_decompose(straight, (2, 2), 1).left[0]
+        lead_b = schmidt_decompose(tilted, (2, 2), 1).left[0]
+        overlap = abs(np.vdot(lead_a, lead_b))
         angle = math.acos(min(1.0, overlap))
         assert angle > 0.5
 
     def test_rejects_bad_split(self):
-        psi = basis_state(4, 0)
         with pytest.raises(DimensionMismatch):
-            schmidt_decompose(psi, 1)
+            schmidt_decompose(np.eye(4)[0], (4,), 1)
+
+    def test_rejects_input_that_is_not_a_unit_state_on_dims(self):
+        # Positive factor dims, one amplitude per basis state, unit norm.
+        with pytest.raises(InvalidParameter):
+            schmidt_decompose(np.eye(4)[0], (0, 4), 1)
+        with pytest.raises(DimensionMismatch):
+            schmidt_decompose(np.eye(5)[0], (2, 2), 1)
+        with pytest.raises(NumericalError):
+            schmidt_decompose(np.ones(4), (2, 2), 1)
 
     def test_invariant_rejects_bad_coefficients(self):
         with pytest.raises(NumericalError):
-            SchmidtDecomposition(
-                np.array([1.0, 1.0]),
-                (basis_state(2, 0), basis_state(2, 1)),
-                (basis_state(2, 0), basis_state(2, 1)),
-            )
+            SchmidtDecomposition(np.array([1.0, 1.0]), np.eye(2), np.eye(2))

@@ -4,20 +4,25 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import branch_rows, haar_state, random_frame_model, ready_state
+from conftest import (
+    basis_state,
+    branch_rows,
+    haar_state,
+    happened_probability,
+    random_frame_model,
+    ready_state,
+    tensor_state,
+)
 from mclock import (
     DimensionMismatch,
     InvalidParameter,
     NumericalError,
     StateVector,
-    basis_state,
     build_imperfect_model,
     build_rotation_model,
     evolve,
-    happened_probability,
     joint_distribution,
     sample_trials,
-    tensor_state,
 )
 from mclock.dynamics import BLOCK_AMPLITUDES
 from mclock.operational import _tally
