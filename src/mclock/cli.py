@@ -31,7 +31,6 @@ import numpy as np
 from .dynamics import trajectory
 from .errors import MClockError, ParseError, ValidationError
 from .measurement import premeasurement_check
-from .operational import RNG_ALGORITHM, sample_trials
 from .scenario_io import (
     ScenarioSpec,
     build_model,
@@ -116,6 +115,10 @@ def cmd_run(spec: ScenarioSpec, out_path: str) -> int:
 def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
     if spec.sampling is None:
         raise ValidationError("scenario has no sampling block")
+    # Imported here, on the one command that samples: run and check then
+    # neither compile nor build it.
+    from .operational import RNG_ALGORITHM, sample_trials
+
     model, branches = _prepare(spec)
     sampling = spec.sampling
     _, report = sample_trials(model, branches, sampling.t, sampling.n_trials, sampling.seed)

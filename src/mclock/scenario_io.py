@@ -26,22 +26,27 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import TimeGrid, TimingTrajectory
 from .errors import InvalidParameter, ParseError, ValidationError
 from .measurement import MeasurementModel, build_imperfect_model, build_rotation_model
-from .operational import EstimateReport
+
+if TYPE_CHECKING:
+    from .operational import EstimateReport
 
 COEFF_NORM_SLACK = 1e-3
 
 # Resource limits; a scenario beyond one is an input error, not an
 # out-of-memory kill. No command builds a joint-space matrix; at n = 50
 # (imperfect model, 2001 points, 1e5 trials) ``run`` and ``check`` peak near
-# 50 MB and ``sample`` near 45 MB. At the grid limit ``run`` peaks near
-# 300 MB; at the trial limit ``sample`` peaks near 39 MB at n = 8 and 46 MB
-# at n = 50, since trials are tallied in fixed-size blocks.
+# 50 MB and ``sample`` near 45 MB. At the grid limit ``run`` takes ~1.1-1.3 s
+# and peaks near 170 MB (n = 2, 2-vCPU host), most of it the CSV text, held
+# as one string and encoded once to be written; at the trial limit
+# ``sample`` peaks near 39 MB at n = 8 and 46 MB at n = 50, since trials are
+# tallied in fixed-size blocks.
 MAX_OUTCOMES = 50
 MAX_GRID_POINTS = 1_000_000
 MAX_TRIALS = 10_000_000
@@ -241,9 +246,15 @@ def initial_state(spec: ScenarioSpec, model: MeasurementModel) -> np.ndarray:
 
 
 def emit_trajectory_csv(traj: TimingTrajectory) -> str:
-    """CSV of the timing curves: header ``t,P,p``, one row per grid point."""
-    rows = zip(traj.grid.times.tolist(), traj.prob_happened.tolist(), traj.rate.tolist())
-    return "".join(["t,P,p\n"] + ["%.17g,%.17g,%.17g\n" % row for row in rows])
+    """CSV of the timing curves: header ``t,P,p``, one row per grid point.
+
+    Each value reads as ``"%.17g" % value``.
+    """
+    # Imported here, on the one command that writes a trajectory: check and
+    # sample then do not compile it.
+    from .csv17 import format_csv
+
+    return format_csv("t,P,p", (traj.grid.times, traj.prob_happened, traj.rate))
 
 
 def emit_sampling_csv(report: EstimateReport) -> str:

@@ -1,14 +1,15 @@
 """Central record of numerical tolerances.
 
 Library code and the test suite must agree on these values, so they live
-in one frozen record instead of being scattered as literals.
+in one read-only record instead of being scattered as literals. The values
+are class attributes; with no instance slots, assigning to one through an
+instance raises AttributeError.
 """
 
-from dataclasses import dataclass
 
-
-@dataclass(frozen=True)
 class Tolerances:
+    __slots__ = ()
+
     hermiticity: float = 1e-12      # max-abs deviation of A from A-dagger, x max(1, max|A|)
     orthonormality: float = 1e-10   # max-abs deviation of a Gram matrix from identity
     norm: float = 1e-10             # allowed |norm - 1| of a state vector

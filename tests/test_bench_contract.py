@@ -2,13 +2,16 @@
 
 ``bench/spans.py`` wraps the functions its ``TRACED`` table names, and
 ``StateVector.__post_init__``, and ``bench/child.py setup`` imports the
-model-building chain by name. Deleting or moving one of those names breaks
+model-building chain by name. Its ``_count_result`` reads what
+``emit_trajectory_csv``, ``trajectory`` and ``sample_trials`` return.
+Deleting or moving one of those names, or changing what they return, breaks
 the benchmark without failing any other test, so this test loads both files
 by path and exercises what they bind.
 """
 
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -49,3 +52,29 @@ def test_traced_names_resolve_and_tracer_round_trips():
 def test_setup_child_runs_in_process():
     child = _load("bench_contract_child", BENCH / "child.py")
     child.setup(str(REPO_ROOT / "scenarios" / "wide.json"))
+
+
+def test_traced_pass_fills_the_counters(tmp_path):
+    spans = _load("bench_contract_spans", BENCH / "spans.py")
+    child = _load("bench_contract_child", BENCH / "child.py")
+    import mclock.cli as cli
+    import mclock.operational  # install() binds it; the bench imports it in a warm-up pass
+
+    doc = json.loads((REPO_ROOT / "scenarios" / "imperfect.json").read_text())
+    doc["sampling"] = {"t": 0.7853981633974483, "trials": 1000, "seed": 7}
+    scenario = tmp_path / "imperfect.json"
+    scenario.write_text(json.dumps(doc))
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        _, invocations = child._pass(cli, str(scenario), str(tmp_path), 1, tracer)
+    finally:
+        tracer.uninstall()
+
+    assert [(inv["command"], inv["returncode"]) for inv in invocations] == [
+        ("run", 0), ("check", 0), ("sample", 0)
+    ]
+    run, check, sample = (tracer.counters[inv["run_id"]] for inv in invocations)
+    assert run["emit_bytes"] > 0 and run["points"] == 201
+    assert check["points"] == 201
+    assert sample["emit_bytes"] > 0 and sample["trials"] == 1000

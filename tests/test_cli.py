@@ -379,6 +379,13 @@ class TestEntry:
         code = "import sys, mclock.cli; print('logging' in sys.modules)"
         assert _fresh_python("-c", code) == "False\n"
 
+    @pytest.mark.parametrize("module", ["mclock.operational", "mclock.csv17"])
+    def test_cli_import_leaves_out_one_command_modules(self, module):
+        # Only ``sample`` samples and only ``run`` formats a trajectory; the
+        # other commands skip compiling those modules.
+        code = f"import sys, mclock.cli; print({module!r} in sys.modules)"
+        assert _fresh_python("-c", code) == "False\n"
+
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs tomllib")
     def test_console_script_runs_the_entry(self):
         import tomllib

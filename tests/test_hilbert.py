@@ -15,6 +15,7 @@ from mclock import (
     spectral,
 )
 from mclock.hilbert import SpectralDecomposition, check_orthonormal, check_unit_norm, expectations
+from mclock.tolerances import TOL, Tolerances
 
 SQ2 = 1 / math.sqrt(2)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -173,3 +174,14 @@ class TestSpectral:
             single = spectral(mat)
             assert np.array_equal(dec.eigenvalues[k], single.eigenvalues)
             assert np.array_equal(dec.eigenvectors[k], single.eigenvectors)
+
+
+class TestTolerances:
+    def test_fields_are_read_only(self):
+        names = list(Tolerances.__annotations__)
+        assert "norm" in names and "derivative_check" in names
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(TOL, name, getattr(TOL, name))
+        with pytest.raises(AttributeError):
+            TOL.unknown = 1.0

@@ -21,6 +21,7 @@ from mclock import (
     sample_trials,
     trajectory,
 )
+from mclock.csv17 import BLOCK_ROWS
 from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS
 
 MINIMAL = """
@@ -218,6 +219,20 @@ class TestEmitTrajectoryCsv:
         parsed_rate = np.array([float(r[2]) for r in rows])
         assert np.array_equal(parsed_p, traj.prob_happened)
         assert np.array_equal(parsed_rate, traj.rate)
+
+    @pytest.mark.parametrize(
+        "points", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+    )
+    def test_matches_printf_at_block_edges(self, points):
+        # From t = 0, whose row and the rows with P < 1e-4 the formatter
+        # leaves to "%", past t = 1, where the exponent of t turns 0.
+        spec = parse_scenario(scenario_with(
+            model="imperfect", epsilon=0.1, grid={"t0": 0, "t1": 3.0, "points": points}))
+        model = build_model(spec)
+        traj = trajectory(model, initial_state(spec, model), spec.grid)
+        rows = zip(traj.grid.times.tolist(), traj.prob_happened.tolist(), traj.rate.tolist())
+        expected = "".join(["t,P,p\n"] + ["%.17g,%.17g,%.17g\n" % row for row in rows])
+        assert emit_trajectory_csv(traj) == expected
 
 
 class TestEmitSamplingCsv:
