@@ -26,13 +26,13 @@ as one dimension x points array would dominate memory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
-from .hilbert import HermitianOperator, SpectralDecomposition, StateVector, expectations, spectral
+from .hilbert import (HermitianOperator, Record, SpectralDecomposition, StateVector, ValueRecord,
+                      expectations, spectral)
 from .tolerances import TOL
 
 if TYPE_CHECKING:
@@ -44,13 +44,10 @@ if TYPE_CHECKING:
 BLOCK_AMPLITUDES = 2**16
 
 
-@dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time grid on [t_start, t_end], both endpoints included."""
+class TimeGrid(ValueRecord):
+    """Uniform time grid on [t_start, t_end], both endpoints included, of n_points points."""
 
-    t_start: float
-    t_end: float
-    n_points: int
+    __slots__ = ("t_start", "t_end", "n_points")
 
     def __post_init__(self):
         if self.n_points < 2:
@@ -70,17 +67,14 @@ class TimeGrid:
         return (self.t_end - self.t_start) / (self.n_points - 1)
 
 
-@dataclass(frozen=True, eq=False)
-class TimingTrajectory:
+class TimingTrajectory(Record):
     """Measurement-timing curves sampled on a time grid.
 
     prob_happened[k] is the probability that the measurement has happened
-    by times[k]; rate[k] is its time density.
+    by times[k] of ``grid``; rate[k] is its time density.
     """
 
-    grid: TimeGrid
-    prob_happened: np.ndarray
-    rate: np.ndarray
+    __slots__ = ("grid", "prob_happened", "rate")
 
     def __post_init__(self):
         prob = np.array(self.prob_happened, dtype=np.float64).reshape(-1)

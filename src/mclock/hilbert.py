@@ -3,14 +3,14 @@
 The validators, ``expectations`` and ``spectral`` take plain arrays or stacks
 of them; ``StateVector`` and ``HermitianOperator`` carry the factor dims of a
 joint-space state or operator. The first tensor factor varies slowest
-(row-major over factors), as ``numpy.kron`` produces. Units use hbar = 1;
-all values are immutable after construction.
+(row-major over factors), as ``numpy.kron`` produces. Units use hbar = 1.
+The package's records derive from ``Record``: their fields are read-only
+after construction and their arrays are frozen.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -23,6 +23,63 @@ from .errors import (
     NumericalError,
 )
 from .tolerances import TOL
+
+
+class Record:
+    """A read-only record whose fields are its ``__slots__``, compared by identity.
+
+    The constructor takes the fields in slot order, by position or keyword,
+    then calls ``__post_init__``, which validates them and may replace them
+    through ``object.__setattr__``. Setting or deleting a field afterwards
+    raises AttributeError.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if len(args) + len(kwargs) != len(names) or set(names[len(args):]) != set(kwargs):
+            raise TypeError(f"{type(self).__name__} takes exactly the fields {names}")
+        for name, value in (*zip(names, args), *kwargs.items()):
+            object.__setattr__(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __reduce__(self):  # copy and pickle rebuild through the validating constructor
+        return type(self), self._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class ValueRecord(Record):
+    """A ``Record`` that compares and hashes by its field values."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def _as_dims(dims: Sequence[int]) -> tuple[int, ...]:
@@ -72,12 +129,10 @@ def check_hermitian(matrices: np.ndarray) -> None:
                  NumericalError, "matrix deviates from self-adjointness")
 
 
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized complex amplitude vector over a tensor-product basis."""
+class StateVector(Record):
+    """Normalized complex amplitude vector over a tensor-product basis, with its factor dims."""
 
-    dims: tuple[int, ...]
-    amplitudes: np.ndarray
+    __slots__ = ("dims", "amplitudes")
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
@@ -91,12 +146,10 @@ class StateVector:
         object.__setattr__(self, "amplitudes", _freeze(amps))
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
+class HermitianOperator(Record):
     """Square complex matrix, self-adjoint within tolerance, on a tensor-product space."""
 
-    dims: tuple[int, ...]
-    matrix: np.ndarray
+    __slots__ = ("dims", "matrix")
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
@@ -111,12 +164,10 @@ class HermitianOperator:
         object.__setattr__(self, "matrix", _freeze(mat))
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
+class SpectralDecomposition(Record):
     """Eigenvalues (..., d), real and ascending, and unitary eigenvector columns (..., d, d)."""
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    __slots__ = ("eigenvalues", "eigenvectors")
 
     def __post_init__(self):
         w = np.array(self.eigenvalues, dtype=np.float64)

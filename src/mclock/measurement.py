@@ -22,7 +22,6 @@ i[H, M] = i(X - X^H), X = (H V) V^H, with column i of V the pair
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -31,6 +30,7 @@ from .dynamics import _propagator
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
 from .hilbert import (
     HermitianOperator,
+    Record,
     SpectralDecomposition,
     _as_dims,
     check_hermitian,
@@ -41,8 +41,7 @@ from .hilbert import (
 from .tolerances import TOL
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementModel:
+class MeasurementModel(Record):
     """An n-outcome system coupled to a pointer apparatus, stored as three arrays.
 
     ``system_frame`` is n x n; column i is the system eigenstate |a_i>, and
@@ -53,14 +52,11 @@ class MeasurementModel:
     of H_i, the apparatus Hamiltonian that acts while the system is in |a_i>.
     ``fidelity`` is the premeasurement fidelity the model claims to reach at
     ``nominal_duration`` (worst outcome branch); ``premeasurement_check``
-    verifies it.
+    verifies it. The ``__dict__`` slot holds the cached properties.
     """
 
-    system_frame: np.ndarray
-    pointer_frame: np.ndarray
-    branch_hamiltonians: np.ndarray
-    nominal_duration: float
-    fidelity: float
+    __slots__ = ("system_frame", "pointer_frame", "branch_hamiltonians", "nominal_duration",
+                 "fidelity", "__dict__")
 
     def __post_init__(self):
         names = ("system_frame", "pointer_frame", "branch_hamiltonians")
@@ -217,13 +213,10 @@ def premeasurement_check(model: MeasurementModel) -> np.ndarray:
     return np.abs(overlaps.ravel()) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class SchmidtDecomposition:
+class SchmidtDecomposition(Record):
     """Bipartite state sum_k c_k |l_k> (x) |r_k>; rows k of ``left`` and ``right`` are l_k, r_k."""
 
-    coefficients: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
+    __slots__ = ("coefficients", "left", "right")
 
     def __post_init__(self):
         coeffs = np.array(self.coefficients, dtype=np.float64).reshape(-1)

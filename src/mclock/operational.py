@@ -22,12 +22,12 @@ is pointer index i+1; every non-matched outcome counts as Case 2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .dynamics import BLOCK_AMPLITUDES, _propagator
 from .errors import InvalidParameter, NumericalError
+from .hilbert import ValueRecord
 from .measurement import MeasurementModel
 from .tolerances import TOL
 
@@ -36,16 +36,10 @@ from .tolerances import TOL
 RNG_ALGORITHM = "numpy-pcg64/inverse-cdf"
 
 
-@dataclass(frozen=True)
-class EstimateReport:
-    """Binomial estimate of the happened probability from repeated trials."""
+class EstimateReport(ValueRecord):
+    """Binomial estimate of the happened probability from repeated trials at time t."""
 
-    t: float
-    n_trials: int
-    case1_count: int
-    estimate: float
-    std_error: float
-    exact_prob: float
+    __slots__ = ("t", "n_trials", "case1_count", "estimate", "std_error", "exact_prob")
 
 
 def joint_distribution(model: MeasurementModel, branches: np.ndarray) -> np.ndarray:

@@ -14,8 +14,9 @@ A scenario is a strict JSON document:
 
 Unknown keys are rejected. Structural problems (bad JSON, wrong types,
 unknown keys) raise ParseError; out-of-range values raise ValidationError.
-Coefficient vectors within 1e-3 of unit norm are renormalized (the factor
-is logged); larger deviations are rejected.
+Coefficient vectors within 1e-3 of unit norm are renormalized; larger
+deviations are rejected. The factor is logged at INFO when the program has
+loaded ``logging``; otherwise no handler exists to show it.
 
 Output tables are CSV with reals rendered at 17 significant digits, which
 round-trips IEEE doubles bit-exactly.
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+import sys
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .dynamics import TimeGrid, TimingTrajectory
 from .errors import InvalidParameter, ParseError, ValidationError
+from .hilbert import ValueRecord
 from .measurement import MeasurementModel, build_imperfect_model, build_rotation_model
 
 if TYPE_CHECKING:
@@ -56,35 +58,27 @@ _GRID_KEYS = {"t0", "t1", "points"}
 _SAMPLING_KEYS = {"t", "trials", "seed"}
 
 
-@dataclass(frozen=True)
-class SamplingSpec:
-    t: float
-    n_trials: int
-    seed: int
+class SamplingSpec(ValueRecord):
+    """The time, trial count and seed of a scenario's sampling run."""
+
+    __slots__ = ("t", "n_trials", "seed")
 
 
-@dataclass(frozen=True)
-class ScenarioSpec:
-    """A parsed, validated run configuration."""
+class ScenarioSpec(ValueRecord):
+    """A parsed, validated run configuration; ``sampling`` is a SamplingSpec or None."""
 
-    model_kind: str
-    n_outcomes: int
-    coupling_g: float
-    epsilon: float
-    initial_coefficients: tuple[complex, ...]
-    grid: TimeGrid
-    sampling: SamplingSpec | None
+    __slots__ = ("model_kind", "n_outcomes", "coupling_g", "epsilon", "initial_coefficients",
+                 "grid", "sampling")
 
 
 def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
-@dataclass(frozen=True)
-class _LongInt:
-    """An integer literal too long for int(); the field checks reject it by name."""
+class _LongInt(ValueRecord):
+    """An integer literal of ``digits`` digits, too long for int(); the field checks reject it."""
 
-    digits: int
+    __slots__ = ("digits",)
 
 
 def _parse_int(token: str):
@@ -184,13 +178,13 @@ def parse_scenario(text: str) -> ScenarioSpec:
             f"{COEFF_NORM_SLACK} signal a mistake"
         )
     if norm != 1.0:
-        # Imported here, on the one path that logs: loading logging costs ~5 ms
-        # of every command's start-up.
-        import logging
-
-        logging.getLogger(__name__).info(
-            "renormalizing initial coefficients by factor %.17g", 1.0 / norm
-        )
+        # Logged only if the program has loaded logging: before that no handler
+        # exists to show the record, and importing logging would add ~5 ms to
+        # the start-up of every command on such a scenario.
+        if "logging" in sys.modules:
+            sys.modules["logging"].getLogger(__name__).info(
+                "renormalizing initial coefficients by factor %.17g", 1.0 / norm
+            )
         coeffs = [z / norm for z in coeffs]
 
     grid_obj = _as_object(data["grid"], "grid", _GRID_KEYS)

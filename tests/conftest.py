@@ -5,7 +5,8 @@ touches the library's spectral-decomposition evolution path, so the two can
 cross-check each other. Tests that build a joint-space state, for the dense
 oracle or as a Haar-random start, hand the library its branch rows through
 ``branch_rows``. ``basis_state``, ``tensor_state`` and ``happened_probability``
-build such states and read the dense happened projector in them.
+build such states and read the dense happened projector in them. ``fields``
+and ``replace`` read and rebuild any mclock record.
 """
 
 import math
@@ -13,6 +14,17 @@ import math
 import numpy as np
 
 from mclock import MeasurementModel, StateVector, expectation, happened_projector
+
+
+def fields(record_class) -> list[str]:
+    """The field names of an mclock record class, in constructor order."""
+    return list(record_class._fields)
+
+
+def replace(record, **changes):
+    """A new record of the same class with ``changes`` to its fields, validated again."""
+    values = {name: getattr(record, name) for name in fields(type(record))}
+    return type(record)(**{**values, **changes})
 
 
 def series_expm(a: np.ndarray, tol: float = 1e-16, max_terms: int = 80) -> np.ndarray:

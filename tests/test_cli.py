@@ -1,5 +1,4 @@
 import contextlib
-import dataclasses
 import errno
 import itertools
 import json
@@ -17,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import replace
 import mclock.cli as cli
 from mclock import NumericalError
 from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS
@@ -123,14 +123,14 @@ CHECKS = ("premeasurement", "projector idempotence", "derivative identity")
 
 def _dead_interaction(model):
     """The model with every coupling zero: it cannot premeasure."""
-    return dataclasses.replace(model, branch_hamiltonians=np.zeros_like(model.branch_hamiltonians))
+    return replace(model, branch_hamiltonians=np.zeros_like(model.branch_hamiltonians))
 
 
 def _tilted_pointer(model):
     """The model with pointer 0 stretched by 2e-11: orthonormal within 1e-10, M not idempotent."""
     frame = model.pointer_frame.copy()
     frame[1, 1] = 1 + 2e-11  # pointer 0 is column 1
-    return dataclasses.replace(model, pointer_frame=frame)
+    return replace(model, pointer_frame=frame)
 
 
 class TestCheck:
@@ -378,6 +378,24 @@ class TestEntry:
     def test_cli_import_loads_no_logging(self):
         code = "import sys, mclock.cli; print('logging' in sys.modules)"
         assert _fresh_python("-c", code) == "False\n"
+
+    def test_cli_import_loads_no_dataclasses(self):
+        code = "import sys, mclock.cli; print('dataclasses' in sys.modules)"
+        assert _fresh_python("-c", code) == "False\n"
+
+    @pytest.mark.parametrize("command", ["run", "check", "sample"])
+    def test_commands_on_renormalised_c_load_neither(self, tmp_path, command):
+        # c is renormalised, the one path that logs; with logging not loaded
+        # no handler could show the record, so the command does not load it.
+        assert math.hypot(0.7071, 0.7071) != 1.0
+        scenario = write_scenario(tmp_path / "s.json", c=[[0.7071, 0.0], [0.7071, 0.0]],
+                                  sampling={"t": 0.7, "trials": 100, "seed": 1})
+        argv = [command, str(scenario)]
+        if command != "check":
+            argv += ["--out", str(tmp_path / "out.csv")]
+        code = (f"import sys, mclock.cli as cli; status = cli.main({argv!r}); "
+                "print(status, 'dataclasses' in sys.modules, 'logging' in sys.modules)")
+        assert _fresh_python("-c", code).splitlines()[-1] == "0 False False"
 
     @pytest.mark.parametrize("module", ["mclock.operational", "mclock.csv17"])
     def test_cli_import_leaves_out_one_command_modules(self, module):

@@ -1,19 +1,34 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 
-from conftest import basis_state, haar_state, haar_unitary, random_hermitian, tensor_state
+from conftest import (
+    basis_state,
+    fields,
+    haar_state,
+    haar_unitary,
+    random_hermitian,
+    tensor_state,
+)
 from mclock import (
     DimensionMismatch,
     EigensolverFailure,
     HermitianOperator,
     InvalidParameter,
+    MeasurementModel,
     NumericalError,
+    SchmidtDecomposition,
     StateVector,
+    TimeGrid,
+    TimingTrajectory,
+    build_rotation_model,
     expectation,
     spectral,
 )
+from mclock.operational import EstimateReport
+from mclock.scenario_io import SamplingSpec, ScenarioSpec, _LongInt
 from mclock.hilbert import SpectralDecomposition, check_orthonormal, check_unit_norm, expectations
 from mclock.tolerances import TOL, Tolerances
 
@@ -185,3 +200,54 @@ class TestTolerances:
                 setattr(TOL, name, getattr(TOL, name))
         with pytest.raises(AttributeError):
             TOL.unknown = 1.0
+
+
+def _model_fields():
+    model = build_rotation_model(2, 1.0)
+    return tuple(getattr(model, name) for name in fields(MeasurementModel))
+
+
+GRID = TimeGrid(0.0, 1.0, 3)
+SAMPLING = SamplingSpec(0.5, 10, 1)
+# (class, a factory of valid positional fields, compared by value)
+RECORDS = [
+    (TimeGrid, lambda: (0.0, 1.0, 3), True),
+    (TimingTrajectory, lambda: (GRID, [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), False),
+    (StateVector, lambda: ((2,), [1.0, 0.0]), False),
+    (HermitianOperator, lambda: ((2,), SZ), False),
+    (SpectralDecomposition, lambda: ([-1.0, 1.0], np.eye(2)), False),
+    (MeasurementModel, _model_fields, False),
+    (SchmidtDecomposition, lambda: ([1.0], [[1.0, 0.0]], [[0.0, 1.0]]), False),
+    (SamplingSpec, lambda: (0.5, 10, 1), True),
+    (ScenarioSpec, lambda: ("rotation", 2, 1.0, 0.0, (1 + 0j, 0j), GRID, SAMPLING), True),
+    (_LongInt, lambda: (5000,), True),
+    (EstimateReport, lambda: (0.5, 10, 5, 0.5, 0.15811388300841897, 0.5), True),
+]
+
+
+@pytest.mark.parametrize("cls, make_fields, by_value", RECORDS,
+                         ids=[r[0].__name__ for r in RECORDS])
+def test_record_contract(monkeypatch, cls, make_fields, by_value):
+    """Construction runs the class's ``__post_init__``, patched or not; fields are read-only;
+    value records compare and hash by their fields, array records by identity; a pickled
+    record is rebuilt through the constructor."""
+    values, names, calls = make_fields(), fields(cls), []
+    post_init = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda obj: (calls.append(obj), post_init(obj)))
+    a = cls(*values)
+    b = cls(**dict(zip(names, values)))
+    assert calls == [a, b]
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(a, name, getattr(a, name))
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert a == a
+    if by_value:
+        assert a == b and hash(a) == hash(b)
+    else:
+        assert a != b
+    with pytest.raises(TypeError):
+        cls(*values, values[0])
+    copy = pickle.loads(pickle.dumps(a))
+    assert type(copy) is cls and repr(copy) == repr(a) and calls[-1] is copy

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,12 +7,14 @@ from conftest import (
     basis_state,
     branch_rows,
     evolve_series,
+    fields,
     haar_state,
     haar_unitary,
     happened_probability,
     random_frame_model,
     random_hermitian,
     ready_state,
+    replace,
     tensor_state,
 )
 from mclock import (
@@ -126,17 +127,17 @@ class TestInteractionHamiltonian:
     def test_rejects_branch_on_wrong_space(self):
         model = build_rotation_model(2, 1.0)
         with pytest.raises(DimensionMismatch):
-            dataclasses.replace(model, branch_hamiltonians=np.zeros((2, 4, 4)))
+            replace(model, branch_hamiltonians=np.zeros((2, 4, 4)))
         with pytest.raises(DimensionMismatch):
-            dataclasses.replace(model, branch_hamiltonians=model.branch_hamiltonians[:1])
+            replace(model, branch_hamiltonians=model.branch_hamiltonians[:1])
 
 
 class TestModelContract:
     """The model is three arrays, each checked once for shape, orthonormality or Hermiticity."""
 
     def test_fields_are_the_arrays(self):
-        fields = [f.name for f in dataclasses.fields(MeasurementModel)]
-        assert fields == [
+        names = fields(MeasurementModel)
+        assert names == [
             "system_frame", "pointer_frame", "branch_hamiltonians", "nominal_duration", "fidelity"
         ]
         model = build_imperfect_model(3, 1.0, 0.1)
@@ -151,14 +152,14 @@ class TestModelContract:
         model = build_rotation_model(2, 1.0)
         for change in ({"system_frame": np.eye(2, 3)}, {"pointer_frame": np.eye(3)[:, :2]}):
             with pytest.raises((DimensionMismatch, InvalidParameter)):
-                dataclasses.replace(model, **change)
+                replace(model, **change)
 
     def test_rejects_non_orthonormal_frames(self):
         model = build_rotation_model(2, 1.0)
         with pytest.raises(NumericalError, match="system frame"):
-            dataclasses.replace(model, system_frame=[[1, 0], [1, 1]])
+            replace(model, system_frame=[[1, 0], [1, 1]])
         with pytest.raises(NumericalError, match="pointer frame"):
-            dataclasses.replace(model, pointer_frame=np.full((3, 3), 1 / math.sqrt(3)))
+            replace(model, pointer_frame=np.full((3, 3), 1 / math.sqrt(3)))
 
     def test_rejects_bad_second_branch(self):
         model = build_rotation_model(2, 1.0)
@@ -166,14 +167,14 @@ class TestModelContract:
             h = model.branch_hamiltonians.copy()
             h[1, 0, 0] = entry
             with pytest.raises(NumericalError):
-                dataclasses.replace(model, branch_hamiltonians=h)
+                replace(model, branch_hamiltonians=h)
 
     def test_rejects_duration_that_is_not_finite_and_positive(self):
         # An infinite duration would reach premeasurement_check as a NaN phase.
         model = build_rotation_model(2, 1.0)
         for duration in (math.inf, math.nan, 0.0, -1.0):
             with pytest.raises(InvalidParameter, match="nominal_duration"):
-                dataclasses.replace(model, nominal_duration=duration)
+                replace(model, nominal_duration=duration)
 
     def test_hermiticity_tolerance_is_per_branch(self):
         # H_2 = 1e6 H_1 built as U diag(w) U^H carries rounding asymmetry
@@ -187,10 +188,10 @@ class TestModelContract:
         asymmetry = h2 - h2.conj().T
         assert np.max(np.abs(asymmetry)) > 1e-12
         model = build_rotation_model(2, 1.0)
-        accepted = dataclasses.replace(model, branch_hamiltonians=[h1, h2])
+        accepted = replace(model, branch_hamiltonians=[h1, h2])
         assert np.array_equal(accepted.branch_hamiltonians[1], h2)
         with pytest.raises(NumericalError):
-            dataclasses.replace(model, branch_hamiltonians=[h1 + asymmetry, h2])
+            replace(model, branch_hamiltonians=[h1 + asymmetry, h2])
 
 
 class TestImperfectModel:
@@ -372,7 +373,7 @@ class TestPremeasurementCheck:
 
     def test_zero_interaction_never_qualifies(self):
         model = build_rotation_model(2, 1.0)
-        dead = dataclasses.replace(model, branch_hamiltonians=np.zeros((2, 3, 3)))
+        dead = replace(model, branch_hamiltonians=np.zeros((2, 3, 3)))
         fid = premeasurement_check(dead)
         assert fid.tolist() == [0.0, 0.0]
         assert 1 - fid.min() == 1.0
@@ -395,7 +396,7 @@ class TestPremeasurementCheck:
         model = random_frame_model(rng, 3, extra_apparatus=1)
         if random_branches:
             stack = np.stack([random_hermitian(rng, model.apparatus_dim) for _ in range(3)])
-            model = dataclasses.replace(model, branch_hamiltonians=stack)
+            model = replace(model, branch_hamiltonians=stack)
         joint = model.interaction_hamiltonian.matrix
         expected = []
         for i in range(3):

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import logging
 import math
@@ -6,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import replace
 from mclock import (
     MClockError,
     NumericalError,
@@ -271,7 +271,7 @@ class TestModelWiring:
         # joint_distribution's sum catches rows built from any other c.
         spec = parse_scenario(scenario_with(
             sampling={"t": 0.7853981633974483, "trials": 250, "seed": 3}))
-        spec = dataclasses.replace(
+        spec = replace(
             spec, initial_coefficients=tuple(1.001 * z for z in spec.initial_coefficients))
         model = build_model(spec)
         rows = initial_state(spec, model)
