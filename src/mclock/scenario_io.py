@@ -34,7 +34,7 @@ import numpy as np
 from .dynamics import TimeGrid, TimingTrajectory
 from .errors import InvalidParameter, ParseError, ValidationError
 from .hilbert import ValueRecord
-from .measurement import MeasurementModel, build_imperfect_model, build_rotation_model
+from .measurement import MeasurementModel, build_imperfect_model
 
 if TYPE_CHECKING:
     from .operational import EstimateReport
@@ -53,11 +53,6 @@ MAX_OUTCOMES = 50
 MAX_GRID_POINTS = 1_000_000
 MAX_TRIALS = 10_000_000
 
-_TOP_KEYS = {"model", "n", "g", "epsilon", "c", "grid", "sampling"}
-_GRID_KEYS = {"t0", "t1", "points"}
-_SAMPLING_KEYS = {"t", "trials", "seed"}
-
-
 class SamplingSpec(ValueRecord):
     """The time, trial count and seed of a scenario's sampling run."""
 
@@ -67,8 +62,7 @@ class SamplingSpec(ValueRecord):
 class ScenarioSpec(ValueRecord):
     """A parsed, validated run configuration; ``sampling`` is a SamplingSpec or None."""
 
-    __slots__ = ("model_kind", "n_outcomes", "coupling_g", "epsilon", "initial_coefficients",
-                 "grid", "sampling")
+    __slots__ = ("n_outcomes", "coupling_g", "epsilon", "initial_coefficients", "grid", "sampling")
 
 
 def _reject_constant(token: str):
@@ -110,12 +104,19 @@ def _as_int(value, field: str) -> int:
     return value
 
 
-def _as_object(value, field: str, allowed: set[str]) -> dict:
+def _as_object(
+    value, field: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> dict:
+    """``value`` as an object with no keys beyond these; the first missing required key is named."""
     if not isinstance(value, dict):
         raise ParseError(f"expected an object, got {type(value).__name__}", field=field)
-    unknown = set(value) - allowed
+    unknown = set(value).difference(required, optional)
     if unknown:
         raise ParseError(f"unknown key(s) {sorted(unknown)}", field=field)
+    prefix = "" if field == "<document>" else field + "."
+    for key in required:
+        if key not in value:
+            raise ParseError("required key missing", field=prefix + key)
     return value
 
 
@@ -128,16 +129,12 @@ def parse_scenario(text: str) -> ScenarioSpec:
     except RecursionError as exc:
         raise ParseError("invalid JSON: nested too deeply") from exc
 
-    data = _as_object(data, "<document>", _TOP_KEYS)
-    for key in ("model", "n", "g", "c", "grid"):
-        if key not in data:
-            raise ParseError("required key missing", field=key)
-
-    model_kind = data["model"]
-    if not isinstance(model_kind, str):
+    data = _as_object(data, "<document>", ("model", "n", "g", "c", "grid"), ("epsilon", "sampling"))
+    model = data["model"]
+    if not isinstance(model, str):
         raise ParseError("expected a string", field="model")
-    if model_kind not in ("rotation", "imperfect"):
-        raise ValidationError(f"model must be 'rotation' or 'imperfect', got {model_kind!r}")
+    if model not in ("rotation", "imperfect"):
+        raise ValidationError(f"model must be 'rotation' or 'imperfect', got {model!r}")
 
     n = _as_int(data["n"], "n")
     if not 2 <= n <= MAX_OUTCOMES:
@@ -152,7 +149,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
     epsilon = _as_number(data.get("epsilon", 0.0), "epsilon")
     if not 0.0 <= epsilon < 1.0:
         raise ValidationError(f"epsilon must lie in [0, 1), got {epsilon}")
-    if model_kind == "rotation" and epsilon != 0.0:
+    if model == "rotation" and epsilon != 0.0:
         raise ValidationError("the rotation model takes no epsilon")
 
     raw_c = data["c"]
@@ -187,10 +184,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
             )
         coeffs = [z / norm for z in coeffs]
 
-    grid_obj = _as_object(data["grid"], "grid", _GRID_KEYS)
-    for key in ("t0", "t1"):
-        if key not in grid_obj:
-            raise ParseError("required key missing", field=f"grid.{key}")
+    grid_obj = _as_object(data["grid"], "grid", ("t0", "t1"), ("points",))
     t0 = _as_number(grid_obj["t0"], "grid.t0")
     t1 = _as_number(grid_obj["t1"], "grid.t1")
     points = _as_int(grid_obj.get("points", 201), "grid.points")
@@ -203,10 +197,7 @@ def parse_scenario(text: str) -> ScenarioSpec:
 
     sampling = None
     if "sampling" in data:
-        samp_obj = _as_object(data["sampling"], "sampling", _SAMPLING_KEYS)
-        for key in _SAMPLING_KEYS:
-            if key not in samp_obj:
-                raise ParseError("required key missing", field=f"sampling.{key}")
+        samp_obj = _as_object(data["sampling"], "sampling", ("t", "trials", "seed"))
         t = _as_number(samp_obj["t"], "sampling.t")
         trials = _as_int(samp_obj["trials"], "sampling.trials")
         seed = _as_int(samp_obj["seed"], "sampling.seed")
@@ -216,13 +207,11 @@ def parse_scenario(text: str) -> ScenarioSpec:
             raise ValidationError(f"sampling.seed must be >= 0, got {seed}")
         sampling = SamplingSpec(t, trials, seed)
 
-    return ScenarioSpec(model_kind, n, g, epsilon, tuple(coeffs), grid, sampling)
+    return ScenarioSpec(n, g, epsilon, tuple(coeffs), grid, sampling)
 
 
 def build_model(spec: ScenarioSpec) -> MeasurementModel:
-    """Instantiate the scenario's measurement model."""
-    if spec.model_kind == "rotation":
-        return build_rotation_model(spec.n_outcomes, spec.coupling_g)
+    """Instantiate the scenario's model; a rotation model is the imperfect one at epsilon = 0."""
     return build_imperfect_model(spec.n_outcomes, spec.coupling_g, spec.epsilon)
 
 

@@ -15,7 +15,7 @@ class Tolerances:
     norm: float = 1e-10             # allowed |norm - 1| of a state vector
     spectral: float = 1e-10         # eigendecomposition reconstruction, max-abs, x max(1, max|A|)
     expectation_imag: float = 1e-10 # imaginary part of a Hermitian expectation, x max(1, max|A|)
-    probability: float = 1e-10      # slack around [0, 1] for projector expectations
+    probability: float = 1e-10      # slack above 1 for a model's declared fidelity
     trajectory_prob: float = 1e-9   # slack on stored probability curves
     schmidt_cutoff: float = 1e-12   # singular values below this are dropped
     schmidt_reconstruction: float = 1e-9

@@ -78,3 +78,22 @@ def test_traced_pass_fills_the_counters(tmp_path):
     assert run["emit_bytes"] > 0 and run["points"] == 201
     assert check["points"] == 201
     assert sample["emit_bytes"] > 0 and sample["trials"] == 1000
+
+
+def test_a_rotation_run_records_one_model_build(tmp_path):
+    # A rotation scenario is built by the imperfect-model builder alone, so
+    # the traced run holds one measurement.build span, not one per builder.
+    spans = _load("bench_contract_spans", BENCH / "spans.py")
+    import mclock.cli as cli
+    import mclock.operational  # install() binds it; the bench imports it in a warm-up pass
+
+    scenario = str(REPO_ROOT / "scenarios" / "rotation.json")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["run", scenario, "--out", str(tmp_path / "run.csv")])
+    finally:
+        tracer.uninstall()
+
+    assert code == 0
+    assert tracer.summary()[tracer.run_id]["measurement.build"]["calls"] == 1

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import replace
@@ -87,7 +87,7 @@ class TestRun:
         out = tmp_path / "no" / "such" / "dir" / "x.csv"
         assert cli.main(["run", str(scenario), "--out", str(out)]) == 2
 
-    def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch):
+    def test_numerical_failure_maps_to_exit_3(self, tmp_path, monkeypatch, capsys):
         scenario = write_scenario(tmp_path / "s.json")
 
         def boom(*args, **kwargs):
@@ -95,6 +95,18 @@ class TestRun:
 
         monkeypatch.setattr(cli, "trajectory", boom)
         assert cli.main(["run", str(scenario), "--out", str(tmp_path / "x.csv")]) == 3
+        monkeypatch.undo()
+
+        # An eigensolver that does not converge is an EigensolverFailure.
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        capsys.readouterr()
+        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "x.csv")]) == 3
+        assert capsys.readouterr().err == (
+            "numerical failure: eigensolver did not converge: Eigenvalues did not converge\n"
+        )
 
 
 class TestSample:
@@ -323,8 +335,8 @@ def test_no_command_builds_a_joint_space_operator(tmp_path, monkeypatch):
         assert cli.main(["sample", str(SCENARIOS / name), "--out", out]) == 0
 
 
-def _fresh_python(*args: str, **env) -> str:
-    """Stdout of ``python *args`` in a fresh interpreter.
+def _fresh_process(*args: str, **env) -> subprocess.CompletedProcess:
+    """``python *args`` run to completion in a fresh interpreter, its output captured.
 
     OPENBLAS_NUM_THREADS is unset unless given. This process may hold the
     variable already: importing ``mclock.cli`` sets it.
@@ -334,9 +346,14 @@ def _fresh_python(*args: str, **env) -> str:
         filter(None, [str(REPO_ROOT / "src"), os.environ.get("PYTHONPATH")])
     )
     child_env.update(env)
-    return subprocess.run(
-        [sys.executable, *args], env=child_env, capture_output=True, text=True, check=True
-    ).stdout
+    return subprocess.run([sys.executable, *args], env=child_env, capture_output=True, text=True)
+
+
+def _fresh_python(*args: str, **env) -> str:
+    """Stdout of ``python *args`` in a fresh interpreter, which must exit 0."""
+    proc = _fresh_process(*args, **env)
+    proc.check_returncode()
+    return proc.stdout
 
 
 class TestBlasThreads:
@@ -458,11 +475,25 @@ class TestInputErrors:
         assert "field 'g'" in capsys.readouterr().err
 
     def test_integer_literal_beyond_digit_limit(self, tmp_path, capsys):
-        # json.dumps cannot render it either, so the literal is spliced in.
-        scenario = write_scenario(tmp_path / "s.json", g=123456789)
-        scenario.write_text(scenario.read_text().replace("123456789", "1" + "0" * 5000))
-        assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
-        assert "field 'g'" in capsys.readouterr().err
+        # json.dumps cannot render it either, so the literal is spliced in;
+        # g is a number field, grid.points an integer field.
+        grid = {"t0": 0.0, "t1": 1.5707963267948966, "points": 123456789}
+        for field, overrides in (("g", {"g": 123456789}), ("grid.points", {"grid": grid})):
+            scenario = write_scenario(tmp_path / "s.json", **overrides)
+            scenario.write_text(scenario.read_text().replace("123456789", "1" + "0" * 5000))
+            assert cli.main(["run", str(scenario), "--out", str(tmp_path / "t.csv")]) == 2
+            assert f"field '{field}'" in capsys.readouterr().err
+
+    def test_missing_sampling_key_is_named_in_a_fixed_order(self, tmp_path):
+        # The keys are checked in the order t, trials, seed, not in the hash
+        # order of a set, which changes with the interpreter's hash seed.
+        scenario = write_scenario(tmp_path / "s.json", sampling={})
+        argv = ["-m", "mclock", "sample", str(scenario), "--out", str(tmp_path / "r.csv")]
+        procs = [_fresh_process(*argv, PYTHONHASHSEED=str(seed)) for seed in range(4)]
+        assert {proc.returncode for proc in procs} == {2}
+        assert {proc.stderr for proc in procs} == {
+            f"error: {scenario}: required key missing (field 'sampling.t')\n"
+        }
 
     def test_coupling_with_infinite_duration(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json", g=5e-324)
@@ -594,10 +625,22 @@ def _run_curves(doc: dict) -> np.ndarray:
 class TestScaleProperty:
     # The models scale exactly with g: P(t) at coupling g is P(g t) at g = 1,
     # and p/g likewise. So run and check must not depend on g at all.
+    # g = 10^u spans the admissible couplings, from the smallest normal
+    # floats to where 2g nears overflow; the examples pin both ends.
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
-    @given(model=st.sampled_from(["rotation", "imperfect"]), u=st.floats(-150.0, 150.0))
-    def test_run_and_check_are_scale_free(self, model, u):
-        g = 10.0**u
+    @given(
+        model=st.sampled_from(["rotation", "imperfect"]),
+        g=st.floats(-308.0, 307.9).map(lambda u: 10.0**u),
+    )
+    @example(model="rotation", g=1e-308)
+    @example(model="imperfect", g=1e-308)
+    @example(model="rotation", g=1e-300)
+    @example(model="imperfect", g=1e-300)
+    @example(model="rotation", g=1e305)
+    @example(model="imperfect", g=1e305)
+    @example(model="rotation", g=8.9e307)
+    @example(model="imperfect", g=8.9e307)
+    def test_run_and_check_are_scale_free(self, model, g):
         curves = _run_curves(_scale_document(model, g))
         reference = _run_curves(_scale_document(model, 1.0))
         assert np.max(np.abs(curves[:, 1] - reference[:, 1])) < 1e-12
@@ -719,6 +762,27 @@ class TestAtomicWrite:
         err = capsys.readouterr().err
         assert err == f"error: [Errno {errno.EXDEV}] {os.strerror(errno.EXDEV)}: {str(target)!r}\n"
         assert sorted(os.listdir(tmp_path)) == ["s.json"]
+
+    def test_other_failure_is_raised_unchanged_and_leaves_no_temp_file(
+        self, tmp_path, monkeypatch
+    ):
+        # Only an OSError is renamed to the path as given; anything else,
+        # here an interrupt-like BaseException during the rename, propagates
+        # as it was raised.
+        class Interrupt(BaseException):
+            pass
+
+        target = tmp_path / "out.csv"
+        interrupt = Interrupt()
+
+        def interrupted(src, dst):
+            raise interrupt
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(Interrupt) as caught:
+            cli._atomic_write(str(target), "new")
+        assert caught.value is interrupt
+        assert os.listdir(tmp_path) == []
 
     def test_directory_is_an_input_error_naming_it(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json")

@@ -86,6 +86,11 @@ class TestEvolve:
             out = evolve(h, psi, float(rng.uniform(0, 10)))
             assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-10
 
+    def test_dimension_mismatch(self):
+        h = HermitianOperator((3,), np.eye(3))
+        with pytest.raises(DimensionMismatch):
+            evolve(h, basis_state(2, 0), 1.0)
+
     def test_matches_power_series_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(10):

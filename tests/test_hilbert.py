@@ -132,6 +132,8 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             expectation(HermitianOperator((3,), np.eye(3)), basis_state(2, 0))
+        with pytest.raises(DimensionMismatch):
+            expectations(SZ, np.ones((3, 1)))
 
     def test_large_operator_imaginary_part_is_relative(self):
         # Rounding leaves an imaginary part of 2.9e-10 at max|A| = 2.8e6;
@@ -169,6 +171,11 @@ class TestSpectral:
     def test_rejects_nan_eigenvalue(self):
         with pytest.raises(NumericalError):
             SpectralDecomposition(np.array([np.nan, 0.0]), np.eye(2))
+
+    def test_rejects_mismatched_shapes(self):
+        for w, v in (([0.0, 1.0], np.eye(3)), (0.0, np.eye(1)), ([[0.0, 1.0]], np.eye(2))):
+            with pytest.raises(DimensionMismatch):
+                SpectralDecomposition(np.array(w), v)
 
     def test_rejects_nan_reconstruction(self):
         # Finite and Hermitian, but its eigenvalue 2e308 overflows to inf and
@@ -219,7 +226,7 @@ RECORDS = [
     (MeasurementModel, _model_fields, False),
     (SchmidtDecomposition, lambda: ([1.0], [[1.0, 0.0]], [[0.0, 1.0]]), False),
     (SamplingSpec, lambda: (0.5, 10, 1), True),
-    (ScenarioSpec, lambda: ("rotation", 2, 1.0, 0.0, (1 + 0j, 0j), GRID, SAMPLING), True),
+    (ScenarioSpec, lambda: (2, 1.0, 0.0, (1 + 0j, 0j), GRID, SAMPLING), True),
     (_LongInt, lambda: (5000,), True),
     (EstimateReport, lambda: (0.5, 10, 5, 0.5, 0.15811388300841897, 0.5), True),
 ]

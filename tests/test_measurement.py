@@ -37,6 +37,7 @@ from mclock import (
     trajectory,
 )
 from mclock.hilbert import expectations
+from mclock.tolerances import TOL
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -153,6 +154,9 @@ class TestModelContract:
         for change in ({"system_frame": np.eye(2, 3)}, {"pointer_frame": np.eye(3)[:, :2]}):
             with pytest.raises((DimensionMismatch, InvalidParameter)):
                 replace(model, **change)
+        # Consistent shapes, but one outcome: nothing to measure.
+        with pytest.raises(InvalidParameter, match="at least 2 outcomes"):
+            MeasurementModel(np.eye(1), np.eye(2), np.zeros((1, 2, 2)), 1.0, 1.0)
 
     def test_rejects_non_orthonormal_frames(self):
         model = build_rotation_model(2, 1.0)
@@ -175,6 +179,13 @@ class TestModelContract:
         for duration in (math.inf, math.nan, 0.0, -1.0):
             with pytest.raises(InvalidParameter, match="nominal_duration"):
                 replace(model, nominal_duration=duration)
+
+    def test_rejects_declared_fidelity_outside_unit_interval(self):
+        model = build_rotation_model(2, 1.0)
+        for fidelity in (-0.1, 1.0 + 2 * TOL.probability, math.nan):
+            with pytest.raises(InvalidParameter, match="declared fidelity"):
+                replace(model, fidelity=fidelity)
+        assert replace(model, fidelity=1.0 + TOL.probability).fidelity == 1.0 + TOL.probability
 
     def test_hermiticity_tolerance_is_per_branch(self):
         # H_2 = 1e6 H_1 built as U diag(w) U^H carries rounding asymmetry
@@ -475,3 +486,7 @@ class TestSchmidtDecompose:
     def test_invariant_rejects_bad_coefficients(self):
         with pytest.raises(NumericalError):
             SchmidtDecomposition(np.array([1.0, 1.0]), np.eye(2), np.eye(2))
+        with pytest.raises(DimensionMismatch, match="equal length"):
+            SchmidtDecomposition(np.array([1.0]), np.eye(2), np.eye(2))
+        with pytest.raises(NumericalError, match="descending"):
+            SchmidtDecomposition(np.array([0.6, 0.8]), np.eye(2), np.eye(2))

@@ -50,7 +50,8 @@ def scenario_with(**overrides) -> str:
 class TestParseScenario:
     def test_minimal_document(self):
         spec = parse_scenario(MINIMAL)
-        assert spec.model_kind == "rotation"
+        # a rotation document is the imperfect one with epsilon = 0
+        assert spec == parse_scenario(MINIMAL.replace('"rotation"', '"imperfect"'))
         assert spec.n_outcomes == 2
         assert spec.coupling_g == 1.0
         assert spec.epsilon == 0.0
