@@ -39,8 +39,7 @@ if TYPE_CHECKING:
     from .measurement import MeasurementModel
 
 # Block size bounding temporaries: complex amplitudes held per block of grid
-# points in ``trajectory``, and uniforms drawn per block in
-# ``operational.sample_trials``.
+# points in ``trajectory``.
 BLOCK_AMPLITUDES = 2**16
 
 

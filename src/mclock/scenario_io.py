@@ -47,8 +47,8 @@ COEFF_NORM_SLACK = 1e-3
 # 50 MB and ``sample`` near 45 MB. At the grid limit ``run`` takes ~1.1-1.3 s
 # and peaks near 170 MB (n = 2, 2-vCPU host), most of it the CSV text, held
 # as one string and encoded once to be written; at the trial limit
-# ``sample`` peaks near 39 MB at n = 8 and 46 MB at n = 50, since trials are
-# tallied in fixed-size blocks.
+# ``sample`` peaks near 38 MB at n = 8 and 45-46 MB at n = 50, since trials
+# are tallied in fixed-size blocks.
 MAX_OUTCOMES = 50
 MAX_GRID_POINTS = 1_000_000
 MAX_TRIALS = 10_000_000

@@ -29,7 +29,14 @@ from mclock import (
 )
 from mclock.operational import EstimateReport
 from mclock.scenario_io import SamplingSpec, ScenarioSpec, _LongInt
-from mclock.hilbert import SpectralDecomposition, check_orthonormal, check_unit_norm, expectations
+from mclock.hilbert import (
+    _HERMITIAN_BLOCK,
+    SpectralDecomposition,
+    check_hermitian,
+    check_orthonormal,
+    check_unit_norm,
+    expectations,
+)
 from mclock.tolerances import TOL, Tolerances
 
 SQ2 = 1 / math.sqrt(2)
@@ -79,6 +86,66 @@ class TestHermitianOperator:
     def test_rejects_nan_entry(self):
         with pytest.raises(NumericalError):
             HermitianOperator((2,), [[np.nan, 0], [0, 0]])
+
+    def test_keeps_a_frozen_owned_complex_array(self):
+        arr = np.array(SZ)
+        arr.setflags(write=False)
+        assert HermitianOperator((2,), arr).matrix is arr
+
+    def test_copies_a_writable_array(self):
+        arr = np.array(SZ)
+        op = HermitianOperator((2,), arr)
+        arr[0, 0] = 5.0
+        assert np.array_equal(op.matrix, SZ)
+
+    def test_copies_a_read_only_view_of_a_writable_base(self):
+        base = np.zeros((3, 3), dtype=complex)
+        view = base[:2, :2]
+        view.setflags(write=False)
+        op = HermitianOperator((2,), view)
+        assert op.matrix is not view
+        base[0, 0] = 5.0
+        assert op.matrix[0, 0] == 0
+
+
+def one_shot_hermitian_message(matrices):
+    """The message of the whole-matrix judgement the blocked check must reproduce."""
+    dev = np.ravel(np.max(np.abs(matrices - matrices.conj().swapaxes(-1, -2)), axis=(-2, -1)))
+    tol = TOL.hermiticity * np.maximum(1.0, np.ravel(np.max(np.abs(matrices), axis=(-2, -1))))
+    k = int(np.argmax(dev / tol))
+    return f"matrix deviates from self-adjointness by {dev[k]:.3e} (> {tol[k]:.3e})"
+
+
+class TestCheckHermitian:
+    D = 300
+
+    # Entry (i, j) is compared in the blocks of rows i and j; each bad entry
+    # here has both in one block.
+    @pytest.mark.parametrize(
+        "row, col, value", [(D - 1, D - 2, 3e-9), (D // 2, D // 2 + 1, np.nan)],
+        ids=["asymmetric-last-block", "nan-middle-block"],
+    )
+    def test_matches_the_whole_matrix_formula(self, row, col, value):
+        assert self.D > 2 * (_HERMITIAN_BLOCK // self.D)  # at least three row blocks
+        a = random_hermitian(np.random.default_rng(37), self.D, scale=4.0)
+        check_hermitian(a)
+        a[row, col] += value
+        with pytest.raises(NumericalError) as info:
+            check_hermitian(a)
+        assert str(info.value) == one_shot_hermitian_message(a)
+
+    def test_names_the_one_bad_matrix_of_a_stack(self):
+        rng = np.random.default_rng(41)
+        d = self.D // 5
+        scales = (20.0, 180.0, 10.0, 60.0, 40.0)  # max|A| about scale / 10
+        stack = np.stack([random_hermitian(rng, d, scale=s) for s in scales])
+        stack[1, 0, 1] += 1e-11  # inside its own tolerance 1e-12 x max|A|
+        check_hermitian(stack)
+        stack[3, d - 1, d - 2] += 5e-10
+        with pytest.raises(NumericalError) as info:
+            check_hermitian(stack)
+        assert str(info.value) == one_shot_hermitian_message(stack)
+        assert f"(> {TOL.hermiticity * np.max(np.abs(stack[3])):.3e})" in str(info.value)
 
 
 class TestTensorState:

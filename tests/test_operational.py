@@ -24,8 +24,7 @@ from mclock import (
     joint_distribution,
     sample_trials,
 )
-from mclock.dynamics import BLOCK_AMPLITUDES
-from mclock.operational import _tally
+from mclock.operational import _TALLY_DRAWS, _tally
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -170,9 +169,12 @@ def inverse_cdf_counts(cumulative, n_trials, seed):
 
 
 class TestTally:
-    B = BLOCK_AMPLITUDES
+    B = _TALLY_DRAWS
 
-    @pytest.mark.parametrize("n_trials", [1, B - 1, B, B + 1, 3 * B + 7])
+    # 2^16 trials fill a whole number of blocks too.
+    @pytest.mark.parametrize(
+        "n_trials", [1, B - 1, B, B + 1, 2**16 - 1, 2**16, 2**16 + 1, 3 * 2**16 + 7]
+    )
     def test_matches_per_trial_inverse_cdf(self, n_trials):
         rng = np.random.default_rng(59)
         imperfect = build_imperfect_model(8, 1.0, 0.1)  # many zero cells
