@@ -25,10 +25,10 @@ _EXPORTS = {
         "hilbert": ("StateVector", "HermitianOperator", "expectation", "spectral"),
         "dynamics": ("TimeGrid", "TimingTrajectory", "evolve", "trajectory"),
         "measurement": (
-            "MeasurementModel", "SchmidtDecomposition", "build_rotation_model",
-            "build_imperfect_model", "happened_projector", "rate_operator",
-            "premeasurement_check", "schmidt_decompose",
+            "MeasurementModel", "build_rotation_model", "build_imperfect_model",
+            "happened_projector", "rate_operator", "premeasurement_check",
         ),
+        "schmidt": ("SchmidtDecomposition", "schmidt_decompose"),
         "operational": ("joint_distribution", "sample_trials"),
         "scenario_io": (
             "parse_scenario", "emit_trajectory_csv", "emit_sampling_csv", "build_model",

@@ -20,10 +20,10 @@ import sys
 import tempfile
 
 # One OpenBLAS thread for the CLI's own process, set before numpy loads. Each
-# BLAS call here works on one branch, whose side is at most MAX_OUTCOMES + 1,
-# too little work for a second thread; yet OpenBLAS starts one, and while idle
-# it spins on sched_yield, on a shared CPU slowing the main thread. A value the
-# user set wins; MKL and Accelerate ignore the variable.
+# BLAS call here works on a stack of 2 x 2 branch blocks, too little work for
+# a second thread; yet OpenBLAS starts one, and while idle it spins on
+# sched_yield, on a shared CPU slowing the main thread. A value the user set
+# wins; MKL and Accelerate ignore the variable.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np

@@ -6,21 +6,23 @@ tolerance. ``evolve`` takes any Hamiltonian on the joint space and
 diagonalises it whole. A measurement model's own H = sum_i |a_i><a_i| (x) H_i
 never mixes system branches, so ``trajectory`` takes the state as its branch
 rows, the (n, d) array whose row i is chi_i = (<a_i| (x) I) psi, and evolves
-each under its H_i, from the model's ``branch_spectra`` (one decomposition of
-the (n, d, d) stack). Both, and the model's premeasurement check and
-sampling, run one kernel, which refuses amplitudes not shaped like the
-spectra's eigenvalues: the coefficients in each eigenbasis are computed once
-per call, each distinct eigenvalue is exponentiated once per time, and only
-the eigenvector rows the caller asks for are formed. ``trajectory`` asks for
-the rows S_i = supp(o_i) u supp(H_i o_i) where |o_i><o_i| and
-i[H_i, |o_i><o_i|] act (2 of the n + 1 for the canonical models) and builds
-both operators there from o_i and H_i o_i, so P and p cost O(n s d) per
-point for the largest support s, not O(n d^2). Its states are never formed
-whole, so their norm is kept by invariants instead of measured: orthonormal
-eigenvectors (``SpectralDecomposition``), coefficients of total weight 1
-(once per call) and phases of modulus 1 (once per block of points, which
-also catches an overflowing lambda t). Trajectories take the grid in blocks,
-as one dimension x points array would dominate memory.
+each under its H_i. H_i is stored on its block C_i of the apparatus
+coordinates and is zero off it, so exp(-i H_i t) moves only the s entries of
+chi_i on C_i, from the model's ``branch_spectra`` (one decomposition of the
+(n, s, s) stack of blocks; s = 2 for the canonical models). ``trajectory``,
+the model's premeasurement check and sampling run one kernel, which refuses
+amplitudes not shaped like the spectra's eigenvalues: the coefficients in
+each eigenbasis are computed once per call, each distinct eigenvalue is
+exponentiated once per time, and only the rows the caller asks for are
+formed. |o_i><o_i| and i[H_i, |o_i><o_i|] act within C_i, since o_i lies on
+it, so ``trajectory`` builds both there from o_i and H_i o_i, and P and p
+cost O(n s^2) per point, not O(n d^2). Its states are never formed whole,
+so their norm is kept by invariants instead of measured: orthonormal
+eigenvectors (``SpectralDecomposition``), coefficients and off-block
+entries of total weight 1 (once per call) and phases of modulus 1 (once per
+block of points, which also catches an overflowing lambda t). Trajectories
+take the grid in blocks, as one dimension x points array would dominate
+memory.
 """
 
 from __future__ import annotations
@@ -96,8 +98,8 @@ def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray, rows: np.nda
     """Eigenbasis coefficients c of amplitudes[b], and a map from times to the (..., s, k) rows.
 
     ``rows`` are any (..., s, d) rows to form against the eigenvectors V of
-    ``dec``: V itself for whole states, a gather of its rows, or <o_i| V_i for
-    overlaps. The map returns rows[b] @ (exp(-i lambda t) c[b]), H_b in dec,
+    ``dec``: V itself for whole states or blocks, or <o_i| V_i for overlaps.
+    The map returns rows[b] @ (exp(-i lambda t) c[b]), H_b in dec,
     exponentiating each distinct level once per time; it raises NumericalError
     unless every phase is unimodular, which also catches an overflowing lambda t.
     Raises DimensionMismatch unless amplitudes has the shape of dec.eigenvalues.
@@ -141,34 +143,29 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
     ``scenario_io.initial_state`` returns it. Branch i of psi(t) is
     phi_i(t) = exp(-i H_i t) chi_i, so
     P = sum_i |<o_i|phi_i>|^2 and p = sum_i <phi_i| i[H_i, |o_i><o_i|] |phi_i>.
-    Both operators of branch i act within the rows and columns
-    S_i = supp(o_i) u supp(H_i o_i), so they are built there from o_i and
-    H_i o_i, and only those rows of phi_i are formed, padded to the largest
-    support. The model's one spectral decomposition per H_i serves all points,
-    so there is no error accumulation between samples. Points are evaluated in
-    blocks of at most BLOCK_AMPLITUDES joint amplitudes, all branches at once.
-    The eigenbasis coefficients must have total weight 1 and every phase
-    modulus 1; with orthonormal eigenvectors that makes every state unit-norm.
+    Both operators of branch i act within its block C_i, which holds o_i and
+    H_i o_i, so they are built there, and only the block of phi_i is formed.
+    The model's one spectral decomposition of the blocks serves all points,
+    so there is no error accumulation between samples. Points are evaluated
+    in blocks of at most BLOCK_AMPLITUDES joint amplitudes, all branches at
+    once. The eigenbasis coefficients and the entries of chi_i off C_i, which
+    do not evolve, must have total weight 1 and every phase modulus 1; with
+    orthonormal eigenvectors that makes every state unit-norm.
     """
     spectra = model.branch_spectra
-    o = model.pointer_frame.T[1:, :, None]
-    kicked = model.branch_hamiltonians @ o
-    # Support rows first, in ascending order, padded with other rows to s.
-    support = ((o != 0) | (kicked != 0))[:, :, 0]
-    s = int(support.sum(axis=1).max())
-    idx = np.argsort(~support, axis=1, kind="stable")[:, :s, None]
-    rows = np.take_along_axis(spectra.eigenvectors, idx, axis=1)
-    o = np.take_along_axis(o, idx, axis=1)
+    chi = model.on_blocks(branches)
+    o = model.on_blocks(model.pointer_frame.T[1:])[:, :, None]
     bras = o.conj().transpose(0, 2, 1)
-    # On S_i, happened[i] = |o_i><o_i|. X = (H_i |o_i>) <o_i| is H_i |o_i><o_i| and
+    # On C_i, happened[i] = |o_i><o_i|. X = (H_i |o_i>) <o_i| is H_i |o_i><o_i| and
     # X^H is |o_i><o_i| H_i, so rate_ops[i] = i[H_i, |o_i><o_i|] = i(X - X^H).
     happened = o @ bras
-    rate_ops = np.take_along_axis(kicked, idx, axis=1) @ bras
+    rate_ops = (model.branch_blocks @ o) @ bras
     rate_ops -= rate_ops.conj().transpose(0, 2, 1)
     rate_ops *= 1j
 
-    coeffs, propagate = _propagator(spectra, branches, rows)
-    weight = float(np.sum(np.abs(coeffs) ** 2))
+    coeffs, propagate = _propagator(spectra, chi, spectra.eigenvectors)
+    off_blocks = np.sum(np.abs(branches) ** 2) - np.sum(np.abs(chi) ** 2)
+    weight = float(np.sum(np.abs(coeffs) ** 2) + off_blocks)
     if not abs(weight - 1.0) <= TOL.norm:  # NaN fails too
         raise NumericalError(f"eigenbasis coefficients have total weight {weight!r}, not 1")
 

@@ -135,16 +135,18 @@ def check_hermitian(matrices: np.ndarray) -> None:
     """Raise NumericalError unless each A of a (..., d, d) stack is self-adjoint.
 
     Each A is judged within TOL.hermiticity x max(1, max|A|), its own scale.
-    Rows r..r+k of A are compared with columns r..r+k of A conjugated, a
-    block at a time; ``np.maximum`` over the blocks is exact and keeps NaN.
+    Rows r..r+k of A from column r on are compared with columns r..r+k from
+    row r on, conjugated, a block at a time, so each off-diagonal pair is
+    judged once and the two cover every entry; ``np.maximum`` over the
+    blocks is exact and keeps NaN.
     """
     rows = max(1, _HERMITIAN_BLOCK // max(1, matrices[..., 0, :].size))
     dev = peak = 0.0
     for r in range(0, matrices.shape[-1], rows):
-        block = matrices[..., r:r + rows, :]
-        adjoint = matrices[..., :, r:r + rows].conj().swapaxes(-1, -2)
+        block = matrices[..., r:r + rows, r:]
+        adjoint = matrices[..., r:, r:r + rows].conj().swapaxes(-1, -2)
         dev = np.maximum(dev, _max_abs(block - adjoint))
-        peak = np.maximum(peak, _max_abs(block))
+        peak = np.maximum(peak, np.maximum(_max_abs(block), _max_abs(adjoint)))
     _check_small(dev, peak, TOL.hermiticity, NumericalError,
                  "matrix deviates from self-adjointness")
 

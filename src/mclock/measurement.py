@@ -3,24 +3,25 @@
 A measurement model couples a system with n distinguishable outcomes to an
 apparatus whose pointer moves from a ready state into one of n orthogonal
 pointer states. Every model is a von Neumann premeasurement,
-H = sum_i |a_i><a_i| (x) H_i, and is stored as three arrays: the system
-frame (columns |a_i>), the pointer frame (|ready>, then the pointer states)
-and the (n, d, d) stack of branch Hamiltonians H_i on the apparatus space.
-One stacked eigh diagonalises every H_i (``branch_spectra``) for all
-branch-form computations to share. The projector M onto the perfectly
-correlated system-pointer subspace answers "has the measurement happened"
-(eigenvalue 1 = yes); its expectation in psi(t) is the probability that it
-has happened by time t, and i[H, .] of it gives the time density of the
-happening. On system branch i, M is |pointer_i><pointer_i|, so P, p and the
-premeasurement fidelity read only pointer_i and H_i pointer_i, and
-``check``'s projector check only the frames. The dense joint H, M = V V^H and
-i[H, M] = [iY | -iV] [V | Y]^H, Y = H V, with column i of V the pair
-|a_i> (x) |pointer_i>, are built only on demand, as oracles for arbitrary H.
-Each is one D x D allocation, frozen and handed to ``HermitianOperator``,
-which keeps a read-only complex array that owns its data instead of copying
-it; with the row-blocked Hermiticity check, the chain model -> M -> H ->
-i[H, M] peaks at about 35, 120 and 245 MB RSS for n = 20, 40 and 50.
-``schmidt_decompose`` splits a joint amplitude array across a bipartition.
+H = sum_i |a_i><a_i| (x) H_i, stored as the system frame (columns |a_i>),
+the pointer frame (|ready>, then the pointer states) and each H_i on its
+block C_i of apparatus coordinates, which holds |ready>, pointer i and every
+nonzero entry of H_i; off C_i, exp(-i H_i t) is the identity. One stacked
+eigh of the (n, s, s) blocks (``branch_spectra``; s = 2 for the canonical
+models) serves every branch-form computation, and a dense H_i is the case
+C_i = every coordinate (``MeasurementModel.from_dense``). The projector M
+onto the perfectly correlated system-pointer subspace answers "has the
+measurement happened" (eigenvalue 1 = yes); its expectation in psi(t) is the
+probability that it has happened by time t, and i[H, .] of it gives the time
+density of the happening. On system branch i, M is |pointer_i><pointer_i|,
+so P, p and the premeasurement fidelity are computed on the blocks, and
+``check``'s projector check reads only the frames. The dense H_i, the joint
+H, M = V V^H and i[H, M] = [iY | -iV] [V | Y]^H, Y = H V, with column i of V
+the pair |a_i> (x) |pointer_i>, are built only on demand, as oracles for
+arbitrary H. Each joint operator is one D x D allocation, frozen and handed
+to ``HermitianOperator``, which keeps a read-only complex array that owns its
+data instead of copying it; the chain model -> M -> H -> i[H, M] peaks at
+about 35, 120 and 245 MB RSS for n = 20, 40 and 50.
 """
 
 from __future__ import annotations
@@ -36,52 +37,88 @@ from .hilbert import (
     HermitianOperator,
     Record,
     SpectralDecomposition,
-    _as_dims,
     _freeze,
     check_hermitian,
     check_orthonormal,
-    check_unit_norm,
     spectral,
 )
 from .tolerances import TOL
 
 
 class MeasurementModel(Record):
-    """An n-outcome system coupled to a pointer apparatus, stored as three arrays.
+    """An n-outcome system coupled to a pointer apparatus, each H_i stored on its block.
 
     ``system_frame`` is n x n; column i is the system eigenstate |a_i>, and
     the basis is complete so that a joint q/pointer measurement has a total
     outcome probability of one. ``pointer_frame`` is d x (n + 1); column 0
     is |ready> and column i + 1 is pointer i. It is orthonormal but need not
-    span the apparatus space. ``branch_hamiltonians`` is the (n, d, d) stack
-    of H_i, the apparatus Hamiltonian that acts while the system is in |a_i>.
-    ``fidelity`` is the premeasurement fidelity the model claims to reach at
-    ``nominal_duration`` (worst outcome branch); ``premeasurement_check``
-    verifies it. The ``__dict__`` slot holds the cached properties.
+    span the apparatus space. H_i, the apparatus Hamiltonian that acts while
+    the system is in |a_i>, is ``branch_blocks[i]`` on the s distinct
+    apparatus coordinates ``block_index[i]`` and zero elsewhere; those must
+    hold every nonzero entry of |ready> and of pointer i. ``from_dense``
+    builds a model from the dense (n, d, d) stack, which
+    ``branch_hamiltonians`` returns. ``fidelity`` is the premeasurement
+    fidelity the model claims to reach at ``nominal_duration`` (worst outcome
+    branch); ``premeasurement_check`` verifies it. The ``__dict__`` slot
+    holds the cached properties.
     """
 
-    __slots__ = ("system_frame", "pointer_frame", "branch_hamiltonians", "nominal_duration",
-                 "fidelity", "__dict__")
+    __slots__ = ("system_frame", "pointer_frame", "block_index", "branch_blocks",
+                 "nominal_duration", "fidelity", "__dict__")
 
     def __post_init__(self):
-        names = ("system_frame", "pointer_frame", "branch_hamiltonians")
-        a, o, h = (np.array(getattr(self, k), dtype=np.complex128, ndmin=2) for k in names)
-        n, d = a.shape[1], o.shape[0]
-        if a.shape != (n, n) or o.shape != (d, n + 1) or h.shape != (n, d, d):
-            raise DimensionMismatch(f"need (n, n) and (d, n + 1) frames and (n, d, d) H_i, got "
-                                    f"{a.shape}, {o.shape} and {h.shape}")
+        a, o = (np.array(f, dtype=np.complex128, ndmin=2)
+                for f in (self.system_frame, self.pointer_frame))
+        index = np.array(self.block_index, ndmin=2).astype(np.intp, casting="same_kind")
+        h = np.array(self.branch_blocks, dtype=np.complex128, ndmin=3)
+        n, d, s = a.shape[1], o.shape[0], index.shape[1]
+        if (a.shape, o.shape, index.shape, h.shape) != ((n, n), (d, n + 1), (n, s), (n, s, s)):
+            raise DimensionMismatch(f"need (n, n), (d, n + 1), (n, s) and (n, s, s) frames, "
+                                    f"block index and blocks, got {a.shape}, {o.shape}, "
+                                    f"{index.shape} and {h.shape}")
         if n < 2:
             raise InvalidParameter(f"need at least 2 outcomes, got {n}")
         check_orthonormal(a, NumericalError, "system frame")
         check_orthonormal(o, NumericalError, "pointer frame (ready + pointer states)")
+        # E, the identity's rows at a block's coordinates, is orthonormal iff they
+        # are distinct; E^H E keeps exactly the vectors that vanish off the block.
+        try:
+            e = np.eye(d, dtype=np.complex128)[index]
+        except IndexError:
+            raise DimensionMismatch(f"block index outside the {d} apparatus coordinates") from None
+        check_orthonormal(e.swapaxes(1, 2), DimensionMismatch, "block index coordinates")
+        frames = np.stack((np.broadcast_to(o[:, 0], (n, d)), o[:, 1:].T), axis=1)
+        if np.max(np.abs(frames - (frames @ e.swapaxes(1, 2)) @ e)) != 0:
+            raise InvalidParameter("|ready> or pointer i is nonzero off the block of branch i")
         check_hermitian(h)
         if not (math.isfinite(self.nominal_duration) and self.nominal_duration > 0):
             raise InvalidParameter(f"nominal_duration {self.nominal_duration} must be finite > 0")
         if not 0.0 <= self.fidelity <= 1.0 + TOL.probability:
             raise InvalidParameter(f"declared fidelity {self.fidelity} outside [0, 1]")
-        for name, arr in zip(names, (a, o, h)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, arr in zip(self._fields, (a, o, index, h)):
+            object.__setattr__(self, name, _freeze(arr))
+
+    @classmethod
+    def from_dense(cls, system_frame, pointer_frame, branch_hamiltonians, nominal_duration,
+                   fidelity) -> MeasurementModel:
+        """The model whose H_i are the dense (n, d, d) stack, each stored on its block C_i.
+
+        C_i is every coordinate where |ready> or pointer i is nonzero and every
+        row and column where H_i has an entry that is not exactly 0 (NaN
+        included), in ascending order, padded to the largest C_i with the other
+        coordinates; so nothing in H_i is left off its block.
+        """
+        o = np.array(pointer_frame, dtype=np.complex128, ndmin=2)
+        h = np.array(branch_hamiltonians, dtype=np.complex128, ndmin=3)
+        n, d = o.shape[1] - 1, o.shape[0]
+        if h.shape != (n, d, d):
+            raise DimensionMismatch(f"need the (n, d, d) = {(n, d, d)} stack of H_i, got {h.shape}")
+        nonzero = h != 0
+        used = nonzero.any(axis=1) | nonzero.any(axis=2) | ((o[:, :1] != 0) | (o[:, 1:] != 0)).T
+        s = int(used.sum(axis=1).max(initial=0))
+        index = np.argsort(~used, axis=1, kind="stable")[:, :s, None]
+        blocks = h[np.arange(n)[:, None, None], index, index.swapaxes(1, 2)]
+        return cls(system_frame, o, index[:, :, 0], blocks, nominal_duration, fidelity)
 
     @property
     def n_outcomes(self) -> int:
@@ -99,22 +136,38 @@ class MeasurementModel(Record):
     def joint_dims(self) -> tuple[int, int]:
         return (self.system_dim, self.apparatus_dim)
 
+    @property
+    def branch_hamiltonians(self) -> np.ndarray:
+        """The dense (n, d, d) stack of H_i, built from the blocks on each use."""
+        n, d, index = self.n_outcomes, self.apparatus_dim, self.block_index[:, :, None]
+        dense = np.zeros((n, d, d), dtype=np.complex128)
+        dense[np.arange(n)[:, None, None], index, index.swapaxes(1, 2)] = self.branch_blocks
+        return _freeze(dense)
+
+    def on_blocks(self, rows: np.ndarray) -> np.ndarray:
+        """The (n, s) entries of (n, d) rows, row i at the coordinates of branch i's block."""
+        if rows.shape != (self.n_outcomes, self.apparatus_dim):
+            raise DimensionMismatch(f"rows {rows.shape} are not the model's (n, d) = "
+                                    f"{(self.n_outcomes, self.apparatus_dim)}")
+        return np.take_along_axis(rows, self.block_index, axis=1)
+
     @cached_property
     def branch_spectra(self) -> SpectralDecomposition:
-        """spectral(H_i) of every branch from one stacked eigh, computed on first use."""
-        return spectral(self.branch_hamiltonians)
+        """spectral(H_i) of every branch block from one stacked eigh, computed on first use."""
+        return spectral(self.branch_blocks)
 
     @cached_property
     def interaction_hamiltonian(self) -> HermitianOperator:
         """The dense joint H = sum_i |a_i><a_i| (x) H_i, built on first use."""
         frame, n, d = self.system_frame, self.system_dim, self.apparatus_dim
+        branches = self.branch_hamiltonians
         # weights[a, b, i] = <a|a_i><a_i|b>, so system row a of the joint H is
         # joint[a, x, b, y] = sum_i weights[a, b, i] H_i[x, y], filled in place.
         weights = frame[:, None, :] * frame.conj()[None, :, :]
         joint = np.empty((n * d, n * d), dtype=np.complex128)
         rows = joint.reshape(n, d, n, d)
         for a in range(n):
-            rows[a] = np.tensordot(weights[a], self.branch_hamiltonians, axes=1).swapaxes(0, 1)
+            rows[a] = np.tensordot(weights[a], branches, axes=1).swapaxes(0, 1)
         return HermitianOperator(self.joint_dims, _freeze(joint))
 
 
@@ -146,11 +199,12 @@ def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
     couplings[0] = g * (1.0 - epsilon)
     # Both frames are standard bases: |ready> = e_0 and pointer i = e_{i+1}.
     # H_i = couplings[i] i(|e_{i+1}><e_0| - |e_0><e_{i+1}|) rotates
-    # ready -> pointer i with a +sin amplitude under exp(-iHt).
-    branch = np.arange(n)
-    branches = np.zeros((n, n + 1, n + 1), dtype=np.complex128)
-    branches[branch, branch + 1, 0] = couplings * 1j
-    branches[branch, 0, branch + 1] = couplings * -1j
+    # ready -> pointer i with a +sin amplitude under exp(-iHt); its block is
+    # on the coordinates (0, i + 1).
+    index = np.column_stack((np.zeros(n, dtype=np.intp), np.arange(1, n + 1)))
+    blocks = np.zeros((n, 2, 2), dtype=np.complex128)
+    blocks[:, 1, 0] = couplings * 1j
+    blocks[:, 0, 1] = couplings * -1j
 
     duration = math.pi / (2.0 * g)
     if not (math.isfinite(duration) and duration > 0):
@@ -160,7 +214,8 @@ def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
     return MeasurementModel(
         system_frame=np.eye(n),
         pointer_frame=np.eye(n + 1),
-        branch_hamiltonians=branches,
+        block_index=index,
+        branch_blocks=blocks,
         nominal_duration=duration,
         fidelity=fidelity,
     )
@@ -206,79 +261,17 @@ def premeasurement_check(model: MeasurementModel) -> np.ndarray:
     """Evolve each |a_i> (x) |ready> for the nominal duration and score it.
 
     Returns the (n,) fidelities |<a_i, pointer_i | psi(T)>|^2 =
-    |<o_i| exp(-i H_i T) |ready>|^2, all branches at once. The kernel's row for
-    branch i is <o_i| V_i, V_i the eigenvectors of H_i, so it returns the
-    overlaps and forms no state; the orthonormal pointer frame and V_i and the
-    unimodular phases keep their norm. A bad model gets a low fidelity, not an
-    exception; only EigensolverFailure (``branch_spectra``) or a phase off
-    modulus 1 (NumericalError) raises.
+    |<o_i| exp(-i H_i T) |ready>|^2, all branches at once. |ready> and o_i lie
+    on branch i's block, so the kernel's row for branch i is <o_i| V_i there,
+    V_i the eigenvectors of the block, and it returns the overlaps and forms
+    no state; the orthonormal pointer frame and V_i and the unimodular phases
+    keep their norm. A bad model gets a low fidelity, not an exception; only
+    EigensolverFailure (``branch_spectra``) or a phase off modulus 1
+    (NumericalError) raises.
     """
-    ready = np.tile(model.pointer_frame[:, 0], (model.n_outcomes, 1))
+    ready = model.pointer_frame[model.block_index, 0]
     spectra = model.branch_spectra
-    rows = model.pointer_frame.T[1:, None, :].conj() @ spectra.eigenvectors
+    rows = model.on_blocks(model.pointer_frame.T[1:])[:, None, :].conj() @ spectra.eigenvectors
     _, propagate = _propagator(spectra, ready, rows)
     overlaps = propagate(np.array([model.nominal_duration]))
     return np.abs(overlaps.ravel()) ** 2
-
-
-class SchmidtDecomposition(Record):
-    """Bipartite state sum_k c_k |l_k> (x) |r_k>; rows k of ``left`` and ``right`` are l_k, r_k."""
-
-    __slots__ = ("coefficients", "left", "right")
-
-    def __post_init__(self):
-        coeffs = np.array(self.coefficients, dtype=np.float64).reshape(-1)
-        left, right = (np.array(v, dtype=np.complex128, ndmin=2) for v in (self.left, self.right))
-        if not (coeffs.size == left.shape[0] == right.shape[0]):
-            raise DimensionMismatch("coefficients and vector rows must have equal length")
-        if np.any(coeffs < 0) or np.any(np.diff(coeffs) > 0):
-            raise NumericalError("coefficients must be nonnegative and descending")
-        total = float(np.sum(coeffs**2))
-        if abs(total - 1.0) > TOL.orthonormality:
-            raise NumericalError(f"squared coefficients sum to {total!r}, not 1")
-        for name, arr in zip(("coefficients", "left", "right"), (coeffs, left, right)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def schmidt_decompose(amplitudes: np.ndarray, dims, split: int) -> SchmidtDecomposition:
-    """Schmidt decomposition of a unit state on dims across dims[:split] | dims[split:].
-
-    Singular values below the cutoff are dropped (at least one is kept).
-    Each kept pair is phase-normalized so the largest-magnitude entry of
-    the left vector is real positive; exactly degenerate coefficients are
-    ordered by descending lexicographic comparison of the left vectors'
-    (Re, Im) entry pairs, which makes the output deterministic.
-    """
-    dims = _as_dims(dims)
-    amps = np.array(amplitudes, dtype=np.complex128).reshape(-1)
-    if amps.size != math.prod(dims):
-        raise DimensionMismatch(f"amplitude length {amps.size} != product of dims {dims}")
-    check_unit_norm(amps)
-    if not 0 < split < len(dims):
-        raise DimensionMismatch(
-            f"split {split} must leave at least one factor on each side of {dims}"
-        )
-    matrix = amps.reshape(math.prod(dims[:split]), -1)
-    u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-
-    keep = max(1, int(np.sum(s > TOL.schmidt_cutoff)))
-    u, s, vh = u[:, :keep], s[:keep], vh[:keep, :]
-
-    peak = u[np.argmax(np.abs(u), axis=0), np.arange(keep)]
-    phase = peak / np.abs(peak)
-    u *= phase.conj()
-    vh *= phase[:, None]
-
-    order = sorted(
-        range(keep),
-        key=lambda k: (-s[k], tuple((-z.real, -z.imag) for z in u[:, k])),
-    )
-    u, s, vh = u[:, order], s[order], vh[order, :]
-    dec = SchmidtDecomposition(s, u.T, vh)
-
-    recon = ((u * s) @ vh).ravel()
-    err = float(np.linalg.norm(recon - amps))
-    if err > TOL.schmidt_reconstruction:
-        raise NumericalError(f"Schmidt reconstruction off by {err:.3e}")
-    return dec

@@ -93,9 +93,9 @@ def sample_trials(
 
     ``branches`` holds the (n, d) branch rows of the state at time 0, as
     ``scenario_io.initial_state`` returns them. Each row is evolved once
-    under its H_i and the joint distribution computed once; the report's
-    exact probability is its matched mass, the branch form of the
-    happened-projector expectation.
+    under its H_i, which moves only its entries on the block of H_i, and the
+    joint distribution computed once; the report's exact probability is its
+    matched mass, the branch form of the happened-projector expectation.
     Trials are independent categorical draws from the distribution. The
     counts are the int64 (n, n + 2) tally of the trials: counts[i, j] is
     the number of trials with q outcome i and pointer position j, and the
@@ -105,8 +105,10 @@ def sample_trials(
     if n_trials < 1:
         raise InvalidParameter(f"n_trials must be >= 1, got {n_trials}")
     spectra = model.branch_spectra
-    _, propagate = _propagator(spectra, branches, spectra.eigenvectors)
-    dist = joint_distribution(model, propagate(np.array([t]))[:, :, 0])
+    _, propagate = _propagator(spectra, model.on_blocks(branches), spectra.eigenvectors)
+    phis = np.array(branches, dtype=np.complex128)
+    np.put_along_axis(phis, model.block_index, propagate(np.array([t]))[:, :, 0], axis=1)
+    dist = joint_distribution(model, phis)
 
     n = model.n_outcomes
     counts = _tally(np.cumsum(dist), n_trials, seed).reshape(n, n + 2)

@@ -42,14 +42,20 @@ if TYPE_CHECKING:
 COEFF_NORM_SLACK = 1e-3
 
 # Resource limits; a scenario beyond one is an input error, not an
-# out-of-memory kill. No command builds a joint-space matrix; at n = 50
-# (imperfect model, 2001 points, 1e5 trials) ``run`` and ``check`` peak near
-# 50 MB and ``sample`` near 45 MB. At the grid limit ``run`` takes ~1.1-1.3 s
-# and peaks near 170 MB (n = 2, 2-vCPU host), most of it the CSV text, held
-# as one string and encoded once to be written; at the trial limit
-# ``sample`` peaks near 38 MB at n = 8 and 45-46 MB at n = 50, since trials
-# are tallied in fixed-size blocks.
-MAX_OUTCOMES = 50
+# out-of-memory kill. No command builds a joint-space matrix or a dense stack
+# of branch Hamiltonians: each is a 2 x 2 block. Imperfect model, 2001 points,
+# fresh ``python -m mclock`` processes without cached bytecode, medians of 7
+# (2-vCPU host, wall times +-30% run to run):
+#     n     run           check         sample 1e5    sample 1e7
+#     50    0.20 s 32 MB  0.24 s 31 MB  0.17 s 38 MB  0.32 s 38 MB
+#     100   0.30 s 33 MB  0.30 s 33 MB  0.18 s 38 MB  0.55 s 38 MB
+#     200   0.53 s 35 MB  0.60 s 36 MB  0.29 s 42 MB  1.17 s 42 MB
+# n stops at 100: at 200 ``sample`` passes 1 s at the trial limit. At the
+# grid limit ``run`` takes ~1.1-1.3 s and peaks near 170 MB (n = 2), most of
+# it the CSV text, held as one string and encoded once to be written; trials
+# are tallied in fixed-size blocks, so ``sample``'s peak does not grow with
+# the trial count.
+MAX_OUTCOMES = 100
 MAX_GRID_POINTS = 1_000_000
 MAX_TRIALS = 10_000_000
 

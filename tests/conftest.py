@@ -22,8 +22,15 @@ def fields(record_class) -> list[str]:
 
 
 def replace(record, **changes):
-    """A new record of the same class with ``changes`` to its fields, validated again."""
+    """A new record of the same class with ``changes`` to its fields, validated again.
+
+    A model's dense ``branch_hamiltonians`` replace its blocks through
+    ``MeasurementModel.from_dense``.
+    """
     values = {name: getattr(record, name) for name in fields(type(record))}
+    if "branch_hamiltonians" in changes:
+        del values["block_index"], values["branch_blocks"]
+        return MeasurementModel.from_dense(**{**values, **changes})
     return type(record)(**{**values, **changes})
 
 
@@ -110,7 +117,7 @@ def random_frame_model(
     pointer_to_ready = app_u[:, 1 : n + 1].T[:, :, None] * app_u[:, 0].conj()
     branches = 1j * g * (pointer_to_ready - pointer_to_ready.conj().transpose(0, 2, 1))
 
-    return MeasurementModel(
+    return MeasurementModel.from_dense(
         system_frame=sys_u,
         pointer_frame=app_u[:, : n + 1],
         branch_hamiltonians=branches,

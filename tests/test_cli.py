@@ -153,7 +153,7 @@ class TestCheck:
 
     def test_diagonalises_each_branch_once(self, monkeypatch):
         # The premeasurement and derivative checks share the model's branch
-        # spectra: one eigh call on the stack of the n = 2 branch Hamiltonians.
+        # spectra: one eigh call on the stack of the n = 2 branch blocks.
         eigh = np.linalg.eigh
         calls = []
 
@@ -165,7 +165,7 @@ class TestCheck:
         for name in ("rotation.json", "imperfect.json", "sampling.json"):
             calls.clear()
             assert cli.main(["check", str(SCENARIOS / name)]) == 0
-            assert calls == [(2, 3, 3)]
+            assert calls == [(2, 2, 2)]
 
     def test_coarse_grid_widens_derivative_tolerance(self, tmp_path, capsys):
         scenario = write_scenario(
@@ -333,6 +333,32 @@ def test_no_command_builds_a_joint_space_operator(tmp_path, monkeypatch):
         assert cli.main(["check", str(SCENARIOS / name)]) == 0
     for name in ("sampling.json", "wide.json"):
         assert cli.main(["sample", str(SCENARIOS / name), "--out", out]) == 0
+
+
+def test_commands_keep_the_model_in_blocks(tmp_path, monkeypatch):
+    # Each of the wide scenario's n = 20 branch Hamiltonians is held and
+    # diagonalised as its 2 x 2 block; no command builds the dense (n, d, d)
+    # stack, which only the ``branch_hamiltonians`` property forms.
+    from mclock import MeasurementModel
+
+    models = []
+    build = cli.build_model
+
+    def recording_build(spec):
+        models.append(build(spec))
+        return models[-1]
+
+    def no_dense_stack(model):
+        raise AssertionError(f"dense stack of {model.n_outcomes} branch Hamiltonians built")
+
+    monkeypatch.setattr(cli, "build_model", recording_build)
+    monkeypatch.setattr(MeasurementModel, "branch_hamiltonians", property(no_dense_stack))
+    scenario, out = str(SCENARIOS / "wide.json"), str(tmp_path / "o.csv")
+    assert cli.main(["run", scenario, "--out", out]) == 0
+    assert cli.main(["check", scenario]) == 0
+    assert cli.main(["sample", scenario, "--out", out]) == 0
+    assert [model.branch_blocks.shape for model in models] == [(20, 2, 2)] * 3
+    assert [model.branch_spectra.eigenvectors.shape for model in models] == [(20, 2, 2)] * 3
 
 
 def _fresh_process(*args: str, **env) -> subprocess.CompletedProcess:

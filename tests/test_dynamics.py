@@ -225,17 +225,19 @@ class TestTrajectory:
 
     def test_padded_supports_match_series_oracle(self):
         # n = 3 on a 6-level apparatus (levels 4 and 5 are outside the pointer
-        # frame). Branch 0 also couples pointer 0 to level 4, so its operators
-        # touch rows {0, 1, 4}; the other branches touch 2 rows and are padded
-        # to 3. Branch 1 also couples ready to level 5, a row outside its
-        # support through which its state still flows.
+        # frame). Branch 0 also couples pointer 0 to level 4, so its block and
+        # its operators' rows are {0, 1, 4}. Branch 1 also couples ready to
+        # level 5, so its block {0, 2, 5} holds a row outside its operators'
+        # rows through which its state still flows. Branch 2's block {0, 3} is
+        # padded to 3.
         n, d, g = 3, 6, 1.1
         h = np.zeros((n, d, d), dtype=complex)
         for i in range(n):
             h[i, i + 1, 0], h[i, 0, i + 1] = 1j * g, -1j * g
         h[0, 4, 1], h[0, 1, 4] = 0.7, 0.7
         h[1, 5, 0], h[1, 0, 5] = 0.4j, -0.4j
-        model = MeasurementModel(np.eye(n), np.eye(d)[:, : n + 1], h, math.pi / (2 * g), 0.0)
+        model = MeasurementModel.from_dense(np.eye(n), np.eye(d)[:, : n + 1], h,
+                                             math.pi / (2 * g), 0.0)
         psi0 = haar_state(np.random.default_rng(14), model.joint_dims)
         joint = sum(np.kron(np.diag(np.eye(n)[i]), h[i]) for i in range(n))
         pairs = np.column_stack([np.kron(np.eye(n)[i], np.eye(d)[i + 1]) for i in range(n)])

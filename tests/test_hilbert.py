@@ -119,11 +119,13 @@ def one_shot_hermitian_message(matrices):
 class TestCheckHermitian:
     D = 300
 
-    # Entry (i, j) is compared in the blocks of rows i and j; each bad entry
-    # here has both in one block.
+    # The pair (i, j), i < j, is judged once, in the block of row i against
+    # column i's conjugate. One bad entry has both indices in the last block,
+    # one its row in the last block and its column in the first.
     @pytest.mark.parametrize(
-        "row, col, value", [(D - 1, D - 2, 3e-9), (D // 2, D // 2 + 1, np.nan)],
-        ids=["asymmetric-last-block", "nan-middle-block"],
+        "row, col, value",
+        [(D - 1, D - 2, 3e-9), (D - 1, 0, 3e-9), (D // 2, D // 2 + 1, np.nan)],
+        ids=["asymmetric-last-block", "asymmetric-last-and-first-block", "nan-middle-block"],
     )
     def test_matches_the_whole_matrix_formula(self, row, col, value):
         assert self.D > 2 * (_HERMITIAN_BLOCK // self.D)  # at least three row blocks

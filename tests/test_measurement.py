@@ -135,19 +135,23 @@ class TestInteractionHamiltonian:
 
 
 class TestModelContract:
-    """The model is three arrays, each checked once for shape, orthonormality or Hermiticity."""
+    """The model is four arrays, each checked once for shape, orthonormality or Hermiticity."""
 
     def test_fields_are_the_arrays(self):
         names = fields(MeasurementModel)
         assert names == [
-            "system_frame", "pointer_frame", "branch_hamiltonians", "nominal_duration", "fidelity"
+            "system_frame", "pointer_frame", "block_index", "branch_blocks", "nominal_duration",
+            "fidelity",
         ]
         model = build_imperfect_model(3, 1.0, 0.1)
         assert (model.n_outcomes, model.system_dim, model.apparatus_dim) == (3, 3, 4)
+        assert model.block_index.tolist() == [[0, 1], [0, 2], [0, 3]]
+        assert model.branch_blocks.shape == (3, 2, 2)
         assert model.branch_hamiltonians.shape == (3, 4, 4)
         assert np.array_equal(model.pointer_frame[:, 0], [1, 0, 0, 0])
-        with pytest.raises(ValueError):
-            model.branch_hamiltonians[0, 0, 0] = 1.0  # frozen
+        for frozen in (model.block_index, model.branch_blocks, model.branch_hamiltonians):
+            with pytest.raises(ValueError):
+                frozen[0, 0] = 1
 
     def test_rejects_misshapen_frames(self):
         # Misshapen H_i stacks are tested in TestInteractionHamiltonian.
@@ -157,7 +161,25 @@ class TestModelContract:
                 replace(model, **change)
         # Consistent shapes, but one outcome: nothing to measure.
         with pytest.raises(InvalidParameter, match="at least 2 outcomes"):
-            MeasurementModel(np.eye(1), np.eye(2), np.zeros((1, 2, 2)), 1.0, 1.0)
+            MeasurementModel.from_dense(np.eye(1), np.eye(2), np.zeros((1, 2, 2)), 1.0, 1.0)
+
+    def test_rejects_block_index_that_is_not_a_set_of_coordinates(self):
+        # Branch i's block rows are distinct apparatus coordinates holding
+        # every nonzero entry of |ready> and pointer i. They index as numpy
+        # does, so -1 is the last coordinate.
+        model = build_rotation_model(2, 1.0)
+        for index, error, match in (
+            ([[0, 1]], DimensionMismatch, "block index"),
+            ([[0, 1], [0, 3]], DimensionMismatch, "outside"),
+            ([[0, 1], [2, 2]], DimensionMismatch, "block index coordinates not orthonormal"),
+            ([[0, 1], [2, -1]], DimensionMismatch, "block index coordinates not orthonormal"),
+            ([[0, 1], [1, 2]], InvalidParameter, "off the block"),
+            ([[0, 1], [0, 1]], InvalidParameter, "off the block"),
+        ):
+            with pytest.raises(error, match=match):
+                replace(model, block_index=index)
+        wrapped = replace(model, block_index=[[0, 1], [0, -1]])
+        assert np.array_equal(wrapped.branch_hamiltonians, model.branch_hamiltonians)
 
     def test_rejects_non_orthonormal_frames(self):
         model = build_rotation_model(2, 1.0)
