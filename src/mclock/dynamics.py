@@ -10,19 +10,13 @@ each under its H_i. H_i is stored on its block C_i of the apparatus
 coordinates and is zero off it, so exp(-i H_i t) moves only the s entries of
 chi_i on C_i, from the model's ``branch_spectra`` (one decomposition of the
 (n, s, s) stack of blocks; s = 2 for the canonical models). ``trajectory``,
-the model's premeasurement check and sampling run one kernel, which refuses
-amplitudes not shaped like the spectra's eigenvalues: the coefficients in
-each eigenbasis are computed once per call, each distinct eigenvalue is
-exponentiated once per time, and only the rows the caller asks for are
-formed. |o_i><o_i| and i[H_i, |o_i><o_i|] act within C_i, since o_i lies on
-it, so ``trajectory`` builds both there from o_i and H_i o_i, and P and p
-cost O(n s^2) per point, not O(n d^2). Its states are never formed whole,
-so their norm is kept by invariants instead of measured: orthonormal
-eigenvectors (``SpectralDecomposition``), coefficients and off-block
-entries of total weight 1 (once per call) and phases of modulus 1 (once per
-block of points, which also catches an overflowing lambda t). Trajectories
-take the grid in blocks, as one dimension x points array would dominate
-memory.
+the model's premeasurement check and sampling run one kernel, amplitudes in
+and evolved amplitudes out. o_i lies on C_i, so P = sum_i |<o_i|phi_i>|^2 is
+an overlap taken there, and p comes from i[H_i, |o_i><o_i|], built there
+from o_i and H_i o_i: O(n s^2) per point, not O(n d^2). The states are never
+formed whole, so ``trajectory`` keeps their norm by invariants instead of
+measuring it. Trajectories take the grid in blocks, as one dimension x
+points array would dominate memory.
 """
 
 from __future__ import annotations
@@ -94,13 +88,12 @@ class TimingTrajectory(Record):
         object.__setattr__(self, "rate", rate)
 
 
-def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray, rows: np.ndarray):
-    """Eigenbasis coefficients c of amplitudes[b], and a map from times to the (..., s, k) rows.
+def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray):
+    """Eigenbasis coefficients c of amplitudes[b], and a map from times to the evolved amplitudes.
 
-    ``rows`` are any (..., s, d) rows to form against the eigenvectors V of
-    ``dec``: V itself for whole states or blocks, or <o_i| V_i for overlaps.
-    The map returns rows[b] @ (exp(-i lambda t) c[b]), H_b in dec,
-    exponentiating each distinct level once per time; it raises NumericalError
+    The map returns the (..., s, k) V[b] @ (exp(-i lambda t) c[b]), V[b] the
+    eigenvectors of H_b in dec, exponentiating each distinct level once per
+    time, so exp(-i H_b t) amplitudes[b] at each time; it raises NumericalError
     unless every phase is unimodular, which also catches an overflowing lambda t.
     Raises DimensionMismatch unless amplitudes has the shape of dec.eigenvalues.
     """
@@ -121,7 +114,7 @@ def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray, rows: np.nda
             raise NumericalError(f"phase exp(-i lambda t) deviates from modulus 1 by {dev:.3e}")
         amps = phases[index]
         amps *= coeffs
-        return rows @ amps
+        return dec.eigenvectors @ amps
 
     return coeffs, at
 
@@ -130,10 +123,8 @@ def evolve(hamiltonian: HermitianOperator, psi0: StateVector, t: float) -> State
     """exp(-iHt) psi0 via the spectral decomposition of H."""
     if hamiltonian.dims != psi0.dims:
         raise DimensionMismatch(f"H dims {hamiltonian.dims} != state dims {psi0.dims}")
-    dec = spectral(hamiltonian.matrix)
-    _, propagate = _propagator(dec, psi0.amplitudes, dec.eigenvectors)
-    amps = propagate(np.array([t]))
-    return StateVector(psi0.dims, amps[:, 0])
+    _, propagate = _propagator(spectral(hamiltonian.matrix), psi0.amplitudes)
+    return StateVector(psi0.dims, propagate(np.array([t]))[:, 0])
 
 
 def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) -> TimingTrajectory:
@@ -141,10 +132,10 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
 
     Row i of the (n, d) ``branches`` is chi_i = (<a_i| (x) I) psi(0), as
     ``scenario_io.initial_state`` returns it. Branch i of psi(t) is
-    phi_i(t) = exp(-i H_i t) chi_i, so
-    P = sum_i |<o_i|phi_i>|^2 and p = sum_i <phi_i| i[H_i, |o_i><o_i|] |phi_i>.
-    Both operators of branch i act within its block C_i, which holds o_i and
-    H_i o_i, so they are built there, and only the block of phi_i is formed.
+    phi_i(t) = exp(-i H_i t) chi_i, so P = sum_i |<o_i|phi_i>|^2 and
+    p = sum_i <phi_i| i[H_i, |o_i><o_i|] |phi_i>. o_i and the rate operator,
+    built from o_i and H_i o_i, lie within the block C_i of branch i, so only
+    the block of phi_i is formed.
     The model's one spectral decomposition of the blocks serves all points,
     so there is no error accumulation between samples. Points are evaluated
     in blocks of at most BLOCK_AMPLITUDES joint amplitudes, all branches at
@@ -152,18 +143,16 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
     do not evolve, must have total weight 1 and every phase modulus 1; with
     orthonormal eigenvectors that makes every state unit-norm.
     """
-    spectra = model.branch_spectra
     chi = model.on_blocks(branches)
     o = model.on_blocks(model.pointer_frame.T[1:])[:, :, None]
     bras = o.conj().transpose(0, 2, 1)
-    # On C_i, happened[i] = |o_i><o_i|. X = (H_i |o_i>) <o_i| is H_i |o_i><o_i| and
-    # X^H is |o_i><o_i| H_i, so rate_ops[i] = i[H_i, |o_i><o_i|] = i(X - X^H).
-    happened = o @ bras
+    # On C_i, X = (H_i |o_i>) <o_i| is H_i |o_i><o_i| and X^H is
+    # |o_i><o_i| H_i, so rate_ops[i] = i[H_i, |o_i><o_i|] = i(X - X^H).
     rate_ops = (model.branch_blocks @ o) @ bras
     rate_ops -= rate_ops.conj().transpose(0, 2, 1)
     rate_ops *= 1j
 
-    coeffs, propagate = _propagator(spectra, chi, spectra.eigenvectors)
+    coeffs, propagate = _propagator(model.branch_spectra, chi)
     off_blocks = np.sum(np.abs(branches) ** 2) - np.sum(np.abs(chi) ** 2)
     weight = float(np.sum(np.abs(coeffs) ** 2) + off_blocks)
     if not abs(weight - 1.0) <= TOL.norm:  # NaN fails too
@@ -176,6 +165,7 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
     for start in range(0, times.size, block):
         points = slice(start, start + block)
         phis = propagate(times[points])
-        prob[points] = expectations(happened, phis).sum(axis=0)
+        a = (bras @ phis)[:, 0]
+        prob[points] = (a.real**2 + a.imag**2).sum(axis=0)
         rate[points] = expectations(rate_ops, phis).sum(axis=0)
     return TimingTrajectory(grid, prob, rate)

@@ -22,7 +22,7 @@ class EigensolverFailure(NumericalError):
 
 
 class ParseError(MClockError):
-    """Scenario text is structurally malformed (bad JSON, wrong types, unknown keys)."""
+    """Scenario text is structurally malformed (bad JSON, wrong types, unknown or repeated keys)."""
 
     def __init__(self, message: str, *, line: int | None = None, field: str | None = None):
         self.line = line

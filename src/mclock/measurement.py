@@ -13,15 +13,16 @@ C_i = every coordinate (``MeasurementModel.from_dense``). The projector M
 onto the perfectly correlated system-pointer subspace answers "has the
 measurement happened" (eigenvalue 1 = yes); its expectation in psi(t) is the
 probability that it has happened by time t, and i[H, .] of it gives the time
-density of the happening. On system branch i, M is |pointer_i><pointer_i|,
-so P, p and the premeasurement fidelity are computed on the blocks, and
-``check``'s projector check reads only the frames. The dense H_i, the joint
-H, M = V V^H and i[H, M] = [iY | -iV] [V | Y]^H, Y = H V, with column i of V
-the pair |a_i> (x) |pointer_i>, are built only on demand, as oracles for
-arbitrary H. Each joint operator is one D x D allocation, frozen and handed
-to ``HermitianOperator``, which keeps a read-only complex array that owns its
-data instead of copying it; the chain model -> M -> H -> i[H, M] peaks at
-about 35, 120 and 245 MB RSS for n = 20, 40 and 50.
+density of the happening. On system branch i, M is |pointer_i><pointer_i|, so
+P and the premeasurement fidelity are one overlap |<pointer_i|phi_i>|^2, taken
+on the blocks as p is, and ``check``'s projector check reads only the frames.
+The dense H_i, the joint H, M = V V^H and i[H, M] = [iY | -iV] [V | Y]^H,
+Y = H V, with column i of V the pair |a_i> (x) |pointer_i>, are built only
+on demand, as oracles for arbitrary H. Each joint operator is one D x D
+allocation, frozen and handed to ``HermitianOperator``, which keeps a
+read-only complex array that owns its data instead of copying it; the chain
+model -> M -> H -> i[H, M] peaks at about 35, 120 and 245 MB RSS for n = 20,
+40 and 50.
 """
 
 from __future__ import annotations
@@ -261,17 +262,15 @@ def premeasurement_check(model: MeasurementModel) -> np.ndarray:
     """Evolve each |a_i> (x) |ready> for the nominal duration and score it.
 
     Returns the (n,) fidelities |<a_i, pointer_i | psi(T)>|^2 =
-    |<o_i| exp(-i H_i T) |ready>|^2, all branches at once. |ready> and o_i lie
-    on branch i's block, so the kernel's row for branch i is <o_i| V_i there,
-    V_i the eigenvectors of the block, and it returns the overlaps and forms
-    no state; the orthonormal pointer frame and V_i and the unimodular phases
-    keep their norm. A bad model gets a low fidelity, not an exception; only
-    EigensolverFailure (``branch_spectra``) or a phase off modulus 1
+    |<o_i| exp(-i H_i T) |ready>|^2, all branches at once: ``trajectory``'s
+    overlap for P, taken from |ready> on branch i's block, which holds it and
+    o_i; the orthonormal pointer frame and eigenvectors and the unimodular
+    phases keep its norm. A bad model gets a low fidelity, not an exception;
+    only EigensolverFailure (``branch_spectra``) or a phase off modulus 1
     (NumericalError) raises.
     """
     ready = model.pointer_frame[model.block_index, 0]
-    spectra = model.branch_spectra
-    rows = model.on_blocks(model.pointer_frame.T[1:])[:, None, :].conj() @ spectra.eigenvectors
-    _, propagate = _propagator(spectra, ready, rows)
-    overlaps = propagate(np.array([model.nominal_duration]))
-    return np.abs(overlaps.ravel()) ** 2
+    bras = model.on_blocks(model.pointer_frame.T[1:])[:, None, :].conj()
+    _, propagate = _propagator(model.branch_spectra, ready)
+    a = (bras @ propagate(np.array([model.nominal_duration]))).ravel()
+    return a.real**2 + a.imag**2

@@ -102,10 +102,9 @@ def sample_trials(
     trial is Case 1 when j == i + 1. Identical inputs and seed produce
     identical counts.
     """
-    if n_trials < 1:
-        raise InvalidParameter(f"n_trials must be >= 1, got {n_trials}")
-    spectra = model.branch_spectra
-    _, propagate = _propagator(spectra, model.on_blocks(branches), spectra.eigenvectors)
+    if n_trials < 1 or seed < 0:
+        raise InvalidParameter(f"need n_trials >= 1 and seed >= 0, got {n_trials} and {seed}")
+    _, propagate = _propagator(model.branch_spectra, model.on_blocks(branches))
     phis = np.array(branches, dtype=np.complex128)
     np.put_along_axis(phis, model.block_index, propagate(np.array([t]))[:, :, 0], axis=1)
     dist = joint_distribution(model, phis)

@@ -12,8 +12,8 @@ A scenario is a strict JSON document:
       "sampling": {"t": .., "trials": <int>, "seed": <int>}   // optional
     }
 
-Unknown keys are rejected. Structural problems (bad JSON, wrong types,
-unknown keys) raise ParseError; out-of-range values raise ValidationError.
+Structural problems (bad JSON, wrong types, unknown or repeated keys) raise
+ParseError; out-of-range values raise ValidationError.
 Coefficient vectors within 1e-3 of unit norm are renormalized; larger
 deviations are rejected. The factor is logged at INFO when the program has
 loaded ``logging``; otherwise no handler exists to show it.
@@ -81,6 +81,15 @@ class _LongInt(ValueRecord):
     __slots__ = ("digits",)
 
 
+def _unique_keys(pairs: list) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"repeated key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _parse_int(token: str):
     try:
         return int(token)
@@ -129,7 +138,8 @@ def _as_object(
 def parse_scenario(text: str) -> ScenarioSpec:
     """Parse and validate one scenario document."""
     try:
-        data = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
+        data = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int,
+                          object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno) from exc
     except RecursionError as exc:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import mclock.cli as cli
+import mclock.dynamics as dynamics
 from conftest import (
     basis_state,
     branch_rows,
@@ -297,6 +298,28 @@ class TestTrajectory:
         stack = np.stack([np.zeros((dim, dim)), tilted.matrix])
         with pytest.raises(NumericalError, match="imaginary"):
             expectations(stack, np.stack([psi0, psi0]))
+
+    @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)])
+    @pytest.mark.parametrize("branch, entry", [(0, 0), (1, 1)])
+    def test_non_finite_block_fails_the_rate_expectation(self, monkeypatch, nan, branch, entry):
+        # P is a plain overlap with no check of its own; a NaN in the evolved
+        # blocks must still fail the rate's expectation on the same blocks.
+        propagator = dynamics._propagator
+
+        def corrupted(dec, amplitudes):
+            coeffs, propagate = propagator(dec, amplitudes)
+
+            def at(times):
+                phis = propagate(times)
+                phis[branch, entry] = nan
+                return phis
+
+            return coeffs, at
+
+        monkeypatch.setattr(dynamics, "_propagator", corrupted)
+        model, _, psi0 = _rotation_setup()
+        with pytest.raises(NumericalError, match="expectation has imaginary part"):
+            trajectory(model, branch_rows(model, psi0), TimeGrid(0.0, 1.0, 3))
 
 
 class TestTimingTrajectoryInvariants:

@@ -466,6 +466,29 @@ class TestPremeasurementCheck:
             expected.append(abs(pair.conj() @ evolved) ** 2)
         assert np.max(np.abs(premeasurement_check(model) - expected)) < 1e-10
 
+    @staticmethod
+    def _prob_at_nominal_duration(model, i, points):
+        """trajectory's P at T, starting from |a_i> (x) |ready>: branch row i is |ready>."""
+        rows = np.zeros((model.n_outcomes, model.apparatus_dim), dtype=complex)
+        rows[i] = model.pointer_frame[:, 0]
+        grid = TimeGrid(0.0, model.nominal_duration, points)
+        return trajectory(model, rows, grid).prob_happened[-1]
+
+    @pytest.mark.parametrize("points", [2, 201])
+    @pytest.mark.parametrize("n", [2, 20, 100])
+    def test_is_the_happened_probability_at_nominal_duration(self, n, points):
+        # Both are the overlap |<o_i|phi_i(T)>|^2, so they agree bit for bit.
+        model = build_imperfect_model(n, 1.3, 0.2)
+        fid = premeasurement_check(model)
+        for i in range(n):
+            assert fid[i] == self._prob_at_nominal_duration(model, i, points)
+
+    def test_is_the_happened_probability_for_a_random_frame(self):
+        model = random_frame_model(np.random.default_rng(67), 4, extra_apparatus=2)
+        fid = premeasurement_check(model)
+        for i in range(4):
+            assert abs(fid[i] - self._prob_at_nominal_duration(model, i, 201)) < 1e-14
+
 
 class TestSchmidtDecompose:
     def test_product_state_single_coefficient(self):

@@ -150,6 +150,11 @@ class TestSampleTrials:
         with pytest.raises(InvalidParameter):
             sample_trials(model, balanced_rows(model), 0.5, 0, seed=1)
 
+    def test_rejects_negative_seed(self):
+        model = build_rotation_model(2, 1.0)
+        with pytest.raises(InvalidParameter, match="seed"):
+            sample_trials(model, balanced_rows(model), 0.5, 1, seed=-1)
+
     def test_rejects_state_on_other_space(self):
         # The rows must be (n, d): the joint amplitudes flattened, the rows
         # transposed or cut to fewer apparatus levels are all refused.

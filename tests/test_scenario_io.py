@@ -79,6 +79,15 @@ class TestParseScenario:
         with pytest.raises(ParseError):
             parse_scenario(scenario_with(grid={"t0": 0, "t1": 1, "dt": 0.1}))
 
+    @pytest.mark.parametrize("key, entry", [("g", '"g": 1.0,'), ("t1", '"t1": 1.5708,')],
+                             ids=["top-level", "nested"])
+    def test_rejects_repeated_key(self, key, entry):
+        # Without the check the last of the repeated values would win silently.
+        text = MINIMAL.replace(entry, f'{entry} "{key}": 1e6,')
+        assert text.count(f'"{key}"') == 2
+        with pytest.raises(ParseError, match=f"repeated key '{key}'"):
+            parse_scenario(text)
+
     def test_malformed_json_reports_line(self):
         with pytest.raises(ParseError) as excinfo:
             parse_scenario('{\n  "model": "rotation",\n  oops\n}')
