@@ -22,6 +22,7 @@ points array would dominate memory.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -45,6 +46,8 @@ class TimeGrid(ValueRecord):
     __slots__ = ("t_start", "t_end", "n_points")
 
     def __post_init__(self):
+        if not isinstance(self.n_points, numbers.Integral):
+            raise InvalidParameter(f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 2:
             raise InvalidParameter(f"n_points must be >= 2, got {self.n_points}")
         if not self.t_end > self.t_start:

@@ -8,8 +8,8 @@ the pointer frame (|ready>, then the pointer states) and each H_i on its
 block C_i of apparatus coordinates, which holds |ready>, pointer i and every
 nonzero entry of H_i; off C_i, exp(-i H_i t) is the identity. One stacked
 eigh of the (n, s, s) blocks (``branch_spectra``; s = 2 for the canonical
-models) serves every branch-form computation, and a dense H_i is the case
-C_i = every coordinate (``MeasurementModel.from_dense``). The projector M
+models) serves every branch-form computation, and a dense H_i is the block
+on every coordinate, C_i = (0, ..., d - 1). The projector M
 onto the perfectly correlated system-pointer subspace answers "has the
 measurement happened" (eigenvalue 1 = yes); its expectation in psi(t) is the
 probability that it has happened by time t, and i[H, .] of it gives the time
@@ -56,9 +56,9 @@ class MeasurementModel(Record):
     span the apparatus space. H_i, the apparatus Hamiltonian that acts while
     the system is in |a_i>, is ``branch_blocks[i]`` on the s distinct
     apparatus coordinates ``block_index[i]`` and zero elsewhere; those must
-    hold every nonzero entry of |ready> and of pointer i. ``from_dense``
-    builds a model from the dense (n, d, d) stack, which
-    ``branch_hamiltonians`` returns. ``fidelity`` is the premeasurement
+    hold every nonzero entry of |ready> and of pointer i. A dense H_i is the
+    block on all d coordinates; ``branch_hamiltonians`` returns the dense
+    (n, d, d) stack. ``fidelity`` is the premeasurement
     fidelity the model claims to reach at ``nominal_duration`` (worst outcome
     branch); ``premeasurement_check`` verifies it. The ``__dict__`` slot
     holds the cached properties.
@@ -99,28 +99,6 @@ class MeasurementModel(Record):
         for name, arr in zip(self._fields, (a, o, index, h)):
             object.__setattr__(self, name, _freeze(arr))
 
-    @classmethod
-    def from_dense(cls, system_frame, pointer_frame, branch_hamiltonians, nominal_duration,
-                   fidelity) -> MeasurementModel:
-        """The model whose H_i are the dense (n, d, d) stack, each stored on its block C_i.
-
-        C_i is every coordinate where |ready> or pointer i is nonzero and every
-        row and column where H_i has an entry that is not exactly 0 (NaN
-        included), in ascending order, padded to the largest C_i with the other
-        coordinates; so nothing in H_i is left off its block.
-        """
-        o = np.array(pointer_frame, dtype=np.complex128, ndmin=2)
-        h = np.array(branch_hamiltonians, dtype=np.complex128, ndmin=3)
-        n, d = o.shape[1] - 1, o.shape[0]
-        if h.shape != (n, d, d):
-            raise DimensionMismatch(f"need the (n, d, d) = {(n, d, d)} stack of H_i, got {h.shape}")
-        nonzero = h != 0
-        used = nonzero.any(axis=1) | nonzero.any(axis=2) | ((o[:, :1] != 0) | (o[:, 1:] != 0)).T
-        s = int(used.sum(axis=1).max(initial=0))
-        index = np.argsort(~used, axis=1, kind="stable")[:, :s, None]
-        blocks = h[np.arange(n)[:, None, None], index, index.swapaxes(1, 2)]
-        return cls(system_frame, o, index[:, :, 0], blocks, nominal_duration, fidelity)
-
     @property
     def n_outcomes(self) -> int:
         return self.system_frame.shape[1]
@@ -145,11 +123,15 @@ class MeasurementModel(Record):
         dense[np.arange(n)[:, None, None], index, index.swapaxes(1, 2)] = self.branch_blocks
         return _freeze(dense)
 
-    def on_blocks(self, rows: np.ndarray) -> np.ndarray:
-        """The (n, s) entries of (n, d) rows, row i at the coordinates of branch i's block."""
+    def check_rows(self, rows: np.ndarray) -> None:
+        """Raise DimensionMismatch unless ``rows`` are (n, d), one apparatus row per branch."""
         if rows.shape != (self.n_outcomes, self.apparatus_dim):
             raise DimensionMismatch(f"rows {rows.shape} are not the model's (n, d) = "
                                     f"{(self.n_outcomes, self.apparatus_dim)}")
+
+    def on_blocks(self, rows: np.ndarray) -> np.ndarray:
+        """The (n, s) entries of (n, d) rows, row i at the coordinates of branch i's block."""
+        self.check_rows(rows)
         return np.take_along_axis(rows, self.block_index, axis=1)
 
     @cached_property

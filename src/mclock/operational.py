@@ -57,8 +57,10 @@ def joint_distribution(model: MeasurementModel, branches: np.ndarray) -> np.ndar
     pointer outcome j, in the module's pointer encoding, so the entries sum
     to one (else NumericalError). The matched-pair mass, the trace at offset
     1, equals happened_probability(model, psi) identically; this is the
-    operational/operator equivalence.
+    operational/operator equivalence. Rows that are not the model's (n, d)
+    raise DimensionMismatch.
     """
+    model.check_rows(branches)
     frame_probs = np.abs(branches @ model.pointer_frame.conj()) ** 2  # n x (n + 1)
     row_totals = np.sum(np.abs(branches) ** 2, axis=1)
     residual = np.clip(row_totals - frame_probs.sum(axis=1), 0.0, None)

@@ -27,7 +27,7 @@ class SchmidtDecomposition(Record):
         if np.any(coeffs < 0) or np.any(np.diff(coeffs) > 0):
             raise NumericalError("coefficients must be nonnegative and descending")
         total = float(np.sum(coeffs**2))
-        if abs(total - 1.0) > TOL.orthonormality:
+        if not abs(total - 1.0) <= TOL.orthonormality:
             raise NumericalError(f"squared coefficients sum to {total!r}, not 1")
         for name, arr in zip(("coefficients", "left", "right"), (coeffs, left, right)):
             arr.setflags(write=False)
@@ -72,6 +72,6 @@ def schmidt_decompose(amplitudes: np.ndarray, dims, split: int) -> SchmidtDecomp
 
     recon = ((u * s) @ vh).ravel()
     err = float(np.linalg.norm(recon - amps))
-    if err > TOL.schmidt_reconstruction:
+    if not err <= TOL.schmidt_reconstruction:
         raise NumericalError(f"Schmidt reconstruction off by {err:.3e}")
     return dec

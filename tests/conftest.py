@@ -6,7 +6,9 @@ cross-check each other. Tests that build a joint-space state, for the dense
 oracle or as a Haar-random start, hand the library its branch rows through
 ``branch_rows``. ``basis_state``, ``tensor_state`` and ``happened_probability``
 build such states and read the dense happened projector in them. ``fields``
-and ``replace`` read and rebuild any mclock record.
+and ``replace`` read and rebuild any mclock record. ``whole_space_model``
+builds a model from a dense stack of H_i, each stored as the block on every
+apparatus coordinate.
 """
 
 import math
@@ -25,13 +27,21 @@ def replace(record, **changes):
     """A new record of the same class with ``changes`` to its fields, validated again.
 
     A model's dense ``branch_hamiltonians`` replace its blocks through
-    ``MeasurementModel.from_dense``.
+    ``whole_space_model``.
     """
     values = {name: getattr(record, name) for name in fields(type(record))}
     if "branch_hamiltonians" in changes:
         del values["block_index"], values["branch_blocks"]
-        return MeasurementModel.from_dense(**{**values, **changes})
+        return whole_space_model(**{**values, **changes})
     return type(record)(**{**values, **changes})
+
+
+def whole_space_model(system_frame, pointer_frame, branch_hamiltonians, nominal_duration,
+                      fidelity) -> MeasurementModel:
+    """The model whose dense (n, d, d) H_i are each the block on all d apparatus coordinates."""
+    h = np.asarray(branch_hamiltonians)
+    index = np.broadcast_to(np.arange(h.shape[-1]), h.shape[:-1])
+    return MeasurementModel(system_frame, pointer_frame, index, h, nominal_duration, fidelity)
 
 
 def series_expm(a: np.ndarray, tol: float = 1e-16, max_terms: int = 80) -> np.ndarray:
@@ -117,7 +127,7 @@ def random_frame_model(
     pointer_to_ready = app_u[:, 1 : n + 1].T[:, :, None] * app_u[:, 0].conj()
     branches = 1j * g * (pointer_to_ready - pointer_to_ready.conj().transpose(0, 2, 1))
 
-    return MeasurementModel.from_dense(
+    return whole_space_model(
         system_frame=sys_u,
         pointer_frame=app_u[:, : n + 1],
         branch_hamiltonians=branches,

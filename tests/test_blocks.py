@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import mclock.operational as operational
-from conftest import branch_rows, evolve_series, haar_state, haar_unitary
+from conftest import (
+    branch_rows,
+    evolve_series,
+    haar_state,
+    haar_unitary,
+    replace,
+    whole_space_model,
+)
 from mclock import (
     EigensolverFailure,
     MeasurementModel,
@@ -26,52 +33,51 @@ from mclock import (
 
 
 def dense_random_frame():
-    """H_i = i g (|o_i><ready| - h.c.) in Haar frames: C_i is every coordinate."""
+    """H_i = i g (|o_i><ready| - h.c.) in Haar frames, each on the block of every coordinate."""
     rng = np.random.default_rng(71)
     n, d, g = 3, 6, 1.2
     frame = haar_unitary(rng, d)[:, : n + 1]
     kick = frame[:, 1:].T[:, :, None] * frame[:, 0].conj()
     h = 1j * g * (kick - kick.conj().transpose(0, 2, 1))
-    return haar_unitary(rng, n), frame, h, d
+    return h, whole_space_model(haar_unitary(rng, n), frame, h, math.pi / 2, 0.0)
 
 
 def two_disjoint_pairs():
     """Branch i couples ready to pointer i; branches 0 and 1 also couple level 6 to 4 and 5.
 
-    C_0 = {0, 1, 4, 6} and C_1 = {0, 2, 5, 6}; C_2 = {0, 3} is padded to 4.
+    The blocks are written on C_0 = {0, 1, 4, 6} and C_1 = {0, 2, 5, 6}, and
+    C_2 = {0, 3} is padded to 4 with levels 1 and 2; the dense stack is
+    written separately, as the oracle's joint H reads it.
     """
     n, d = 3, 7
     h = np.zeros((n, d, d), dtype=complex)
+    blocks = np.zeros((n, 4, 4), dtype=complex)
     for i, g in enumerate((0.9, 1.1, 1.3)):
         h[i, i + 1, 0], h[i, 0, i + 1] = 1j * g, -1j * g
-    h[0, 4, 6] = h[0, 6, 4] = 0.8
-    h[1, 5, 6], h[1, 6, 5] = 0.5j, -0.5j
-    return np.eye(n), np.eye(d)[:, : n + 1], h, 4
+        blocks[i, 1, 0], blocks[i, 0, 1] = 1j * g, -1j * g
+    h[0, 4, 6] = h[0, 6, 4] = blocks[0, 2, 3] = blocks[0, 3, 2] = 0.8
+    h[1, 5, 6], h[1, 6, 5] = blocks[1, 2, 3], blocks[1, 3, 2] = 0.5j, -0.5j
+    index = [[0, 1, 4, 6], [0, 2, 5, 6], [0, 3, 1, 2]]
+    return h, MeasurementModel(np.eye(n), np.eye(d)[:, : n + 1], index, blocks, math.pi / 2, 0.0)
 
 
 def canonical():
-    """The imperfect model's dense stack, written as its builder describes it."""
+    """The imperfect model's dense stack, written as its builder describes it, and the model."""
     n, g, eps = 4, 1.0, 0.1
     h = np.zeros((n, n + 1, n + 1), dtype=complex)
     for i in range(n):
         c = g * (1 - eps) if i == 0 else g
         h[i, i + 1, 0], h[i, 0, i + 1] = 1j * c, -1j * c
-    return np.eye(n), np.eye(n + 1), h, 2
+    return h, build_imperfect_model(n, g, eps)
 
 
 CASES = {"dense": dense_random_frame, "two-pairs": two_disjoint_pairs, "canonical": canonical}
 
 
 def _model(case):
-    a, frame, h, s = CASES[case]()
-    if case == "canonical":
-        model = build_imperfect_model(4, 1.0, 0.1)
-    else:
-        model = MeasurementModel.from_dense(a, frame, h, math.pi / 2, 0.0)
-    assert model.branch_blocks.shape == (a.shape[0], s, s)
-    if case == "two-pairs":
-        assert model.block_index.tolist() == [[0, 1, 4, 6], [0, 2, 5, 6], [0, 3, 1, 2]]
+    h, model = CASES[case]()
     assert np.array_equal(model.branch_hamiltonians, h)
+    a = model.system_frame
     return model, sum(np.kron(np.outer(a_i, a_i.conj()), h_i) for a_i, h_i in zip(a.T, h))
 
 
@@ -112,12 +118,12 @@ def test_block_path_matches_series_oracle(case, monkeypatch):
 @pytest.mark.parametrize("branch, row, col",
                          [(1, 0, 2), (1, 2, 0), (1, 3, 4), (2, 4, 0), (0, 4, 4)])
 def test_asymmetric_entry_anywhere_fails_construction(branch, row, col):
-    # On or off the canonical block, an entry not matched by its transpose
-    # conjugated puts its row and column in C_i and fails the block's check.
-    a, frame, h, _ = canonical()
+    # On or off the canonical couplings, an entry of a dense H_i not matched
+    # by its transpose conjugated fails the block's check.
+    h, model = canonical()
     h[branch, row, col] += 1e-6j
     with pytest.raises(NumericalError, match="self-adjoint"):
-        MeasurementModel.from_dense(a, frame, h, math.pi / 2, 0.0)
+        replace(model, branch_hamiltonians=h)
 
 
 def shift_levels(w, v):

@@ -52,6 +52,9 @@ class TestTimeGrid:
             TimeGrid(1.0, 1.0, 10)
         with pytest.raises(InvalidParameter):  # the span overflows to inf
             TimeGrid(-1e308, 1e308, 10)
+        with pytest.raises(InvalidParameter, match="integer"):  # else .times raises TypeError
+            TimeGrid(0.0, 1.0, 2.5)
+        assert TimeGrid(0.0, 1.0, np.int64(3)).times.tolist() == [0.0, 0.5, 1.0]
 
 
 class TestEvolve:
@@ -230,15 +233,20 @@ class TestTrajectory:
         # its operators' rows are {0, 1, 4}. Branch 1 also couples ready to
         # level 5, so its block {0, 2, 5} holds a row outside its operators'
         # rows through which its state still flows. Branch 2's block {0, 3} is
-        # padded to 3.
+        # padded to 3 with level 1. The blocks are written on those coordinates
+        # and the dense stack the oracle reads separately.
         n, d, g = 3, 6, 1.1
         h = np.zeros((n, d, d), dtype=complex)
+        blocks = np.zeros((n, 3, 3), dtype=complex)
         for i in range(n):
             h[i, i + 1, 0], h[i, 0, i + 1] = 1j * g, -1j * g
-        h[0, 4, 1], h[0, 1, 4] = 0.7, 0.7
-        h[1, 5, 0], h[1, 0, 5] = 0.4j, -0.4j
-        model = MeasurementModel.from_dense(np.eye(n), np.eye(d)[:, : n + 1], h,
-                                             math.pi / (2 * g), 0.0)
+            blocks[i, 1, 0], blocks[i, 0, 1] = 1j * g, -1j * g
+        h[0, 4, 1], h[0, 1, 4] = blocks[0, 2, 1], blocks[0, 1, 2] = 0.7, 0.7
+        h[1, 5, 0], h[1, 0, 5] = blocks[1, 2, 0], blocks[1, 0, 2] = 0.4j, -0.4j
+        index = [[0, 1, 4], [0, 2, 5], [0, 3, 1]]
+        model = MeasurementModel(np.eye(n), np.eye(d)[:, : n + 1], index, blocks,
+                                 math.pi / (2 * g), 0.0)
+        assert np.array_equal(model.branch_hamiltonians, h)
         psi0 = haar_state(np.random.default_rng(14), model.joint_dims)
         joint = sum(np.kron(np.diag(np.eye(n)[i]), h[i]) for i in range(n))
         pairs = np.column_stack([np.kron(np.eye(n)[i], np.eye(d)[i + 1]) for i in range(n)])

@@ -1,11 +1,13 @@
-"""Every name a ``src/mclock`` module imports is used, and every private helper is named.
+"""Every import is used, every private helper is named, and no tolerance check lets NaN pass.
 
 Stand-ins for a linter's unused-import and dead-code rules, from the
 standard ``ast`` module alone. An import is used when its bound name appears
 as a name anywhere in the module, annotations included. A module-level
 ``_private`` function or class is live when some ``src/mclock`` module names
 it: as a name, an attribute or an imported name. Tests do not count, so a
-helper only tests reach belongs in the tests.
+helper only tests reach belongs in the tests. A check that raises when a
+value exceeds a ``TOL`` tolerance is written ``not value <= TOL.name``,
+because every comparison with NaN is False.
 """
 
 import ast
@@ -36,6 +38,50 @@ def test_flags_only_unused_names():
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def _mentions_tol(node: ast.AST) -> bool:
+    """Whether ``TOL.<name>`` appears anywhere in the expression."""
+    return any(isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+               and sub.value.id == "TOL" for sub in ast.walk(node))
+
+
+def nan_blind_tolerance_checks(tree: ast.Module) -> list[int]:
+    """Lines of each ``if`` that raises on ``... > TOL...`` (or ``TOL... < ...``), sorted.
+
+    NaN exceeds nothing, so such a check accepts it.
+    """
+    def exceeds_tol(test: ast.expr) -> bool:
+        for cmp in ast.walk(test):
+            if isinstance(cmp, ast.Compare):
+                for left, op, right in zip([cmp.left, *cmp.comparators], cmp.ops,
+                                           cmp.comparators):
+                    if (isinstance(op, ast.Gt) and _mentions_tol(right)
+                            or isinstance(op, ast.Lt) and _mentions_tol(left)):
+                        return True
+        return False
+
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.If)
+        and any(isinstance(stmt, ast.Raise) for stmt in node.body)
+        and exceeds_tol(node.test)
+    )
+
+
+def test_flags_only_raising_checks_that_nan_passes():
+    source = ("if err > TOL.a:\n    raise E\n"
+              "if not err <= TOL.a:\n    raise E\n"
+              "if x < 0 or err > 2 * TOL.a:\n    raise E\n"
+              "if TOL.a < err:\n    raise E\n"
+              "if err > TOL.a:\n    log(err)\n"
+              "if err > limit:\n    raise E\n")
+    assert nan_blind_tolerance_checks(ast.parse(source)) == [1, 5, 7]
+
+
+@pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
+def test_tolerance_checks_reject_nan(path):
+    assert nan_blind_tolerance_checks(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def dead_private_definitions(trees: dict[str, ast.Module]) -> list[str]:

@@ -17,6 +17,7 @@ from conftest import (
     ready_state,
     replace,
     tensor_state,
+    whole_space_model,
 )
 from mclock import (
     DimensionMismatch,
@@ -161,7 +162,7 @@ class TestModelContract:
                 replace(model, **change)
         # Consistent shapes, but one outcome: nothing to measure.
         with pytest.raises(InvalidParameter, match="at least 2 outcomes"):
-            MeasurementModel.from_dense(np.eye(1), np.eye(2), np.zeros((1, 2, 2)), 1.0, 1.0)
+            whole_space_model(np.eye(1), np.eye(2), np.zeros((1, 2, 2)), 1.0, 1.0)
 
     def test_rejects_block_index_that_is_not_a_set_of_coordinates(self):
         # Branch i's block rows are distinct apparatus coordinates holding
@@ -561,3 +562,7 @@ class TestSchmidtDecompose:
             SchmidtDecomposition(np.array([1.0]), np.eye(2), np.eye(2))
         with pytest.raises(NumericalError, match="descending"):
             SchmidtDecomposition(np.array([0.6, 0.8]), np.eye(2), np.eye(2))
+        # NaN passes the order checks and fails only the sum to one.
+        for coefficients, vectors in (([np.nan], [[1.0]]), ([1.0, np.nan], np.eye(2))):
+            with pytest.raises(NumericalError, match="sum to"):
+                SchmidtDecomposition(coefficients, vectors, vectors)

@@ -85,6 +85,14 @@ class TestJointDistribution:
             with pytest.raises(NumericalError):
                 joint_distribution(model, bad)
 
+    def test_rejects_rows_that_are_not_the_models(self):
+        # On n = 2, d = 3: too many levels would fail inside matmul, and too
+        # many or too few branches would make a distribution of other rows.
+        model = build_imperfect_model(2, 1.0, 0.1)
+        for shape in ((2, 4), (3, 3), (1, 3)):
+            with pytest.raises(DimensionMismatch, match=r"not the model's \(n, d\) = \(2, 3\)"):
+                joint_distribution(model, np.full(shape, 0.5, dtype=complex))
+
     def test_residual_bucket_collects_leakage(self):
         rng = np.random.default_rng(47)
         model = random_frame_model(rng, 2, extra_apparatus=2)
