@@ -95,29 +95,21 @@ def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray):
     """Eigenbasis coefficients c of amplitudes[b], and a map from times to the evolved amplitudes.
 
     The map returns the (..., s, k) V[b] @ (exp(-i lambda t) c[b]), V[b] the
-    eigenvectors of H_b in dec, exponentiating each distinct level once per
-    time, so exp(-i H_b t) amplitudes[b] at each time; it raises NumericalError
+    eigenvectors of H_b in dec, exponentiating every eigenvalue at every time,
+    so exp(-i H_b t) amplitudes[b] at each time; it raises NumericalError
     unless every phase is unimodular, which also catches an overflowing lambda t.
-    Raises DimensionMismatch unless amplitudes has the shape of dec.eigenvalues.
     """
-    if amplitudes.shape != dec.eigenvalues.shape:
-        raise DimensionMismatch(
-            f"amplitudes {amplitudes.shape} do not match the spectra {dec.eigenvalues.shape}"
-        )
-    levels, index = np.unique(dec.eigenvalues, return_inverse=True)
-    index = index.reshape(dec.eigenvalues.shape)
     coeffs = dec.eigenvectors.conj().swapaxes(-1, -2) @ amplitudes[..., None]
 
     def at(times: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
-            phases = -1j * np.multiply.outer(levels, times)
+            phases = -1j * np.multiply.outer(dec.eigenvalues, times)
             np.exp(phases, out=phases)
         dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
         if not dev <= TOL.norm:  # NaN fails too
             raise NumericalError(f"phase exp(-i lambda t) deviates from modulus 1 by {dev:.3e}")
-        amps = phases[index]
-        amps *= coeffs
-        return dec.eigenvectors @ amps
+        phases *= coeffs
+        return dec.eigenvectors @ phases
 
     return coeffs, at
 

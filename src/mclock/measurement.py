@@ -70,7 +70,11 @@ class MeasurementModel(Record):
     def __post_init__(self):
         a, o = (np.array(f, dtype=np.complex128, ndmin=2)
                 for f in (self.system_frame, self.pointer_frame))
-        index = np.array(self.block_index, ndmin=2).astype(np.intp, casting="same_kind")
+        index = np.array(self.block_index, ndmin=2)
+        if index.dtype.kind not in "iu" or index.size == 0:
+            raise DimensionMismatch(f"block index must hold integer coordinates, at least one "
+                                    f"per branch, got {index.dtype} of shape {index.shape}")
+        index = index.astype(np.intp, casting="same_kind")
         h = np.array(self.branch_blocks, dtype=np.complex128, ndmin=3)
         n, d, s = a.shape[1], o.shape[0], index.shape[1]
         if (a.shape, o.shape, index.shape, h.shape) != ((n, n), (d, n + 1), (n, s), (n, s, s)):

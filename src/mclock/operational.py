@@ -22,6 +22,7 @@ is pointer index i+1; every non-matched outcome counts as Case 2.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -104,6 +105,9 @@ def sample_trials(
     trial is Case 1 when j == i + 1. Identical inputs and seed produce
     identical counts.
     """
+    for name, value in (("n_trials", n_trials), ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
     if n_trials < 1 or seed < 0:
         raise InvalidParameter(f"need n_trials >= 1 and seed >= 0, got {n_trials} and {seed}")
     _, propagate = _propagator(model.branch_spectra, model.on_blocks(branches))

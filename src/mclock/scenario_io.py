@@ -48,7 +48,7 @@ COEFF_NORM_SLACK = 1e-3
 # (2-vCPU host, wall times +-30% run to run):
 #     n     run           check         sample 1e5    sample 1e7
 #     50    0.20 s 32 MB  0.24 s 31 MB  0.17 s 38 MB  0.32 s 38 MB
-#     100   0.30 s 33 MB  0.30 s 33 MB  0.18 s 38 MB  0.55 s 38 MB
+#     100   0.33 s 33 MB  0.32 s 32 MB  0.23 s 38 MB  0.54 s 38 MB
 #     200   0.53 s 35 MB  0.60 s 36 MB  0.29 s 42 MB  1.17 s 42 MB
 # n stops at 100: at 200 ``sample`` passes 1 s at the trial limit. At the
 # grid limit ``run`` takes ~1.1-1.3 s and peaks near 170 MB (n = 2), most of

@@ -335,6 +335,22 @@ def test_no_command_builds_a_joint_space_operator(tmp_path, monkeypatch):
         assert cli.main(["sample", str(SCENARIOS / name), "--out", out]) == 0
 
 
+def test_no_command_calls_numpy_unique(tmp_path, monkeypatch):
+    # The kernel exponentiates every branch eigenvalue; no command dedups
+    # levels with np.unique, whose first call adds resident pages to each
+    # command's peak.
+    def no_unique(*args, **kwargs):
+        raise AssertionError("numpy.unique called")
+
+    monkeypatch.setattr(np, "unique", no_unique)
+    out = str(tmp_path / "o.csv")
+    for name in ("rotation.json", "imperfect.json", "sampling.json", "wide.json"):
+        assert cli.main(["run", str(SCENARIOS / name), "--out", out]) == 0
+        assert cli.main(["check", str(SCENARIOS / name)]) == 0
+    for name in ("sampling.json", "wide.json"):
+        assert cli.main(["sample", str(SCENARIOS / name), "--out", out]) == 0
+
+
 def test_commands_keep_the_model_in_blocks(tmp_path, monkeypatch):
     # Each of the wide scenario's n = 20 branch Hamiltonians is held and
     # diagonalised as its 2 x 2 block; no command builds the dense (n, d, d)

@@ -94,6 +94,10 @@ class TestEvolve:
         h = HermitianOperator((3,), np.eye(3))
         with pytest.raises(DimensionMismatch):
             evolve(h, basis_state(2, 0), 1.0)
+        # The same number of amplitudes on other factor spaces is refused too.
+        h = HermitianOperator((2, 3), np.eye(6))
+        with pytest.raises(DimensionMismatch, match="dims"):
+            evolve(h, StateVector((3, 2), basis_state(6, 0).amplitudes), 1.0)
 
     def test_matches_power_series_oracle(self):
         rng = np.random.default_rng(9)
@@ -156,7 +160,7 @@ class TestTrajectory:
         # final block; every point must agree with evolving to it alone
         # under the dense joint H. The random frame's 32 branch eigenvalues
         # take 30 distinct float values; the imperfect model's 30 take five,
-        # so most of its phases are gathered from another branch's level.
+        # and each branch exponentiates its own, equal levels included.
         rng = np.random.default_rng(11)
         for model in (
             random_frame_model(rng, 4, extra_apparatus=3),

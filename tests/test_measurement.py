@@ -179,6 +179,11 @@ class TestModelContract:
         ):
             with pytest.raises(error, match=match):
                 replace(model, block_index=index)
+        # No coordinates at all, or coordinates that are not integers.
+        for index, blocks in ((np.zeros((2, 0), dtype=np.intp), np.zeros((2, 0, 0))),
+                              ([[0, 1.0], [0, 2.0]], model.branch_blocks)):
+            with pytest.raises(DimensionMismatch, match="block index"):
+                replace(model, block_index=index, branch_blocks=blocks)
         wrapped = replace(model, block_index=[[0, 1], [0, -1]])
         assert np.array_equal(wrapped.branch_hamiltonians, model.branch_hamiltonians)
 

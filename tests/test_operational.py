@@ -157,11 +157,20 @@ class TestSampleTrials:
         model = build_rotation_model(2, 1.0)
         with pytest.raises(InvalidParameter):
             sample_trials(model, balanced_rows(model), 0.5, 0, seed=1)
+        # A count is an integer: not a float, even a whole one, and not a bool.
+        for n_trials in (1000.0, True):
+            with pytest.raises(InvalidParameter, match="n_trials must be an integer"):
+                sample_trials(model, balanced_rows(model), 0.5, n_trials, seed=1)
+        _, report = sample_trials(model, balanced_rows(model), 0.5, np.int64(3), seed=1)
+        assert report.n_trials == 3
 
     def test_rejects_negative_seed(self):
         model = build_rotation_model(2, 1.0)
         with pytest.raises(InvalidParameter, match="seed"):
             sample_trials(model, balanced_rows(model), 0.5, 1, seed=-1)
+        for seed in (1.5, 2.0, False):
+            with pytest.raises(InvalidParameter, match="seed must be an integer"):
+                sample_trials(model, balanced_rows(model), 0.5, 1, seed=seed)
 
     def test_rejects_state_on_other_space(self):
         # The rows must be (n, d): the joint amplitudes flattened, the rows
