@@ -8,7 +8,9 @@ Subcommands map onto the three activities the library supports:
 
 Exit codes are a stable contract: 0 success, 2 input problem (file,
 parse, validation), 3 numerical failure, 4 a check failed. Summary text
-goes to stdout; data goes to files only, written atomically.
+goes to stdout; data goes to files only, written atomically. The
+computing lives in the library (``check``'s numbers and verdicts in
+``mclock.checks``); this module parses, writes files and words results.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ import numpy as np
 
 from .dynamics import trajectory
 from .errors import MClockError, ParseError, ValidationError
-from .measurement import premeasurement_check
 from .scenario_io import (
     ScenarioSpec,
     build_model,
@@ -39,12 +40,23 @@ from .scenario_io import (
     initial_state,
     parse_scenario,
 )
-from .tolerances import TOL
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK_FAILED = 4
+
+# How ``check`` words each part of a check's record: kind -> clause.
+_CLAUSES = {
+    "fidelity": "min fidelity {:.12g}, declared {:.12g}",
+    "gram": "max |G - I| = {:.3e} (tol {:.3e})",
+    "derivative": "max |dP/dt - p| = {:.3e} (tol {:.3e})",
+    "widened": "tolerance widened for coarse step h = {:.3g}",
+    "phases": "phases unresolved: max|lambda| max|t| 2^-52 = {:.3e}",
+    "coarse": "untested: any curve is within {:.3e}, the step is too coarse to test the identity",
+    "small": "untested: any curve is within {:.3e}, the curves are too small to test the identity",
+    "coincide": "untested: stored times t[{}] = t[{}] = {:.17g} coincide",
+}
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -132,72 +144,17 @@ def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
     return EXIT_OK
 
 
-def _run_checks(spec: ScenarioSpec, model, branches):
-    """Yield (name, passed, detail) for each check of ``_prepare``'s output, in order."""
-    worst = float(premeasurement_check(model).min())
-    threshold = model.fidelity - TOL.premeasurement_check
-    yield (
-        "premeasurement",
-        worst >= threshold,
-        f"min fidelity {worst:.12g}, declared {model.fidelity:.12g}",
-    )
-
-    # M = V V^H for the pairs V = |a_i>|o_i> is Hermitian by construction, and
-    # M^2 - M = V (G - I) V^H with G = (A^H A) o (O^H O): a projector iff G = I.
-    a = model.system_frame
-    o = model.pointer_frame[:, 1:]
-    gram = (a.conj().T @ a) * (o.conj().T @ o)
-    dev = float(np.max(np.abs(gram - np.eye(model.n_outcomes))))
-    tol = TOL.projector_check
-    yield ("projector idempotence", dev < tol, f"max |G - I| = {dev:.3e} (tol {tol:.3e})")
-
-    traj = trajectory(model, branches, spec.grid)
-    step = spec.grid.step
-    # The tolerance is in units of g, as p is. Central-difference truncation
-    # grows like |P'''| h^2 / 6 <= (2/3) g^3 h^2 for these models, so it widens
-    # on coarse grids. Products, not powers: a float power that overflows raises.
-    g = spec.coupling_g
-    widening = (g * step) * (g * step)
-    tol = g * max(TOL.derivative_check, widening)
-    # Three-point derivative on the stored times, which rounding spaces
-    # unevenly far from t = 0: the spacings are a h and b h. Differencing t
-    # before dividing by h keeps the spacings; a and b near 1 cannot underflow.
-    t, prob = traj.grid.times, traj.prob_happened
-    k = int(np.argmin(np.diff(t)))
-    if t[k + 1] == t[k]:  # a zero spacing leaves the derivative undefined
-        yield ("derivative identity", False,
-               f"untested: stored times t[{k}] = t[{k + 1}] = {t[k]:.17g} coincide")
-        return
-    a = (t[1:-1] - t[:-2]) / step
-    b = (t[2:] - t[1:-1]) / step
-    diffs = (a * a * prob[2:] - b * b * prob[:-2] + (b * b - a * a) * prob[1:-1]) / (
-        a * b * (a + b) * step
-    )
-    err = float(np.max(np.abs(diffs - traj.rate[1:-1])))
-    detail = f"max |dP/dt - p| = {err:.3e} (tol {tol:.3e})"
-    if widening > TOL.derivative_check:
-        detail += f"; tolerance widened for coarse step h = {step:.3g}"
-    # Each phase lambda t is rounded to about |lambda t| 2^-52 radians.
-    phase_error = float(np.max(np.abs(model.branch_spectra.eigenvalues))) * float(
-        np.max(np.abs(t))) * 2.0**-52
-    if not err < tol and phase_error > TOL.derivative_check:
-        detail += f"; phases unresolved: max|lambda| max|t| 2^-52 = {phase_error:.3e}"
-    # Any pair of curves misses by at most max|dP/dt| + max|p|; a tolerance
-    # that is not below that bound tests nothing.
-    bound = float(np.max(np.abs(diffs)) + np.max(np.abs(traj.rate[1:-1])))
-    tested = tol < bound
-    if not tested:
-        cause = "step is too coarse" if widening > TOL.derivative_check else "curves are too small"
-        detail += f"; untested: any curve is within {bound:.3e}, the {cause} to test the identity"
-    yield ("derivative identity", tested and err < tol, detail)
-
-
 def cmd_check(spec: ScenarioSpec) -> int:
     if spec.grid.n_points < 3:
         raise ValidationError(
             f"grid.points must be >= 3 for check's derivative identity, got {spec.grid.n_points}"
         )
-    for name, passed, detail in _run_checks(spec, *_prepare(spec)):
+    # Imported here, on the one command that checks: run and sample then
+    # neither compile nor build it.
+    from .checks import run_checks
+
+    for name, passed, parts in run_checks(spec, *_prepare(spec)):
+        detail = "; ".join(_CLAUSES[kind].format(*numbers) for kind, *numbers in parts)
         if not passed:
             print(f"check {name}: FAILED ({detail})", file=sys.stderr)
             return EXIT_CHECK_FAILED

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
 from .hilbert import (HermitianOperator, Record, SpectralDecomposition, StateVector, ValueRecord,
-                      expectations, spectral)
+                      _freeze, expectations, spectral)
 from .tolerances import TOL
 
 if TYPE_CHECKING:
@@ -85,10 +85,8 @@ class TimingTrajectory(Record):
             raise NumericalError("probability curve leaves [0, 1] beyond tolerance")
         if not np.all(np.isfinite(rate)):
             raise NumericalError("rate curve is not finite")
-        prob.setflags(write=False)
-        rate.setflags(write=False)
-        object.__setattr__(self, "prob_happened", prob)
-        object.__setattr__(self, "rate", rate)
+        object.__setattr__(self, "prob_happened", _freeze(prob))
+        object.__setattr__(self, "rate", _freeze(rate))
 
 
 def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray):

@@ -74,6 +74,8 @@ class MeasurementModel(Record):
         if index.dtype.kind not in "iu" or index.size == 0:
             raise DimensionMismatch(f"block index must hold integer coordinates, at least one "
                                     f"per branch, got {index.dtype} of shape {index.shape}")
+        if index.dtype.kind == "u":  # the intp cast would wrap 2^63 and above to negatives
+            index = np.minimum(index, o.shape[0])  # d, like any coordinate >= d, is outside
         index = index.astype(np.intp, casting="same_kind")
         h = np.array(self.branch_blocks, dtype=np.complex128, ndmin=3)
         n, d, s = a.shape[1], o.shape[0], index.shape[1]

@@ -59,6 +59,7 @@ def test_traced_pass_fills_the_counters(tmp_path):
     child = _load("bench_contract_child", BENCH / "child.py")
     import mclock.cli as cli
     import mclock.operational  # install() binds it; the bench imports it in a warm-up pass
+    import mclock.checks  # install() binds it; the bench imports it in a warm-up pass
 
     doc = json.loads((REPO_ROOT / "scenarios" / "imperfect.json").read_text())
     doc["sampling"] = {"t": 0.7853981633974483, "trials": 1000, "seed": 7}
@@ -86,6 +87,7 @@ def test_a_rotation_run_records_one_model_build(tmp_path):
     spans = _load("bench_contract_spans", BENCH / "spans.py")
     import mclock.cli as cli
     import mclock.operational  # install() binds it; the bench imports it in a warm-up pass
+    import mclock.checks  # install() binds it; the bench imports it in a warm-up pass
 
     scenario = str(REPO_ROOT / "scenarios" / "rotation.json")
     tracer = spans.Tracer()

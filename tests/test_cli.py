@@ -228,27 +228,37 @@ class TestCheck:
         # A dead interaction (all couplings effectively zero) cannot
         # premeasure; the check harness reports it as the first failure.
         from mclock import build_rotation_model, initial_state, parse_scenario
+        from mclock.checks import run_checks
 
         spec = parse_scenario(write_scenario(tmp_path / "s.json").read_text())
         dead = _dead_interaction(build_rotation_model(2, 1.0))
-        results = list(cli._run_checks(spec, dead, initial_state(spec, dead)))
+        results = list(run_checks(spec, dead, initial_state(spec, dead)))
         assert results[0][0] == "premeasurement"
         assert results[0][1] is False
 
-    def test_non_orthonormal_pointer_fails_projector_check(self, tmp_path):
+    def test_non_orthonormal_pointer_fails_projector_check(self, tmp_path, capsys, monkeypatch):
         # The pointer frame is orthonormal within the model's 1e-10, but the
         # happened projector misses idempotence by ~4e-11 > 1e-12. The branch
         # check and the dense oracle M^2 - M must agree on which model fails.
         from mclock import build_rotation_model, happened_projector, initial_state, parse_scenario
+        from mclock.checks import run_checks
 
-        spec = parse_scenario(write_scenario(tmp_path / "s.json").read_text())
+        scenario = write_scenario(tmp_path / "s.json")
+        spec = parse_scenario(scenario.read_text())
         model = build_rotation_model(2, 1.0)
         bad = _tilted_pointer(model)
-        results = list(cli._run_checks(spec, bad, initial_state(spec, bad)))
+        results = list(run_checks(spec, bad, initial_state(spec, bad)))
         assert [(name, passed) for name, passed, _ in results[:2]] == [
             ("premeasurement", True), ("projector idempotence", False)
         ]
-        assert results[1][2] == "max |G - I| = 4.000e-11 (tol 1.000e-12)"
+        [(kind, dev, tol)] = results[1][2]
+        assert kind == "gram" and dev == pytest.approx(4.0e-11, rel=1e-3) and tol == 1e-12
+        build = cli.build_model
+        monkeypatch.setattr(cli, "build_model", lambda spec: _tilted_pointer(build(spec)))
+        assert cli.main(["check", str(scenario)]) == 4
+        assert capsys.readouterr().err == (
+            "check projector idempotence: FAILED (max |G - I| = 4.000e-11 (tol 1.000e-12))\n"
+        )
         for m_model, fails in ((bad, True), (model, False)):
             m = happened_projector(m_model).matrix
             assert (float(np.max(np.abs(m @ m - m))) > 1e-12) is fails
@@ -456,12 +466,20 @@ class TestEntry:
                 "print(status, 'dataclasses' in sys.modules, 'logging' in sys.modules)")
         assert _fresh_python("-c", code).splitlines()[-1] == "0 False False"
 
-    @pytest.mark.parametrize("module", ["mclock.operational", "mclock.csv17"])
+    @pytest.mark.parametrize("module", ["mclock.operational", "mclock.csv17", "mclock.checks"])
     def test_cli_import_leaves_out_one_command_modules(self, module):
-        # Only ``sample`` samples and only ``run`` formats a trajectory; the
-        # other commands skip compiling those modules.
+        # Only ``sample`` samples, only ``run`` formats a trajectory and only
+        # ``check`` checks; the other commands skip compiling those modules.
         code = f"import sys, mclock.cli; print({module!r} in sys.modules)"
         assert _fresh_python("-c", code) == "False\n"
+
+    def test_run_and_sample_leave_out_the_checks(self, tmp_path):
+        scenario, out = str(SCENARIOS / "sampling.json"), str(tmp_path / "out.csv")
+        code = (f"import sys, mclock.cli as cli; "
+                f"print(cli.main(['run', {scenario!r}, '--out', {out!r}]), "
+                f"cli.main(['sample', {scenario!r}, '--out', {out!r}]), "
+                "'mclock.checks' in sys.modules)")
+        assert _fresh_python("-c", code).splitlines()[-1] == "0 0 False"
 
     @pytest.mark.skipif(sys.version_info < (3, 11), reason="needs tomllib")
     def test_console_script_runs_the_entry(self):

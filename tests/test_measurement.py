@@ -186,6 +186,13 @@ class TestModelContract:
                 replace(model, block_index=index, branch_blocks=blocks)
         wrapped = replace(model, block_index=[[0, 1], [0, -1]])
         assert np.array_equal(wrapped.branch_hamiltonians, model.branch_hamiltonians)
+        # An unsigned coordinate does not wrap: 2^64 - 1 is outside, not the last one.
+        for dtype in (np.uint8, np.uint64):
+            unsigned = replace(model, block_index=np.array([[0, 1], [0, 2]], dtype=dtype))
+            assert np.array_equal(unsigned.block_index, model.block_index)
+        for big in (3, 2**63, 2**64 - 1):
+            with pytest.raises(DimensionMismatch, match="outside"):
+                replace(model, block_index=np.array([[0, 1], [0, big]], dtype=np.uint64))
 
     def test_rejects_non_orthonormal_frames(self):
         model = build_rotation_model(2, 1.0)
