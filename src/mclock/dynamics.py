@@ -9,7 +9,8 @@ rows, the (n, d) array whose row i is chi_i = (<a_i| (x) I) psi, and evolves
 each under its H_i. H_i is stored on its block C_i of the apparatus
 coordinates and is zero off it, so exp(-i H_i t) moves only the s entries of
 chi_i on C_i, from the model's ``branch_spectra`` (one decomposition of the
-(n, s, s) stack of blocks; s = 2 for the canonical models). ``trajectory``,
+(n, s, s) stack of blocks, in closed form for the canonical models, where
+s = 2, and one stacked eigh otherwise). ``trajectory``,
 the model's premeasurement check and sampling run one kernel, amplitudes in
 and evolved amplitudes out. o_i lies on C_i, so P = sum_i |<o_i|phi_i>|^2 is
 an overlap taken there, and p comes from i[H_i, |o_i><o_i|], built there

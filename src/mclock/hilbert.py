@@ -235,18 +235,26 @@ def expectation(a: HermitianOperator, psi: StateVector) -> float:
     return float(expectations(a.matrix, psi.amplitudes[:, None])[0])
 
 
+def check_reconstruction(matrix: np.ndarray, w: np.ndarray, v: np.ndarray) -> None:
+    """Raise EigensolverFailure unless each A of a (..., d, d) stack is V diag(w) V^H.
+
+    Each A is judged within TOL.spectral x max(1, max|A|), its own scale,
+    whether eigh computed (w, V) or the caller knows them in closed form.
+    """
+    residual = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - matrix
+    _check_small(_max_abs(residual), _max_abs(matrix), TOL.spectral, EigensolverFailure,
+                 "spectral reconstruction off")
+
+
 def spectral(matrix: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a Hermitian matrix, or of a (..., d, d) stack, eigenvalues ascending.
 
     One ``eigh`` call serves the whole stack. Raises EigensolverFailure on
-    non-convergence or if any matrix A fails to reconstruct within
-    TOL.spectral x max(1, max|A|).
+    non-convergence or if any matrix fails ``check_reconstruction``.
     """
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolverFailure(f"eigensolver did not converge: {exc}") from exc
-    residual = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - matrix
-    _check_small(_max_abs(residual), _max_abs(matrix), TOL.spectral, EigensolverFailure,
-                 "spectral reconstruction off")
+    check_reconstruction(matrix, w, v)
     return SpectralDecomposition(w, v)

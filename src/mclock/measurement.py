@@ -6,9 +6,10 @@ pointer states. Every model is a von Neumann premeasurement,
 H = sum_i |a_i><a_i| (x) H_i, stored as the system frame (columns |a_i>),
 the pointer frame (|ready>, then the pointer states) and each H_i on its
 block C_i of apparatus coordinates, which holds |ready>, pointer i and every
-nonzero entry of H_i; off C_i, exp(-i H_i t) is the identity. One stacked
-eigh of the (n, s, s) blocks (``branch_spectra``; s = 2 for the canonical
-models) serves every branch-form computation, and a dense H_i is the block
+nonzero entry of H_i; off C_i, exp(-i H_i t) is the identity. One spectral
+decomposition of the (n, s, s) blocks (``branch_spectra``) serves every
+branch-form computation: the canonical models (s = 2) carry theirs in closed
+form, and any other model takes one stacked eigh. A dense H_i is the block
 on every coordinate, C_i = (0, ..., d - 1). The projector M
 onto the perfectly correlated system-pointer subspace answers "has the
 measurement happened" (eigenvalue 1 = yes); its expectation in psi(t) is the
@@ -41,6 +42,7 @@ from .hilbert import (
     _freeze,
     check_hermitian,
     check_orthonormal,
+    check_reconstruction,
     spectral,
 )
 from .tolerances import TOL
@@ -142,7 +144,10 @@ class MeasurementModel(Record):
 
     @cached_property
     def branch_spectra(self) -> SpectralDecomposition:
-        """spectral(H_i) of every branch block from one stacked eigh, computed on first use."""
+        """spectral(H_i) of every branch block from one stacked eigh, computed on first use.
+
+        The canonical builder supplies it in closed form instead.
+        """
         return spectral(self.branch_blocks)
 
     @cached_property
@@ -171,12 +176,21 @@ def build_rotation_model(n: int, g: float) -> MeasurementModel:
     return build_imperfect_model(n, g, 0.0)
 
 
+# The eigenvectors of every canonical block g(i|1><0| - i|0><1|), g > 0, for
+# its eigenvalues -g and +g: columns (-1, i) / sqrt 2 and (-1, -i) / sqrt 2.
+# 1 / sqrt 2 is taken as LAPACK's eigh rounds it, one ulp below the correctly
+# rounded sqrt(0.5), so the spectrum is eigh's bit for bit.
+_ROTATION_EIGENVECTORS = float.fromhex("0x1.6a09e667f3bccp-1") * np.array([[-1, -1], [1j, -1j]])
+
+
 def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
     """Rotation model whose first outcome couples at g(1 - epsilon).
 
     At the nominal duration the first branch has only rotated by
     (1 - epsilon) pi/2, so the pointer correlation is imperfect and the
-    happened probability stays strictly below 1 for epsilon > 0.
+    happened probability stays strictly below 1 for epsilon > 0. The model
+    carries its blocks' closed-form spectrum as ``branch_spectra``, judged by
+    the reconstruction check that judges eigh's, so it calls no eigh.
     """
     if n < 2:
         raise InvalidParameter(f"need at least 2 outcomes, got {n}")
@@ -200,7 +214,7 @@ def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
         raise InvalidParameter(f"coupling {g} gives nominal duration {duration}, not finite > 0")
     # Each branch rotates by couplings[i] * duration; worst branch sets the fidelity.
     fidelity = float(min(math.sin(c * duration) ** 2 for c in couplings))
-    return MeasurementModel(
+    model = MeasurementModel(
         system_frame=np.eye(n),
         pointer_frame=np.eye(n + 1),
         block_index=index,
@@ -208,6 +222,11 @@ def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
         nominal_duration=duration,
         fidelity=fidelity,
     )
+    levels = np.column_stack((-couplings, couplings))  # ascending, as couplings >= 0
+    vectors = np.broadcast_to(_ROTATION_EIGENVECTORS, (n, 2, 2))
+    check_reconstruction(model.branch_blocks, levels, vectors)
+    model.__dict__["branch_spectra"] = SpectralDecomposition(levels, vectors)
+    return model
 
 
 def _pair_columns(model: MeasurementModel) -> np.ndarray:
@@ -254,8 +273,9 @@ def premeasurement_check(model: MeasurementModel) -> np.ndarray:
     overlap for P, taken from |ready> on branch i's block, which holds it and
     o_i; the orthonormal pointer frame and eigenvectors and the unimodular
     phases keep its norm. A bad model gets a low fidelity, not an exception;
-    only EigensolverFailure (``branch_spectra``) or a phase off modulus 1
-    (NumericalError) raises.
+    only EigensolverFailure (from the eigh of ``branch_spectra``, which a
+    canonical model never calls) or a phase off modulus 1 (NumericalError)
+    raises.
     """
     ready = model.pointer_frame[model.block_index, 0]
     bras = model.on_blocks(model.pointer_frame.T[1:])[:, None, :].conj()

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import replace
 import mclock.cli as cli
+import mclock.measurement as measurement
 from mclock import NumericalError
 from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS
 
@@ -97,15 +98,14 @@ class TestRun:
         assert cli.main(["run", str(scenario), "--out", str(tmp_path / "x.csv")]) == 3
         monkeypatch.undo()
 
-        # An eigensolver that does not converge is an EigensolverFailure.
-        def no_convergence(*args, **kwargs):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        # The model's closed-form branch spectrum is judged as eigh's is; one
+        # that does not reconstruct the g = 1 blocks is an EigensolverFailure.
+        flipped = measurement._ROTATION_EIGENVECTORS * [[-1, 1], [1, 1]]
+        monkeypatch.setattr(measurement, "_ROTATION_EIGENVECTORS", flipped)
         capsys.readouterr()
         assert cli.main(["run", str(scenario), "--out", str(tmp_path / "x.csv")]) == 3
         assert capsys.readouterr().err == (
-            "numerical failure: eigensolver did not converge: Eigenvalues did not converge\n"
+            "numerical failure: spectral reconstruction off by 1.000e+00 (> 1.000e-10)\n"
         )
 
 
@@ -150,22 +150,6 @@ class TestCheck:
         for name in ("rotation.json", "imperfect.json", "sampling.json"):
             assert cli.main(["check", str(SCENARIOS / name)]) == 0
             assert "all checks passed" in capsys.readouterr().out
-
-    def test_diagonalises_each_branch_once(self, monkeypatch):
-        # The premeasurement and derivative checks share the model's branch
-        # spectra: one eigh call on the stack of the n = 2 branch blocks.
-        eigh = np.linalg.eigh
-        calls = []
-
-        def counting_eigh(*args, **kwargs):
-            calls.append(args[0].shape)
-            return eigh(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        for name in ("rotation.json", "imperfect.json", "sampling.json"):
-            calls.clear()
-            assert cli.main(["check", str(SCENARIOS / name)]) == 0
-            assert calls == [(2, 2, 2)]
 
     def test_coarse_grid_widens_derivative_tolerance(self, tmp_path, capsys):
         scenario = write_scenario(
@@ -353,12 +337,27 @@ def test_no_command_calls_numpy_unique(tmp_path, monkeypatch):
         raise AssertionError("numpy.unique called")
 
     monkeypatch.setattr(np, "unique", no_unique)
-    out = str(tmp_path / "o.csv")
+    _run_every_command(tmp_path / "o.csv")
+
+
+def test_no_command_calls_eigh(tmp_path, monkeypatch):
+    # The canonical models carry their blocks' closed-form spectrum, so no
+    # command diagonalises; LAPACK's eigh, on its first call, adds about
+    # 1.1 MB of resident pages to each command's peak.
+    def no_eigh(*args, **kwargs):
+        raise AssertionError("numpy.linalg.eigh called")
+
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    _run_every_command(tmp_path / "o.csv")
+
+
+def _run_every_command(out: Path) -> None:
+    """``run`` and ``check`` on every bundled scenario, ``sample`` on those that sample."""
     for name in ("rotation.json", "imperfect.json", "sampling.json", "wide.json"):
-        assert cli.main(["run", str(SCENARIOS / name), "--out", out]) == 0
+        assert cli.main(["run", str(SCENARIOS / name), "--out", str(out)]) == 0
         assert cli.main(["check", str(SCENARIOS / name)]) == 0
     for name in ("sampling.json", "wide.json"):
-        assert cli.main(["sample", str(SCENARIOS / name), "--out", out]) == 0
+        assert cli.main(["sample", str(SCENARIOS / name), "--out", str(out)]) == 0
 
 
 def test_commands_keep_the_model_in_blocks(tmp_path, monkeypatch):

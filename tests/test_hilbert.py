@@ -255,6 +255,15 @@ class TestSpectral:
             with pytest.raises(EigensolverFailure), np.errstate(all="ignore"):
                 spectral(a)
 
+    def test_non_convergence_is_an_eigensolver_failure(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_convergence)
+        with pytest.raises(EigensolverFailure) as info:
+            spectral(SX)
+        assert str(info.value) == "eigensolver did not converge: Eigenvalues did not converge"
+
     def test_stack_matches_each_matrix(self):
         # One eigh call on a stack gives each matrix's own decomposition.
         rng = np.random.default_rng(44)

@@ -1,8 +1,11 @@
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     basis_state,
@@ -19,8 +22,10 @@ from conftest import (
     tensor_state,
     whole_space_model,
 )
+import mclock.measurement as measurement
 from mclock import (
     DimensionMismatch,
+    EigensolverFailure,
     HermitianOperator,
     InvalidParameter,
     MeasurementModel,
@@ -39,6 +44,7 @@ from mclock import (
     trajectory,
 )
 from mclock.hilbert import check_hermitian, expectations
+from mclock.scenario_io import MAX_OUTCOMES
 from mclock.tolerances import TOL
 
 SQ2 = 1 / math.sqrt(2)
@@ -275,6 +281,65 @@ class TestImperfectModel:
         for eps in (-0.1, 1.0, 1.5):
             with pytest.raises(InvalidParameter):
                 build_imperfect_model(2, 1.0, eps)
+
+
+def closed_form_levels(model):
+    """(-g_i, +g_i) per branch, g_i read off the canonical block g_i(i|1><0| - i|0><1|)."""
+    couplings = model.branch_blocks[:, 1, 0].imag
+    return np.column_stack((-couplings, couplings))
+
+
+class TestClosedFormSpectrum:
+    # The canonical builder supplies its blocks' spectrum instead of calling eigh.
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(
+        n=st.integers(2, MAX_OUTCOMES),
+        epsilon=st.floats(0.0, 1.0, exclude_max=True),
+        u=st.floats(-100.0, 100.0),
+    )
+    def test_is_eighs_bit_for_bit(self, n, epsilon, u):
+        model = build_imperfect_model(n, 10.0**u, epsilon)
+        w, v = np.linalg.eigh(model.branch_blocks)
+        assert model.branch_spectra.eigenvalues.tobytes() == w.tobytes()
+        assert model.branch_spectra.eigenvectors.tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("g", [1e-300, 1e305])
+    def test_levels_are_exact_at_extreme_scales(self, g):
+        # eigh rescales these blocks and its levels are off by a few ulps.
+        model = build_imperfect_model(3, g, 0.1)
+        levels = closed_form_levels(model)
+        assert np.array_equal(model.branch_spectra.eigenvalues, levels)
+        w, _ = np.linalg.eigh(model.branch_blocks)
+        assert np.max(np.abs(w - levels) / np.abs(levels)) <= TOL.spectral
+
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_one_flipped_sign_fails_reconstruction(self, entry, monkeypatch):
+        flipped = measurement._ROTATION_EIGENVECTORS.copy()
+        flipped[entry] *= -1
+        monkeypatch.setattr(measurement, "_ROTATION_EIGENVECTORS", flipped)
+        with pytest.raises(EigensolverFailure, match="spectral reconstruction off"):
+            build_imperfect_model(3, 1.0, 0.1)
+
+    @pytest.mark.parametrize("copy", [
+        lambda model: replace(model, branch_blocks=2 * model.branch_blocks),
+        lambda model: pickle.loads(pickle.dumps(model)),
+    ], ids=["replaced", "unpickled"])
+    def test_copies_diagonalise_their_own_blocks(self, copy, monkeypatch):
+        eigh, calls = np.linalg.eigh, []
+
+        def counting_eigh(matrices):
+            calls.append(matrices.shape)
+            return eigh(matrices)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        model = build_imperfect_model(4, 1.5, 0.2)
+        twin = copy(model)
+        dec = twin.branch_spectra
+        assert calls == [(4, 2, 2)]
+        v, w = dec.eigenvectors, dec.eigenvalues
+        residual = (v * w[:, None, :]) @ v.conj().swapaxes(1, 2) - twin.branch_blocks
+        assert np.max(np.abs(residual)) <= TOL.spectral * np.max(np.abs(twin.branch_blocks))
+        assert np.array_equal(w, closed_form_levels(twin))
 
 
 class TestHappenedProjector:
