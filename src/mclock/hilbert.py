@@ -123,12 +123,12 @@ def _max_abs(matrices: np.ndarray) -> np.ndarray:
 def _check_small(
     dev: np.ndarray, peak: np.ndarray, rel: float, error: type[MClockError], what: str
 ) -> None:
-    """Raise ``error`` unless each matrix's max|diff| (dev) <= rel x max(1, max|A| (peak))."""
+    """Raise ``error`` unless each matrix's deviation (dev) <= rel x max(1, max|A| (peak))."""
     dev = np.ravel(dev)
     tol = rel * np.maximum(1.0, np.ravel(peak))
     if not np.all(dev <= tol):  # NaN fails too
         k = int(np.argmax(dev / tol))
-        raise error(f"{what} by {dev[k]:.3e} (> {tol[k]:.3e})")
+        raise error(f"{what} {dev[k]:.3e} (> {tol[k]:.3e})")
 
 
 def check_hermitian(matrices: np.ndarray) -> None:
@@ -148,7 +148,7 @@ def check_hermitian(matrices: np.ndarray) -> None:
         dev = np.maximum(dev, _max_abs(block - adjoint))
         peak = np.maximum(peak, np.maximum(_max_abs(block), _max_abs(adjoint)))
     _check_small(dev, peak, TOL.hermiticity, NumericalError,
-                 "matrix deviates from self-adjointness")
+                 "matrix deviates from self-adjointness by")
 
 
 class StateVector(Record):
@@ -215,16 +215,16 @@ def expectations(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
     """Real expectation values <psi_k|A|psi_k>, one per amplitude column psi_k.
 
     ``matrix`` is A, or a stack of matrices (..., d, d) applied to columns
-    (..., d, k). Every imaginary part must vanish within tolerance, relative
-    to max(1, max|A|) of its own operator; they are checked and discarded.
+    (..., d, k). Each operator's largest imaginary part must lie within
+    TOL.expectation_imag x max(1, max|A|), judged as ``check_hermitian``
+    judges; the imaginary parts are then discarded.
     """
     if columns.shape[-2] != matrix.shape[-1]:
         raise DimensionMismatch(f"operator {matrix.shape} cannot act on columns {columns.shape}")
     vals = np.einsum("...ij,...ij->...j", columns.conj(), matrix @ columns)
-    scale = np.maximum(1.0, np.max(np.abs(matrix), axis=(-2, -1)))[..., None]
-    imag = float(np.max(np.abs(vals.imag) / scale))
-    if not imag <= TOL.expectation_imag:  # NaN fails too
-        raise NumericalError(f"expectation has imaginary part {imag:.3e} x max(1, max|A|)")
+    imag = np.max(np.abs(vals.imag), axis=-1)
+    _check_small(imag, np.broadcast_to(_max_abs(matrix), imag.shape), TOL.expectation_imag,
+                 NumericalError, "expectation has imaginary part")
     return vals.real
 
 
@@ -243,7 +243,7 @@ def check_reconstruction(matrix: np.ndarray, w: np.ndarray, v: np.ndarray) -> No
     """
     residual = (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2) - matrix
     _check_small(_max_abs(residual), _max_abs(matrix), TOL.spectral, EigensolverFailure,
-                 "spectral reconstruction off")
+                 "spectral reconstruction off by")
 
 
 def spectral(matrix: np.ndarray) -> SpectralDecomposition:

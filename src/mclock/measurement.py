@@ -29,6 +29,7 @@ model -> M -> H -> i[H, M] peaks at about 35, 120 and 245 MB RSS for n = 20,
 from __future__ import annotations
 
 import math
+import numbers
 from functools import cached_property
 
 import numpy as np
@@ -57,10 +58,10 @@ class MeasurementModel(Record):
     is |ready> and column i + 1 is pointer i. It is orthonormal but need not
     span the apparatus space. H_i, the apparatus Hamiltonian that acts while
     the system is in |a_i>, is ``branch_blocks[i]`` on the s distinct
-    apparatus coordinates ``block_index[i]`` and zero elsewhere; those must
-    hold every nonzero entry of |ready> and of pointer i. A dense H_i is the
-    block on all d coordinates; ``branch_hamiltonians`` returns the dense
-    (n, d, d) stack. ``fidelity`` is the premeasurement
+    apparatus coordinates ``block_index[i]``, each in [0, d), and zero
+    elsewhere; those must hold every nonzero entry of |ready> and of pointer
+    i. A dense H_i is the block on all d coordinates; ``branch_hamiltonians``
+    returns the dense (n, d, d) stack. ``fidelity`` is the premeasurement
     fidelity the model claims to reach at ``nominal_duration`` (worst outcome
     branch); ``premeasurement_check`` verifies it. The ``__dict__`` slot
     holds the cached properties.
@@ -76,9 +77,6 @@ class MeasurementModel(Record):
         if index.dtype.kind not in "iu" or index.size == 0:
             raise DimensionMismatch(f"block index must hold integer coordinates, at least one "
                                     f"per branch, got {index.dtype} of shape {index.shape}")
-        if index.dtype.kind == "u":  # the intp cast would wrap 2^63 and above to negatives
-            index = np.minimum(index, o.shape[0])  # d, like any coordinate >= d, is outside
-        index = index.astype(np.intp, casting="same_kind")
         h = np.array(self.branch_blocks, dtype=np.complex128, ndmin=3)
         n, d, s = a.shape[1], o.shape[0], index.shape[1]
         if (a.shape, o.shape, index.shape, h.shape) != ((n, n), (d, n + 1), (n, s), (n, s, s)):
@@ -89,12 +87,13 @@ class MeasurementModel(Record):
             raise InvalidParameter(f"need at least 2 outcomes, got {n}")
         check_orthonormal(a, NumericalError, "system frame")
         check_orthonormal(o, NumericalError, "pointer frame (ready + pointer states)")
+        # Python ints, before the cast, so that no coordinate wraps.
+        if not all(0 <= k < d for k in index.ravel().tolist()):
+            raise DimensionMismatch(f"block index outside the {d} apparatus coordinates")
+        index = index.astype(np.intp)
         # E, the identity's rows at a block's coordinates, is orthonormal iff they
         # are distinct; E^H E keeps exactly the vectors that vanish off the block.
-        try:
-            e = np.eye(d, dtype=np.complex128)[index]
-        except IndexError:
-            raise DimensionMismatch(f"block index outside the {d} apparatus coordinates") from None
+        e = np.eye(d, dtype=np.complex128)[index]
         check_orthonormal(e.swapaxes(1, 2), DimensionMismatch, "block index coordinates")
         frames = np.stack((np.broadcast_to(o[:, 0], (n, d)), o[:, 1:].T), axis=1)
         if np.max(np.abs(frames - (frames @ e.swapaxes(1, 2)) @ e)) != 0:
@@ -192,6 +191,8 @@ def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
     carries its blocks' closed-form spectrum as ``branch_spectra``, judged by
     the reconstruction check that judges eigh's, so it calls no eigh.
     """
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InvalidParameter(f"n must be an integer, got {n!r}")
     if n < 2:
         raise InvalidParameter(f"need at least 2 outcomes, got {n}")
     if not g > 0:

@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import _propagator
 from .errors import InvalidParameter, NumericalError
-from .hilbert import ValueRecord
+from .hilbert import ValueRecord, _freeze
 from .measurement import MeasurementModel
 from .tolerances import TOL
 
@@ -69,8 +69,7 @@ def joint_distribution(model: MeasurementModel, branches: np.ndarray) -> np.ndar
     total = float(np.sum(probs))
     if not abs(total - 1.0) <= TOL.distribution_sum:
         raise NumericalError(f"joint probabilities sum to {total!r}, not 1")
-    probs.setflags(write=False)
-    return probs
+    return _freeze(probs)
 
 
 def _tally(cumulative: np.ndarray, n_trials: int, seed: int) -> np.ndarray:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .dynamics import TimeGrid, TimingTrajectory
 from .errors import InvalidParameter, ParseError, ValidationError
-from .hilbert import ValueRecord
+from .hilbert import ValueRecord, _freeze
 from .measurement import MeasurementModel, build_imperfect_model
 
 if TYPE_CHECKING:
@@ -239,9 +239,7 @@ def initial_state(spec: ScenarioSpec, model: MeasurementModel) -> np.ndarray:
     ``trajectory`` coefficient weight or ``joint_distribution`` sum checks it.
     """
     c = np.array(spec.initial_coefficients, dtype=np.complex128)
-    rows = np.multiply.outer(c, model.pointer_frame[:, 0])
-    rows.setflags(write=False)
-    return rows
+    return _freeze(np.multiply.outer(c, model.pointer_frame[:, 0]))
 
 
 def emit_trajectory_csv(traj: TimingTrajectory) -> str:

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError
-from .hilbert import Record, _as_dims, check_unit_norm
+from .hilbert import Record, _as_dims, _freeze, check_unit_norm
 from .tolerances import TOL
 
 
@@ -29,9 +29,8 @@ class SchmidtDecomposition(Record):
         total = float(np.sum(coeffs**2))
         if not abs(total - 1.0) <= TOL.orthonormality:
             raise NumericalError(f"squared coefficients sum to {total!r}, not 1")
-        for name, arr in zip(("coefficients", "left", "right"), (coeffs, left, right)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        for name, arr in zip(self._fields, (coeffs, left, right)):
+            object.__setattr__(self, name, _freeze(arr))
 
 
 def schmidt_decompose(amplitudes: np.ndarray, dims, split: int) -> SchmidtDecomposition:

@@ -207,6 +207,14 @@ class TestCheck:
         err = capsys.readouterr().err
         assert err == ("check derivative identity: FAILED "
                        "(untested: stored times t[0] = t[1] = 1 coincide)\n")
+        # The coinciding-times verdict is the checks' last entry.
+        from mclock import build_model, initial_state, parse_scenario
+        from mclock.checks import run_checks
+
+        spec = parse_scenario(scenario.read_text())
+        model = build_model(spec)
+        results = list(run_checks(spec, model, initial_state(spec, model)))
+        assert results[-1] == ("derivative identity", False, [("coincide", 0, 1, 1.0)])
 
     def test_corrupted_model_fails_premeasurement(self, tmp_path):
         # A dead interaction (all couplings effectively zero) cannot

@@ -328,6 +328,7 @@ def test_record_contract(monkeypatch, cls, make_fields, by_value):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == a
+    assert a.__eq__(values) is NotImplemented and a != values  # another type
     if by_value:
         assert a == b and hash(a) == hash(b)
     else:

@@ -1,4 +1,5 @@
-"""Every import is used, every private helper is named, and no tolerance check lets NaN pass.
+"""Every import is used, every private helper is named, no tolerance check lets NaN pass,
+and only ``hilbert._freeze`` sets an array's flags.
 
 Stand-ins for a linter's unused-import and dead-code rules, from the
 standard ``ast`` module alone. An import is used when its bound name appears
@@ -7,7 +8,8 @@ as a name anywhere in the module, annotations included. A module-level
 it: as a name, an attribute or an imported name. Tests do not count, so a
 helper only tests reach belongs in the tests. A check that raises when a
 value exceeds a ``TOL`` tolerance is written ``not value <= TOL.name``,
-because every comparison with NaN is False.
+because every comparison with NaN is False. A record or function freezes an
+array by calling ``_freeze``, not ``.setflags(`` itself.
 """
 
 import ast
@@ -122,3 +124,28 @@ def test_every_private_definition_is_named_in_src():
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SOURCE.glob("*.py"))}
     assert dead_private_definitions(trees) == []
+
+
+def setflags_calls(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, enclosing module-level definition or "") of each ``.setflags(`` call, sorted."""
+    return sorted(
+        (node.lineno, getattr(stmt, "name", ""))
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "setflags"
+    )
+
+
+def test_finds_every_setflags_call_with_its_definition():
+    source = ("def _freeze(a):\n    a.setflags(write=False)\n"
+              "class R:\n    def f(self, a):\n        a.setflags(write=False)\n"
+              "b.setflags(write=False)\n"
+              "def g(a):\n    a.flags.writeable = False\n    return setflags(a)\n")
+    assert setflags_calls(ast.parse(source)) == [(2, "_freeze"), (5, "R"), (6, "")]
+
+
+def test_only_hilbert_freeze_sets_array_flags():
+    calls = {f"{path.name}:{name}" for path in sorted(SOURCE.glob("*.py"))
+             for _, name in setflags_calls(ast.parse(path.read_text(encoding="utf-8")))}
+    assert calls == {"hilbert.py:_freeze"}

@@ -61,6 +61,13 @@ class TestRotationModel:
             build_rotation_model(1, 1.0)
         with pytest.raises(InvalidParameter):
             build_rotation_model(2, 0.0)
+        # n counts outcomes: a float, a string or a bool is refused, as numpy integers are not.
+        for n in (2.0, 2.5, "3", True):
+            with pytest.raises(InvalidParameter, match="n must be an integer"):
+                build_rotation_model(n, 1.0)
+            with pytest.raises(InvalidParameter, match="n must be an integer"):
+                build_imperfect_model(n, 1.0, 0.1)
+        assert build_rotation_model(np.int64(3), 1.0).n_outcomes == 3
 
     def test_rejects_coupling_without_finite_duration(self):
         # pi/(2g) is inf at g = 5e-324 and 0 at g = 1e308.
@@ -171,15 +178,14 @@ class TestModelContract:
             whole_space_model(np.eye(1), np.eye(2), np.zeros((1, 2, 2)), 1.0, 1.0)
 
     def test_rejects_block_index_that_is_not_a_set_of_coordinates(self):
-        # Branch i's block rows are distinct apparatus coordinates holding
-        # every nonzero entry of |ready> and pointer i. They index as numpy
-        # does, so -1 is the last coordinate.
+        # Branch i's block rows are distinct apparatus coordinates in [0, d)
+        # holding every nonzero entry of |ready> and pointer i.
         model = build_rotation_model(2, 1.0)
         for index, error, match in (
             ([[0, 1]], DimensionMismatch, "block index"),
             ([[0, 1], [0, 3]], DimensionMismatch, "outside"),
             ([[0, 1], [2, 2]], DimensionMismatch, "block index coordinates not orthonormal"),
-            ([[0, 1], [2, -1]], DimensionMismatch, "block index coordinates not orthonormal"),
+            ([[0, 1], [2, -1]], DimensionMismatch, "outside"),
             ([[0, 1], [1, 2]], InvalidParameter, "off the block"),
             ([[0, 1], [0, 1]], InvalidParameter, "off the block"),
         ):
@@ -190,12 +196,14 @@ class TestModelContract:
                               ([[0, 1.0], [0, 2.0]], model.branch_blocks)):
             with pytest.raises(DimensionMismatch, match="block index"):
                 replace(model, block_index=index, branch_blocks=blocks)
-        wrapped = replace(model, block_index=[[0, 1], [0, -1]])
-        assert np.array_equal(wrapped.branch_hamiltonians, model.branch_hamiltonians)
+        # A negative coordinate does not wrap: -1 is outside, not the last one.
+        with pytest.raises(DimensionMismatch, match="outside"):
+            replace(model, block_index=[[0, 1], [0, -1]])
         # An unsigned coordinate does not wrap: 2^64 - 1 is outside, not the last one.
         for dtype in (np.uint8, np.uint64):
             unsigned = replace(model, block_index=np.array([[0, 1], [0, 2]], dtype=dtype))
             assert np.array_equal(unsigned.block_index, model.block_index)
+            assert unsigned.block_index.dtype == np.intp
         for big in (3, 2**63, 2**64 - 1):
             with pytest.raises(DimensionMismatch, match="outside"):
                 replace(model, block_index=np.array([[0, 1], [0, big]], dtype=np.uint64))
@@ -643,3 +651,17 @@ class TestSchmidtDecompose:
         for coefficients, vectors in (([np.nan], [[1.0]]), ([1.0, np.nan], np.eye(2))):
             with pytest.raises(NumericalError, match="sum to"):
                 SchmidtDecomposition(coefficients, vectors, vectors)
+
+    def test_reconstruction_failure_raises(self, monkeypatch):
+        # Right vectors off by 1e-6 still make a valid record, but their
+        # product misses the state by far more than the 1e-9 tolerance.
+        svd = np.linalg.svd
+
+        def skewed(matrix, full_matrices):
+            u, s, vh = svd(matrix, full_matrices=full_matrices)
+            return u, s, vh + 1e-6
+
+        monkeypatch.setattr(np.linalg, "svd", skewed)
+        psi = haar_state(np.random.default_rng(5), (2, 3))
+        with pytest.raises(NumericalError, match="Schmidt reconstruction off by"):
+            schmidt_decompose(psi.amplitudes, psi.dims, 1)
