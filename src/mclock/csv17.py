@@ -2,8 +2,9 @@
 
 Seventeen digits round-trip every double, but they are more than the fast
 path of CPython's float formatting allows, so ``%`` takes ~1 us a value.
-Here blocks of rows are formatted as arrays of bytes instead; the output is
-byte for byte what ``%`` prints.
+Here blocks of rows, as many as fill ``hilbert.BLOCK_BYTES`` with their
+fields, are formatted as arrays of bytes instead; at any block size the
+output is byte for byte what ``%`` prints.
 
 A finite x with 1e-4 <= |x| < 1e16 prints in fixed notation, and its 17
 significant digits D = round-half-even(|x| 10^(16 - E)), E = floor(log10|x|),
@@ -21,11 +22,8 @@ import functools
 
 import numpy as np
 
-# Rows per block. Small, so that a block's temporaries stay below the text
-# itself: formatting a 20,001-point trajectory peaks at 2.6 MB (tracemalloc)
-# with 1,024-row blocks and at 10 MB with 16,384-row ones, above the 4.8 MB
-# of printing it row by row with "%".
-BLOCK_ROWS = 1024
+from .hilbert import BLOCK_BYTES
+
 _FIELD = 24
 _LEAD = 7
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's splitter for binary64
@@ -150,9 +148,10 @@ def _format_rows(block: np.ndarray) -> tuple[str, list[int], list[int]]:
 def format_csv(header: str, columns) -> str:
     """The header line, then one row per index of the equal-length float columns."""
     row_format = "\n" + ",".join(["%.17g"] * len(columns))
+    rows = BLOCK_BYTES // (_FIELD * len(columns))  # a block's field bytes
     pieces = [header]
-    for start in range(0, len(columns[0]), BLOCK_ROWS):
-        block = np.stack([c[start : start + BLOCK_ROWS] for c in columns], axis=1)
+    for start in range(0, len(columns[0]), rows):
+        block = np.stack([c[start : start + rows] for c in columns], axis=1)
         text, slow, ends = _format_rows(block)
         done = 0
         for row in slow:

@@ -29,16 +29,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
-from .hilbert import (HermitianOperator, Record, SpectralDecomposition, StateVector, ValueRecord,
-                      _freeze, expectations, spectral)
+from .hilbert import (BLOCK_BYTES, HermitianOperator, Record, SpectralDecomposition,
+                      StateVector, ValueRecord, _freeze, expectations, spectral)
 from .tolerances import TOL
 
 if TYPE_CHECKING:
     from .measurement import MeasurementModel
-
-# Block size bounding temporaries: complex amplitudes held per block of grid
-# points in ``trajectory``.
-BLOCK_AMPLITUDES = 2**16
 
 
 class TimeGrid(ValueRecord):
@@ -132,10 +128,12 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
     the block of phi_i is formed.
     The model's one spectral decomposition of the blocks serves all points,
     so there is no error accumulation between samples. Points are evaluated
-    in blocks of at most BLOCK_AMPLITUDES joint amplitudes, all branches at
-    once. The eigenbasis coefficients and the entries of chi_i off C_i, which
-    do not evolve, must have total weight 1 and every phase modulus 1; with
-    orthonormal eigenvectors that makes every state unit-norm.
+    in blocks, all branches at once, as many as evolve BLOCK_BYTES of block
+    amplitudes and never fewer than two, so a point's value does not depend
+    on the rest of the grid. The eigenbasis coefficients and the entries of
+    chi_i off C_i, which do not evolve, must have total weight 1 and every
+    phase modulus 1; with orthonormal eigenvectors that makes every state
+    unit-norm.
     """
     chi = model.on_blocks(branches)
     o = model.on_blocks(model.pointer_frame.T[1:])[:, :, None]
@@ -155,9 +153,10 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
     times = grid.times
     prob = np.empty(times.size)
     rate = np.empty(times.size)
-    block = max(1, BLOCK_AMPLITUDES // branches.size)
-    for start in range(0, times.size, block):
-        points = slice(start, start + block)
+    # A one-point block would take numpy's matrix-vector path, which rounds
+    # otherwise; the last block takes the remainder, up to one point more.
+    edges = [*range(0, times.size - 1, max(2, BLOCK_BYTES // chi.nbytes)), times.size]
+    for points in map(slice, edges, edges[1:]):
         phis = propagate(times[points])
         a = (bras @ phis)[:, 0]
         prob[points] = (a.real**2 + a.imag**2).sum(axis=0)

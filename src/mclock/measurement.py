@@ -195,6 +195,9 @@ def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
         raise InvalidParameter(f"n must be an integer, got {n!r}")
     if n < 2:
         raise InvalidParameter(f"need at least 2 outcomes, got {n}")
+    for name, value in (("g", g), ("epsilon", epsilon)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise InvalidParameter(f"{name} must be a real number, got {value!r}")
     if not g > 0:
         raise InvalidParameter(f"coupling must be positive, got {g}")
     if not 0.0 <= epsilon < 1.0:

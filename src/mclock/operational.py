@@ -11,7 +11,8 @@ operator and operational definitions agree, and the matched mass is the
 exact probability ``sample_trials`` reports. Both functions read the state
 as its (n, d) branch rows, and the joint distribution is a plain read-only
 (n, n + 2) array. Sampled trials are tallied per joint cell, not kept one
-by one, so memory does not grow with the trial count.
+by one, from blocks of ``hilbert.BLOCK_BYTES`` of uniform draws, so memory
+does not grow with the trial count.
 
 Pointer outcome encoding: 0 is the ready state, j in 1..n is the pointer
 state for outcome j, and n+1 is the residual bucket collecting apparatus
@@ -28,7 +29,7 @@ import numpy as np
 
 from .dynamics import _propagator
 from .errors import InvalidParameter, NumericalError
-from .hilbert import ValueRecord, _freeze
+from .hilbert import BLOCK_BYTES, ValueRecord, _freeze
 from .measurement import MeasurementModel
 from .tolerances import TOL
 
@@ -36,12 +37,6 @@ from .tolerances import TOL
 # distribution; the generator is numpy's seeded PCG64.
 RNG_ALGORITHM = "numpy-pcg64/inverse-cdf"
 
-# Uniforms per block of ``_tally``; successive ``random(k)`` calls continue
-# one PCG64 stream, so the counts do not depend on it. Against 2^16, 2^14
-# lowers ``sample``'s peak RSS at n = 8 from 38,880 to 38,060 KiB in the same
-# time; 2^13 saves 140 KiB more but takes 0.21 s, not 0.16 s, for 1e7 trials
-# at n = 50.
-_TALLY_DRAWS = 2**14
 
 
 class EstimateReport(ValueRecord):
@@ -78,10 +73,13 @@ def _tally(cumulative: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
     # below[c], the number of draws under cumulative[c], counts cells 0..c,
     # and the last cell also takes every draw at or above cumulative[-1].
     # Sorting a block of draws finds each below[c] by one binary search.
+    # Successive ``random(k)`` calls continue one PCG64 stream, so the counts
+    # do not depend on the block size.
+    draws = BLOCK_BYTES // 8  # float64 uniforms
     rng = np.random.default_rng(seed)
     below = np.zeros(cumulative.size, dtype=np.int64)
-    for start in range(0, n_trials, _TALLY_DRAWS):
-        block = rng.random(min(_TALLY_DRAWS, n_trials - start))
+    for start in range(0, n_trials, draws):
+        block = rng.random(min(draws, n_trials - start))
         block.sort()
         below += np.searchsorted(block, cumulative, side="left")
     below[-1] = n_trials

@@ -44,13 +44,13 @@ COEFF_NORM_SLACK = 1e-3
 # Resource limits; a scenario beyond one is an input error, not an
 # out-of-memory kill. No command builds a joint-space matrix or a dense stack
 # of branch Hamiltonians: each is a 2 x 2 block. Imperfect model, 2001 points,
-# fresh ``python -m mclock`` processes without cached bytecode, medians of 7
-# (2-vCPU host, wall times +-30% run to run):
+# fresh ``python -m mclock`` processes without cached bytecode, medians of 5
+# in each of two checkouts (2-vCPU host, wall times +-30% run to run):
 #     n     run           check         sample 1e5    sample 1e7
-#     50    0.20 s 32 MB  0.24 s 31 MB  0.17 s 38 MB  0.32 s 38 MB
-#     100   0.33 s 33 MB  0.32 s 32 MB  0.23 s 38 MB  0.54 s 38 MB
-#     200   0.53 s 35 MB  0.60 s 36 MB  0.29 s 42 MB  1.17 s 42 MB
-# n stops at 100: at 200 ``sample`` passes 1 s at the trial limit. At the
+#     50    0.12 s 32 MB  0.12 s 30 MB  0.11 s 36 MB  0.22 s 36 MB
+#     100   0.13 s 32 MB  0.12 s 31 MB  0.12 s 37 MB  0.30 s 37 MB
+#     200   0.16 s 37 MB  0.15 s 37 MB  0.13 s 40 MB  0.63 s 40 MB
+# n stops at 100, where it was set when ``sample`` at 200 took 1.2 s. At the
 # grid limit ``run`` takes ~1.1-1.3 s and peaks near 170 MB (n = 2), most of
 # it the CSV text, held as one string and encoded once to be written; trials
 # are tallied in fixed-size blocks, so ``sample``'s peak does not grow with

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mclock.csv17 import BLOCK_ROWS, format_csv
+from mclock.csv17 import _FIELD, format_csv
+from mclock.hilbert import BLOCK_BYTES
 
 
 def printf_csv(columns) -> str:
@@ -19,15 +20,15 @@ def printf_csv(columns) -> str:
 
 def hard_values(rng: np.random.Generator) -> np.ndarray:
     """Values that probe every branch of the formatter, both signs, shuffled."""
-    decades = 10.0 ** rng.uniform(-6, 18, 20_000)
+    decades = 10.0 ** rng.uniform(-6, 18, 30_000)
     powers = 10.0 ** np.arange(-6, 19)
     neighbours = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
     # m / 4 with 1e15 <= m / 4 < 2^51 and m odd has 18 significant digits
     # ending in 5: an exact tie at 17 digits, which "%.17g" rounds half to even.
-    ties = rng.integers(4 * 10**15, 2**53, 5_000) / 4.0
-    quarters = rng.integers(-(2**53) + 1, 2**53, 5_000) / 4.0
-    integers = rng.integers(-(10**17), 10**17, 5_000).astype(np.float64)
-    small_integers = rng.integers(-(10**6), 10**6, 5_000).astype(np.float64)
+    ties = rng.integers(4 * 10**15, 2**53, 7_500) / 4.0
+    quarters = rng.integers(-(2**53) + 1, 2**53, 7_500) / 4.0
+    integers = rng.integers(-(10**17), 10**17, 7_500).astype(np.float64)
+    small_integers = rng.integers(-(10**6), 10**6, 7_500).astype(np.float64)
     values = np.concatenate([decades, neighbours, ties, quarters, integers, small_integers])
     values *= rng.choice([-1.0, 1.0], values.size)
     special = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310,
@@ -64,7 +65,7 @@ def test_rows_of_any_floats(rows):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_hard_values_across_blocks(seed):
     columns = hard_values(np.random.default_rng(seed)).reshape(-1, 3).T
-    assert columns.shape[1] > 10 * BLOCK_ROWS
+    assert columns.shape[1] > 10 * (BLOCK_BYTES // (_FIELD * 3))
     assert format_csv("t,P,p", columns) == printf_csv(columns)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,8 +34,7 @@ from mclock import (
     rate_operator,
     trajectory,
 )
-from mclock.dynamics import BLOCK_AMPLITUDES
-from mclock.hilbert import expectations
+from mclock.hilbert import BLOCK_BYTES, expectations
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -156,10 +156,9 @@ class TestTrajectory:
         assert abs(integral - (traj.prob_happened[-1] - traj.prob_happened[0])) < 1e-4
 
     def test_blocks_match_per_point_evolution(self):
-        # Enough points to cross three block boundaries, with a one-point
-        # final block; every point must agree with evolving to it alone
-        # under the dense joint H. The random frame's 32 branch eigenvalues
-        # take 30 distinct float values; the imperfect model's 30 take five,
+        # Three whole blocks and a two-point final one; every point must
+        # agree with evolving to it alone under the dense joint H. The random
+        # frame's 32 branch eigenvalues take 30 distinct float values; the imperfect model's 30 take five,
         # and each branch exponentiates its own, equal levels included.
         rng = np.random.default_rng(11)
         for model in (
@@ -168,9 +167,10 @@ class TestTrajectory:
         ):
             h = model.interaction_hamiltonian
             psi0 = haar_state(rng, model.joint_dims)
-            grid = TimeGrid(0.0, 3.0, 3 * (BLOCK_AMPLITUDES // psi0.amplitudes.size) + 1)
+            rows = branch_rows(model, psi0)
+            grid = TimeGrid(0.0, 3.0, 3 * (BLOCK_BYTES // model.on_blocks(rows).nbytes) + 2)
             rate_op = rate_operator(model, h)
-            traj = trajectory(model, branch_rows(model, psi0), grid)
+            traj = trajectory(model, rows, grid)
             for k, t in enumerate(grid.times):
                 psi_t = evolve(h, psi0, t)
                 assert abs(traj.prob_happened[k] - happened_probability(model, psi_t)) < 1e-14
@@ -332,6 +332,77 @@ class TestTrajectory:
         model, _, psi0 = _rotation_setup()
         with pytest.raises(NumericalError, match="expectation has imaginary part"):
             trajectory(model, branch_rows(model, psi0), TimeGrid(0.0, 1.0, 3))
+
+
+def _imperfect_rows(n):
+    """An imperfect model and the branch rows of a Haar system state on |ready>."""
+    model = build_imperfect_model(n, 1.0, 0.1)
+    system = haar_state(np.random.default_rng(n), (n,))
+    return model, branch_rows(model, tensor_state(system, ready_state(model)))
+
+
+class TestTrajectoryBlocks:
+    @staticmethod
+    def _block_sizes(monkeypatch):
+        """The point count of each block ``trajectory`` evaluates, as it evaluates them."""
+        sizes = []
+
+        def spy(matrix, columns):
+            sizes.append(columns.shape[-1])
+            return expectations(matrix, columns)
+
+        monkeypatch.setattr(dynamics, "expectations", spy)
+        return sizes
+
+    # In the larger grid of each pair, blocks of n d amplitudes left the last
+    # point alone, and numpy's matrix-vector path moved P or p there by 1-2
+    # ulps. The last two pairs sit on edges of the BLOCK_BYTES blocks of n s
+    # amplitudes (16 n s bytes a point, s = 2), where a one-point remainder
+    # is folded into the block before.
+    @pytest.mark.parametrize("n, points", [
+        (2, 10_922), (20, 156), (50, 5_000),
+        (2, BLOCK_BYTES // (16 * 2 * 2)), (20, 2 * (BLOCK_BYTES // (16 * 20 * 2))),
+    ])
+    def test_a_point_does_not_depend_on_the_rest_of_the_grid(self, n, points, monkeypatch):
+        model, rows = _imperfect_rows(n)
+        end = model.nominal_duration
+        sizes = self._block_sizes(monkeypatch)
+        alone = trajectory(model, rows, TimeGrid(0.0, end, 2))
+        for count in (points, points + 1):
+            traj = trajectory(model, rows, TimeGrid(0.0, end, count))
+            assert traj.prob_happened[-1] == alone.prob_happened[-1]
+            assert traj.rate[-1] == alone.rate[-1]
+        assert sum(sizes) == 2 + 2 * points + 1
+        assert min(sizes) >= 2
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 3, 5])
+    def test_every_block_holds_two_points(self, budget, monkeypatch):
+        # A budget of ``budget`` points a block at n = 2 (64 bytes a point);
+        # below two points it takes two.
+        size = max(2, budget)
+        model, rows = _imperfect_rows(2)
+        monkeypatch.setattr(dynamics, "BLOCK_BYTES", budget * 64)
+        sizes = self._block_sizes(monkeypatch)
+        for points in range(2, 4 * size + 2):
+            sizes.clear()
+            trajectory(model, rows, TimeGrid(0.0, 1.0, points))
+            assert sum(sizes) == points
+            assert 2 <= min(sizes) and max(sizes) <= size + 1
+
+    @pytest.mark.parametrize("n, points", [(2, 20_001), (100, 2_001)])
+    def test_temporaries_stay_within_a_few_blocks(self, n, points):
+        # Traced above the two output curves: measured 5.3 blocks at n = 2
+        # and 4.3 at n = 100; blocks of n d amplitudes held 22.6 at n = 2.
+        model, rows = _imperfect_rows(n)
+        grid = TimeGrid(0.0, 3.0, points)
+        trajectory(model, rows, grid)  # first-use caches out of the trace
+        tracemalloc.start()
+        try:
+            trajectory(model, rows, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - 2 * 8 * points < 8 * BLOCK_BYTES
 
 
 class TestTimingTrajectoryInvariants:

@@ -30,7 +30,7 @@ from mclock import (
 from mclock.operational import EstimateReport
 from mclock.scenario_io import SamplingSpec, ScenarioSpec, _LongInt
 from mclock.hilbert import (
-    _HERMITIAN_BLOCK,
+    BLOCK_BYTES,
     SpectralDecomposition,
     check_hermitian,
     check_orthonormal,
@@ -128,8 +128,8 @@ class TestCheckHermitian:
         ids=["asymmetric-last-block", "asymmetric-last-and-first-block", "nan-middle-block"],
     )
     def test_matches_the_whole_matrix_formula(self, row, col, value):
-        assert self.D > 2 * (_HERMITIAN_BLOCK // self.D)  # at least three row blocks
         a = random_hermitian(np.random.default_rng(37), self.D, scale=4.0)
+        assert self.D > 2 * (BLOCK_BYTES // a[0].nbytes)  # at least three row blocks
         check_hermitian(a)
         a[row, col] += value
         with pytest.raises(NumericalError) as info:
@@ -213,6 +213,10 @@ class TestExpectation:
         psi = haar_state(rng, (30,))
         exact = np.vdot(psi.amplitudes, a.matrix @ psi.amplitudes).real
         assert abs(expectation(a, psi) - exact) <= 1e-12 * abs(exact)
+
+    def test_no_columns_give_no_values(self):
+        assert expectations(np.eye(2), np.ones((2, 0))).shape == (0,)
+        assert expectations(np.stack([SZ, SZ]), np.ones((2, 2, 0))).shape == (2, 0)
 
     def test_nan_imaginary_part_raises(self):
         column = np.array([[1.0], [complex(0.0, np.nan)]])

@@ -1,5 +1,6 @@
 """Every import is used, every private helper is named, no tolerance check lets NaN pass,
-and only ``hilbert._freeze`` sets an array's flags.
+only ``hilbert._freeze`` sets an array's flags, and ``hilbert.BLOCK_BYTES`` is the one
+block size.
 
 Stand-ins for a linter's unused-import and dead-code rules, from the
 standard ``ast`` module alone. An import is used when its bound name appears
@@ -9,7 +10,9 @@ it: as a name, an attribute or an imported name. Tests do not count, so a
 helper only tests reach belongs in the tests. A check that raises when a
 value exceeds a ``TOL`` tolerance is written ``not value <= TOL.name``,
 because every comparison with NaN is False. A record or function freezes an
-array by calling ``_freeze``, not ``.setflags(`` itself.
+array by calling ``_freeze``, not ``.setflags(`` itself. Every blocked loop
+derives its block from ``BLOCK_BYTES``, so no other module-level constant
+sizes one.
 """
 
 import ast
@@ -149,3 +152,29 @@ def test_only_hilbert_freeze_sets_array_flags():
     calls = {f"{path.name}:{name}" for path in sorted(SOURCE.glob("*.py"))
              for _, name in setflags_calls(ast.parse(path.read_text(encoding="utf-8")))}
     assert calls == {"hilbert.py:_freeze"}
+
+
+BLOCK_WORDS = ("BLOCK", "CHUNK", "BATCH", "ROWS", "DRAWS", "AMPLITUDES")
+
+
+def block_size_constants(tree: ast.Module) -> list[str]:
+    """Module-level names assigned whose name says block, chunk, batch, rows, draws or amplitudes."""
+    names = set()
+    for stmt in tree.body:
+        targets = (stmt.targets if isinstance(stmt, ast.Assign)
+                   else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+        names.update(target.id for target in targets if isinstance(target, ast.Name)
+                     and any(word in target.id.upper() for word in BLOCK_WORDS))
+    return sorted(names)
+
+
+def test_finds_module_level_block_size_constants():
+    source = ("BLOCK_ROWS = 1024\n_TALLY_DRAWS = 2**14\n_chunk: int = 5\nMAX_TRIALS = 10\n"
+              "def f():\n    BLOCK = 2\n")
+    assert block_size_constants(ast.parse(source)) == ["BLOCK_ROWS", "_TALLY_DRAWS", "_chunk"]
+
+
+def test_block_bytes_is_the_one_block_size():
+    constants = {f"{path.name}:{name}" for path in sorted(SOURCE.glob("*.py"))
+                 for name in block_size_constants(ast.parse(path.read_text(encoding="utf-8")))}
+    assert constants == {"hilbert.py:BLOCK_BYTES"}

@@ -68,6 +68,15 @@ class TestRotationModel:
             with pytest.raises(InvalidParameter, match="n must be an integer"):
                 build_imperfect_model(n, 1.0, 0.1)
         assert build_rotation_model(np.int64(3), 1.0).n_outcomes == 3
+        # g and epsilon are real numbers: a string or a bool is named, not compared.
+        for value in ("1", True, None, 1j):
+            with pytest.raises(InvalidParameter, match="g must be a real number"):
+                build_rotation_model(2, value)
+            with pytest.raises(InvalidParameter, match="g must be a real number"):
+                build_imperfect_model(2, value, 0.1)
+            with pytest.raises(InvalidParameter, match="epsilon must be a real number"):
+                build_imperfect_model(2, 1.0, value)
+        assert build_imperfect_model(2, np.float64(1.0), 0).fidelity == 1.0
 
     def test_rejects_coupling_without_finite_duration(self):
         # pi/(2g) is inf at g = 5e-324 and 0 at g = 1e308.

@@ -24,7 +24,8 @@ from mclock import (
     joint_distribution,
     sample_trials,
 )
-from mclock.operational import _TALLY_DRAWS, _tally
+from mclock.hilbert import BLOCK_BYTES
+from mclock.operational import _tally
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -191,7 +192,7 @@ def inverse_cdf_counts(cumulative, n_trials, seed):
 
 
 class TestTally:
-    B = _TALLY_DRAWS
+    B = BLOCK_BYTES // 8  # float64 draws per block
 
     # 2^16 trials fill a whole number of blocks too.
     @pytest.mark.parametrize(

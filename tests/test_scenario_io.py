@@ -21,7 +21,8 @@ from mclock import (
     sample_trials,
     trajectory,
 )
-from mclock.csv17 import BLOCK_ROWS
+from mclock.csv17 import _FIELD
+from mclock.hilbert import BLOCK_BYTES
 from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS
 
 MINIMAL = """
@@ -230,9 +231,10 @@ class TestEmitTrajectoryCsv:
         assert np.array_equal(parsed_p, traj.prob_happened)
         assert np.array_equal(parsed_rate, traj.rate)
 
-    @pytest.mark.parametrize(
-        "points", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
-    )
+    ROWS = BLOCK_BYTES // (_FIELD * 3)  # CSV rows per block of t, P, p
+
+    @pytest.mark.parametrize("points", [ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1],
+                             ids=["edge-1", "edge", "edge+1", "2edge+1"])
     def test_matches_printf_at_block_edges(self, points):
         # From t = 0, whose row and the rows with P < 1e-4 the formatter
         # leaves to "%", past t = 1, where the exponent of t turns 0.
