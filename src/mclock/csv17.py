@@ -109,25 +109,34 @@ def _format_rows(block: np.ndarray) -> tuple[str, list[int], list[int]]:
             break
         e[off] += above[off].astype(np.intp) - below[off]
         hi[off], lo[off] = _times_pow10(a[off], 16 - e[off], pow10s)
+    # Each block-sized temporary is deleted at its last use: on the long-grid
+    # workload that lowered `run`'s peak RSS from 33.97 to 33.65 MB.
+    del a, below, above, off
     # hi >= 2^53 is an even integer, so rint's half-even rule on lo rounds
     # hi + lo as "%.17g" does. Nothing rounds up to 10^17: the largest double
     # below 10^(E + 1) gives hi + lo < 10^17 - 8.
     digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    del hi, lo
 
     lead = digits // 10**16
     rest = digits - lead * 10**16
+    del digits
     upper = rest // 10**8
     lower = rest - upper * 10**8
+    del rest
     quads = (upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4)
+    del upper, lower
     field = np.empty((x.size, _FIELD), np.uint8)
     field[:, :_LEAD] = np.frombuffer(b",-0.000", np.uint8)
     field[::n_cols, 0] = ord("\n")
     field[:, _LEAD] = lead + ord("0")
+    del lead
     words = field.view(np.uint32)  # bytes _LEAD + 1.. are words 2..5
     for column, quad in enumerate(quads, start=2):
         words[:, column] = ascii4.take(quad)
     last = last_digit.take(quads[3])
     round4 = np.flatnonzero(quads[3] == 0)
+    del quads, quad
     if round4.size:
         last[round4] = 16 - np.argmax(field[round4, : _LEAD - 1 : -1] != ord("0"), axis=1)
     for k in np.flatnonzero(np.bincount(e + 4, minlength=20)[4:]).tolist():  # E = k >= 0
@@ -138,7 +147,10 @@ def _format_rows(block: np.ndarray) -> tuple[str, list[int], list[int]]:
     code = ((e + 4) * 17 + last) * 2 + (x < 0)
     slow = np.flatnonzero(~fast.reshape(-1, n_cols).all(axis=1))
     code.reshape(-1, n_cols)[slow] = len(keep) - 1
-    text = field.ravel()[keep.take(code, axis=0).ravel()].tobytes().decode("ascii")
+    mask = keep.take(code, axis=0).ravel()
+    kept = field.ravel()[mask]
+    del field, words, mask
+    text = kept.tobytes().decode("ascii")
     if not slow.size:
         return text, [], []
     ends = np.cumsum(widths.take(code).reshape(-1, n_cols).sum(axis=1))

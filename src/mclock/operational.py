@@ -73,13 +73,15 @@ def _tally(cumulative: np.ndarray, n_trials: int, seed: int) -> np.ndarray:
     # below[c], the number of draws under cumulative[c], counts cells 0..c,
     # and the last cell also takes every draw at or above cumulative[-1].
     # Sorting a block of draws finds each below[c] by one binary search.
-    # Successive ``random(k)`` calls continue one PCG64 stream, so the counts
-    # do not depend on the block size.
+    # Successive ``random(out=...)`` calls continue one PCG64 stream, so the
+    # counts do not depend on the block size. Every block is drawn into one
+    # buffer, so no two blocks are alive at once.
     draws = BLOCK_BYTES // 8  # float64 uniforms
     rng = np.random.default_rng(seed)
+    buffer = np.empty(min(draws, n_trials))
     below = np.zeros(cumulative.size, dtype=np.int64)
     for start in range(0, n_trials, draws):
-        block = rng.random(min(draws, n_trials - start))
+        block = rng.random(out=buffer[: min(draws, n_trials - start)])
         block.sort()
         below += np.searchsorted(block, cumulative, side="left")
     below[-1] = n_trials

@@ -47,9 +47,9 @@ COEFF_NORM_SLACK = 1e-3
 # fresh ``python -m mclock`` processes without cached bytecode, medians of 5
 # in each of two checkouts (2-vCPU host, wall times +-30% run to run):
 #     n     run           check         sample 1e5    sample 1e7
-#     50    0.12 s 32 MB  0.12 s 30 MB  0.11 s 36 MB  0.22 s 36 MB
-#     100   0.13 s 32 MB  0.12 s 31 MB  0.12 s 37 MB  0.30 s 37 MB
-#     200   0.16 s 37 MB  0.15 s 37 MB  0.13 s 40 MB  0.63 s 40 MB
+#     50    0.12 s 31 MB  0.12 s 30 MB  0.11 s 33 MB  0.22 s 33 MB
+#     100   0.13 s 32 MB  0.12 s 31 MB  0.12 s 33 MB  0.30 s 33 MB
+#     200   0.16 s 36 MB  0.15 s 37 MB  0.13 s 37 MB  0.63 s 37 MB
 # n stops at 100, where it was set when ``sample`` at 200 took 1.2 s. At the
 # grid limit ``run`` takes ~1.1-1.3 s and peaks near 170 MB (n = 2), most of
 # it the CSV text, held as one string and encoded once to be written; trials

@@ -511,6 +511,32 @@ class TestEntry:
         _fresh_python("-m", "mclock", "run", scenario, "--out", str(out))
         assert out.read_bytes() == (self.GOLDEN / "imperfect.run.csv").read_bytes()
 
+    @pytest.mark.parametrize("name", ["sampling", "wide"])
+    def test_module_entry_samples_the_golden_draws(self, tmp_path, name):
+        # The entry runs without OpenSSL's _hashlib; the PCG64 draws are the same.
+        scenario, out = str(SCENARIOS / f"{name}.json"), tmp_path / "out.csv"
+        _fresh_python("-m", "mclock", "sample", scenario, "--out", str(out))
+        assert out.read_bytes() == (self.GOLDEN / f"{name}.sample.csv").read_bytes()
+
+    SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+    def _sample_then_hash(self, tmp_path, main: str) -> list[str]:
+        scenario, out = str(SCENARIOS / "sampling.json"), str(tmp_path / "out.csv")
+        # hashlib is imported after the command, so the entry runs first.
+        code = (f"import importlib, sys; "
+                f"status = {main}(['sample', {scenario!r}, '--out', {out!r}]); "
+                "import hashlib; print(status, sys.modules.get('_hashlib') is None, "
+                "hashlib.sha256(b'').hexdigest())")
+        return _fresh_python("-c", code).splitlines()[-1].split()
+
+    def test_entry_samples_without_openssl_and_hashlib_still_works(self, tmp_path):
+        main = "importlib.import_module('mclock.__main__').main"
+        assert self._sample_then_hash(tmp_path, main) == ["0", "True", self.SHA256_EMPTY]
+
+    def test_library_import_keeps_openssl(self, tmp_path):
+        main = "importlib.import_module('mclock.cli').main"
+        assert self._sample_then_hash(tmp_path, main) == ["0", "False", self.SHA256_EMPTY]
+
 
 def test_lazy_exports_resolve_to_their_definitions():
     import mclock

@@ -1,6 +1,6 @@
 """Every import is used, every private helper is named, no tolerance check lets NaN pass,
-only ``hilbert._freeze`` sets an array's flags, and ``hilbert.BLOCK_BYTES`` is the one
-block size.
+only ``hilbert._freeze`` sets an array's flags, ``hilbert.BLOCK_BYTES`` is the one
+block size, and only the process entry writes ``sys.modules``.
 
 Stand-ins for a linter's unused-import and dead-code rules, from the
 standard ``ast`` module alone. An import is used when its bound name appears
@@ -12,7 +12,8 @@ value exceeds a ``TOL`` tolerance is written ``not value <= TOL.name``,
 because every comparison with NaN is False. A record or function freezes an
 array by calling ``_freeze``, not ``.setflags(`` itself. Every blocked loop
 derives its block from ``BLOCK_BYTES``, so no other module-level constant
-sizes one.
+sizes one. Only ``__main__`` assigns to ``sys.modules`` or calls a method
+that writes it, so importing mclock never changes what its importer loads.
 """
 
 import ast
@@ -152,6 +153,47 @@ def test_only_hilbert_freeze_sets_array_flags():
     calls = {f"{path.name}:{name}" for path in sorted(SOURCE.glob("*.py"))
              for _, name in setflags_calls(ast.parse(path.read_text(encoding="utf-8")))}
     assert calls == {"hilbert.py:_freeze"}
+
+
+MODULE_TABLE_WRITERS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}
+
+
+def _is_sys_modules(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "modules"
+            and isinstance(node.value, ast.Name) and node.value.id == "sys")
+
+
+def sys_modules_writes(tree: ast.Module) -> list[int]:
+    """Lines that assign or delete ``sys.modules`` or an entry of it, or call a writing method on it."""
+    lines = set()
+    for node in ast.walk(tree):
+        targets = (node.targets if isinstance(node, (ast.Assign, ast.Delete))
+                   else [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else [])
+        for target in targets:
+            if _is_sys_modules(target) or (isinstance(target, ast.Subscript)
+                                           and _is_sys_modules(target.value)):
+                lines.add(node.lineno)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in MODULE_TABLE_WRITERS and _is_sys_modules(node.func.value)):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_finds_every_write_to_sys_modules():
+    source = ("import sys\nsys.modules.setdefault('_hashlib', None)\n"
+              "sys.modules['a'] = None\ndel sys.modules['b']\n"
+              "def f():\n    sys.modules.update(c=None)\n"
+              "sys.modules = {}\n"
+              "x = sys.modules.get('d')\nmodules = {}\nmodules['e'] = 1\nos.modules.pop('f')\n")
+    assert sys_modules_writes(ast.parse(source)) == [2, 3, 4, 6, 7]
+
+
+def test_only_the_entry_writes_sys_modules():
+    # Blocking a module is the process entry's choice; a library import must
+    # not change what its importer loads.
+    writers = {path.name for path in sorted(SOURCE.glob("*.py"))
+               if sys_modules_writes(ast.parse(path.read_text(encoding="utf-8")))}
+    assert writers == {"__main__.py"}
 
 
 BLOCK_WORDS = ("BLOCK", "CHUNK", "BATCH", "ROWS", "DRAWS", "AMPLITUDES")
