@@ -23,14 +23,13 @@ points array would dominate memory.
 from __future__ import annotations
 
 import math
-import numbers
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
 from .hilbert import (BLOCK_BYTES, HermitianOperator, Record, SpectralDecomposition,
-                      StateVector, ValueRecord, _freeze, expectations, spectral)
+                      StateVector, ValueRecord, _check_scalars, _freeze, spectral)
 from .tolerances import TOL
 
 if TYPE_CHECKING:
@@ -43,8 +42,8 @@ class TimeGrid(ValueRecord):
     __slots__ = ("t_start", "t_end", "n_points")
 
     def __post_init__(self):
-        if not isinstance(self.n_points, numbers.Integral):
-            raise InvalidParameter(f"n_points must be an integer, got {self.n_points!r}")
+        _check_scalars("an integer", n_points=self.n_points)
+        _check_scalars("a real number", t_start=self.t_start, t_end=self.t_end)
         if self.n_points < 2:
             raise InvalidParameter(f"n_points must be >= 2, got {self.n_points}")
         if not self.t_end > self.t_start:
@@ -140,6 +139,10 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
     bras = o.conj().transpose(0, 2, 1)
     # On C_i, X = (H_i |o_i>) <o_i| is H_i |o_i><o_i| and X^H is
     # |o_i><o_i| H_i, so rate_ops[i] = i[H_i, |o_i><o_i|] = i(X - X^H).
+    # X - X^H is exactly anti-Hermitian and the product by 1j exact, so
+    # rate_ops is Hermitian in floating point: with |phi_i| <= 1, which the
+    # weight check keeps, the imaginary part of p is rounding alone and is
+    # dropped unjudged. A NaN there fails TimingTrajectory's range check.
     rate_ops = (model.branch_blocks @ o) @ bras
     rate_ops -= rate_ops.conj().transpose(0, 2, 1)
     rate_ops *= 1j
@@ -160,5 +163,5 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
         phis = propagate(times[points])
         a = (bras @ phis)[:, 0]
         prob[points] = (a.real**2 + a.imag**2).sum(axis=0)
-        rate[points] = expectations(rate_ops, phis).sum(axis=0)
+        rate[points] = np.einsum("...ij,...ij->...j", phis.conj(), rate_ops @ phis).real.sum(axis=0)
     return TimingTrajectory(grid, prob, rate)

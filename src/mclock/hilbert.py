@@ -11,6 +11,7 @@ after construction and their arrays are frozen.
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Sequence
 
 import numpy as np
@@ -100,6 +101,17 @@ def _as_dims(dims: Sequence[int]) -> tuple[int, ...]:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _check_scalars(kind: str, **values) -> None:
+    """Raise InvalidParameter unless every value is ``kind``: "an integer" or "a real number".
+
+    A bool is neither, though Python counts it as both.
+    """
+    rule = numbers.Integral if kind == "an integer" else numbers.Real
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, rule):
+            raise InvalidParameter(f"{name} must be {kind}, got {value!r}")
 
 
 def check_unit_norm(amplitudes: np.ndarray) -> None:

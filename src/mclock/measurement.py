@@ -29,7 +29,6 @@ model -> M -> H -> i[H, M] peaks at about 35, 120 and 245 MB RSS for n = 20,
 from __future__ import annotations
 
 import math
-import numbers
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +39,7 @@ from .hilbert import (
     HermitianOperator,
     Record,
     SpectralDecomposition,
+    _check_scalars,
     _freeze,
     check_hermitian,
     check_orthonormal,
@@ -191,15 +191,15 @@ def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
     carries its blocks' closed-form spectrum as ``branch_spectra``, judged by
     the reconstruction check that judges eigh's, so it calls no eigh.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-        raise InvalidParameter(f"n must be an integer, got {n!r}")
+    _check_scalars("an integer", n=n)
     if n < 2:
-        raise InvalidParameter(f"need at least 2 outcomes, got {n}")
-    for name, value in (("g", g), ("epsilon", epsilon)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+        raise InvalidParameter(f"n must be at least 2, got {n}")
+    _check_scalars("a real number", g=g, epsilon=epsilon)
     if not g > 0:
-        raise InvalidParameter(f"coupling must be positive, got {g}")
+        raise InvalidParameter(f"g must be positive, got {g}")
+    duration = math.pi / (2.0 * g)
+    if not 0.0 < duration < math.inf:
+        raise InvalidParameter(f"g = {g} gives no finite, positive nominal duration pi/(2g)")
     if not 0.0 <= epsilon < 1.0:
         raise InvalidParameter(f"epsilon must lie in [0, 1), got {epsilon}")
     couplings = np.full(n, float(g))
@@ -213,9 +213,6 @@ def build_imperfect_model(n: int, g: float, epsilon: float) -> MeasurementModel:
     blocks[:, 1, 0] = couplings * 1j
     blocks[:, 0, 1] = couplings * -1j
 
-    duration = math.pi / (2.0 * g)
-    if not (math.isfinite(duration) and duration > 0):
-        raise InvalidParameter(f"coupling {g} gives nominal duration {duration}, not finite > 0")
     # Each branch rotates by couplings[i] * duration; worst branch sets the fidelity.
     fidelity = float(min(math.sin(c * duration) ** 2 for c in couplings))
     model = MeasurementModel(

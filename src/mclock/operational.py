@@ -23,13 +23,12 @@ is pointer index i+1; every non-matched outcome counts as Case 2.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
 
 from .dynamics import _propagator
 from .errors import InvalidParameter, NumericalError
-from .hilbert import BLOCK_BYTES, ValueRecord, _freeze
+from .hilbert import BLOCK_BYTES, ValueRecord, _check_scalars, _freeze
 from .measurement import MeasurementModel
 from .tolerances import TOL
 
@@ -52,7 +51,7 @@ def joint_distribution(model: MeasurementModel, branches: np.ndarray) -> np.ndar
     read-only (n, n + 2) result is the probability of q outcome i with
     pointer outcome j, in the module's pointer encoding, so the entries sum
     to one (else NumericalError). The matched-pair mass, the trace at offset
-    1, equals happened_probability(model, psi) identically; this is the
+    1, equals the happened projector's expectation identically; this is the
     operational/operator equivalence. Rows that are not the model's (n, d)
     raise DimensionMismatch.
     """
@@ -104,9 +103,8 @@ def sample_trials(
     trial is Case 1 when j == i + 1. Identical inputs and seed produce
     identical counts.
     """
-    for name, value in (("n_trials", n_trials), ("seed", seed)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise InvalidParameter(f"{name} must be an integer, got {value!r}")
+    _check_scalars("an integer", n_trials=n_trials, seed=seed)
+    _check_scalars("a real number", t=t)
     if n_trials < 1 or seed < 0:
         raise InvalidParameter(f"need n_trials >= 1 and seed >= 0, got {n_trials} and {seed}")
     _, propagate = _propagator(model.branch_spectra, model.on_blocks(branches))

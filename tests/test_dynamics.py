@@ -54,7 +54,15 @@ class TestTimeGrid:
             TimeGrid(-1e308, 1e308, 10)
         with pytest.raises(InvalidParameter, match="integer"):  # else .times raises TypeError
             TimeGrid(0.0, 1.0, 2.5)
-        assert TimeGrid(0.0, 1.0, np.int64(3)).times.tolist() == [0.0, 0.5, 1.0]
+        assert TimeGrid(np.float64(0.0), 1, np.int64(3)).times.tolist() == [0.0, 0.5, 1.0]
+
+    @pytest.mark.parametrize("t_start, t_end", [("a", "b"), (0, 1j), (None, 1.0), (False, True)],
+                             ids=["strings", "complex", "none", "bools"])
+    def test_rejects_endpoints_that_are_not_real(self, t_start, t_end):
+        # Compared or subtracted, the first three leaked TypeError; the bools
+        # were taken as the grid [0, 1].
+        with pytest.raises(InvalidParameter, match="t_(start|end) must be a real number"):
+            TimeGrid(t_start, t_end, 3)
 
 
 class TestEvolve:
@@ -314,8 +322,8 @@ class TestTrajectory:
     @pytest.mark.parametrize("nan", [complex(math.nan, 0.0), complex(0.0, math.nan)])
     @pytest.mark.parametrize("branch, entry", [(0, 0), (1, 1)])
     def test_non_finite_block_fails_the_rate_expectation(self, monkeypatch, nan, branch, entry):
-        # P is a plain overlap with no check of its own; a NaN in the evolved
-        # blocks must still fail the rate's expectation on the same blocks.
+        # P and p are plain sums with no check of their own; a NaN in the
+        # evolved blocks must still fail TimingTrajectory's range check.
         propagator = dynamics._propagator
 
         def corrupted(dec, amplitudes):
@@ -330,7 +338,7 @@ class TestTrajectory:
 
         monkeypatch.setattr(dynamics, "_propagator", corrupted)
         model, _, psi0 = _rotation_setup()
-        with pytest.raises(NumericalError, match="expectation has imaginary part"):
+        with pytest.raises(NumericalError, match=r"probability curve leaves \[0, 1\]"):
             trajectory(model, branch_rows(model, psi0), TimeGrid(0.0, 1.0, 3))
 
 
@@ -346,12 +354,18 @@ class TestTrajectoryBlocks:
     def _block_sizes(monkeypatch):
         """The point count of each block ``trajectory`` evaluates, as it evaluates them."""
         sizes = []
+        propagator = dynamics._propagator
 
-        def spy(matrix, columns):
-            sizes.append(columns.shape[-1])
-            return expectations(matrix, columns)
+        def spy(dec, amplitudes):
+            coeffs, propagate = propagator(dec, amplitudes)
 
-        monkeypatch.setattr(dynamics, "expectations", spy)
+            def at(times):
+                sizes.append(times.size)
+                return propagate(times)
+
+            return coeffs, at
+
+        monkeypatch.setattr(dynamics, "_propagator", spy)
         return sizes
 
     # In the larger grid of each pair, blocks of n d amplitudes left the last
@@ -424,5 +438,5 @@ class TestTimingTrajectoryInvariants:
 
     def test_rejects_length_mismatch(self):
         grid = TimeGrid(0.0, 1.0, 3)
-        with pytest.raises(Exception):
+        with pytest.raises(DimensionMismatch):
             TimingTrajectory(grid, np.zeros(2), np.zeros(3))

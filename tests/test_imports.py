@@ -1,6 +1,7 @@
 """Every import is used, every private helper is named, no tolerance check lets NaN pass,
-only ``hilbert._freeze`` sets an array's flags, ``hilbert.BLOCK_BYTES`` is the one
-block size, and only the process entry writes ``sys.modules``.
+only ``hilbert._freeze`` sets an array's flags, only ``hilbert._check_scalars`` judges a
+scalar's type, ``hilbert.BLOCK_BYTES`` is the one block size, and only the process entry
+writes ``sys.modules``.
 
 Stand-ins for a linter's unused-import and dead-code rules, from the
 standard ``ast`` module alone. An import is used when its bound name appears
@@ -10,10 +11,12 @@ it: as a name, an attribute or an imported name. Tests do not count, so a
 helper only tests reach belongs in the tests. A check that raises when a
 value exceeds a ``TOL`` tolerance is written ``not value <= TOL.name``,
 because every comparison with NaN is False. A record or function freezes an
-array by calling ``_freeze``, not ``.setflags(`` itself. Every blocked loop
-derives its block from ``BLOCK_BYTES``, so no other module-level constant
-sizes one. Only ``__main__`` assigns to ``sys.modules`` or calls a method
-that writes it, so importing mclock never changes what its importer loads.
+array by calling ``_freeze``, not ``.setflags(`` itself, and judges an
+integer or real argument by calling ``_check_scalars``, not by naming a
+``numbers`` ABC itself. Every blocked loop derives its block from
+``BLOCK_BYTES``, so no other module-level constant sizes one. Only
+``__main__`` assigns to ``sys.modules`` or calls a method that writes it,
+so importing mclock never changes what its importer loads.
 """
 
 import ast
@@ -153,6 +156,36 @@ def test_only_hilbert_freeze_sets_array_flags():
     calls = {f"{path.name}:{name}" for path in sorted(SOURCE.glob("*.py"))
              for _, name in setflags_calls(ast.parse(path.read_text(encoding="utf-8")))}
     assert calls == {"hilbert.py:_freeze"}
+
+
+def numbers_abc_uses(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, enclosing module-level definition or "") of each use of a ``numbers`` ABC, sorted.
+
+    A use is an attribute ``numbers.<name>`` or a ``from numbers import``.
+    """
+    return sorted({
+        (node.lineno, getattr(stmt, "name", ""))
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "numbers"
+        or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+    })
+
+
+def test_finds_every_use_of_a_numbers_abc_with_its_definition():
+    source = ("import numbers\nfrom numbers import Integral\n"
+              "def _check_scalars(kind):\n"
+              "    rule = numbers.Integral if kind else numbers.Real\n"
+              "class R:\n    def f(self, x):\n        return isinstance(x, (int, numbers.Real))\n"
+              "ok = isinstance(y, int) or isinstance(y, np.numbers.Real)\n")
+    assert numbers_abc_uses(ast.parse(source)) == [(2, ""), (4, "_check_scalars"), (7, "R")]
+
+
+def test_only_hilbert_check_scalars_judges_a_scalar_type():
+    uses = {f"{path.name}:{name}" for path in sorted(SOURCE.glob("*.py"))
+            for _, name in numbers_abc_uses(ast.parse(path.read_text(encoding="utf-8")))}
+    assert uses == {"hilbert.py:_check_scalars"}
 
 
 MODULE_TABLE_WRITERS = {"setdefault", "update", "pop", "popitem", "clear", "__setitem__"}

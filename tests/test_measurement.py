@@ -57,8 +57,10 @@ def balanced_initial_state(model):
 
 class TestRotationModel:
     def test_rejects_bad_parameters(self):
-        with pytest.raises(InvalidParameter):
-            build_rotation_model(1, 1.0)
+        # n <= 0 would index an empty coupling array; n = 1 also fails the constructor.
+        for n in (1, 0, -1):
+            with pytest.raises(InvalidParameter, match="n must be at least 2"):
+                build_rotation_model(n, 1.0)
         with pytest.raises(InvalidParameter):
             build_rotation_model(2, 0.0)
         # n counts outcomes: a float, a string or a bool is refused, as numpy integers are not.

@@ -173,6 +173,15 @@ class TestSampleTrials:
             with pytest.raises(InvalidParameter, match="seed must be an integer"):
                 sample_trials(model, balanced_rows(model), 0.5, 1, seed=seed)
 
+    def test_rejects_a_time_that_is_not_real(self):
+        # A string time reached the phase product and leaked numpy's UFuncTypeError.
+        model = build_rotation_model(2, 1.0)
+        for t in ("x", None, True):
+            with pytest.raises(InvalidParameter, match="t must be a real number"):
+                sample_trials(model, balanced_rows(model), t, 10, seed=1)
+        _, report = sample_trials(model, balanced_rows(model), np.float64(0.5), 10, seed=1)
+        assert report.t == 0.5
+
     def test_rejects_state_on_other_space(self):
         # The rows must be (n, d): the joint amplitudes flattened, the rows
         # transposed or cut to fewer apparatus levels are all refused.
