@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
 from .hilbert import (BLOCK_BYTES, HermitianOperator, Record, SpectralDecomposition,
-                      StateVector, ValueRecord, _check_scalars, _freeze, spectral)
+                      StateVector, ValueRecord, _check_lengths, _check_scalars, _freeze, spectral)
 from .tolerances import TOL
 
 if TYPE_CHECKING:
@@ -43,7 +43,10 @@ class TimeGrid(ValueRecord):
 
     def __post_init__(self):
         _check_scalars("an integer", n_points=self.n_points)
+        _check_lengths(n_points=self.n_points)
         _check_scalars("a real number", t_start=self.t_start, t_end=self.t_end)
+        for name in ("t_start", "t_end"):  # so an int endpoint's span is a float too
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.n_points < 2:
             raise InvalidParameter(f"n_points must be >= 2, got {self.n_points}")
         if not self.t_end > self.t_start:

@@ -27,10 +27,11 @@ from .tolerances import TOL
 
 # Bytes of the largest working array in each blocked loop, which sizes its
 # block by what it forms: ``trajectory``'s grid points, ``_tally``'s draws,
-# ``check_hermitian``'s rows and ``format_csv``'s rows. Measured (tracemalloc):
-# a D = 420 joint H is judged in 0.38 MB, not 5.8 MB whole; a 20,001-point
-# n = 2 trajectory peaks at 1.0 MB, 3.3 MB in blocks of n d amplitudes. Blocks
-# of 2^16 draws cost ``sample`` 0.8 MB more RSS, and of 2^13 30% more time.
+# ``check_hermitian``'s rows, ``format_csv``'s rows and the row slabs of the
+# dense products in ``measurement``. Measured (tracemalloc): a D = 420 joint H
+# is judged in 0.49 MB, not 5.8 MB whole; a 20,001-point n = 2 trajectory
+# peaks at 1.0 MB, 3.3 MB in blocks of n d amplitudes. Blocks of 2^16 draws
+# cost ``sample`` 0.8 MB more RSS, and of 2^13 30% more time.
 BLOCK_BYTES = 2**17
 
 
@@ -106,12 +107,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _check_scalars(kind: str, **values) -> None:
     """Raise InvalidParameter unless every value is ``kind``: "an integer" or "a real number".
 
-    A bool is neither, though Python counts it as both.
+    A bool is neither, though Python counts it as both. A real number must
+    also lie within the float range, so that ``float`` takes it.
     """
     rule = numbers.Integral if kind == "an integer" else numbers.Real
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, rule):
             raise InvalidParameter(f"{name} must be {kind}, got {value!r}")
+        if rule is numbers.Real:
+            try:
+                float(value)
+            except OverflowError:
+                raise InvalidParameter(f"{name} must be a real number of magnitude at most "
+                                       f"{np.finfo(np.float64).max:.4g}") from None
+
+
+def _check_lengths(**values: int) -> None:
+    """Raise InvalidParameter unless every integer is within a numpy array length in magnitude."""
+    limit = np.iinfo(np.intp).max
+    for name, value in values.items():
+        if abs(value) > limit:  # and a huge int has no str to show
+            raise InvalidParameter(f"{name} must be at most {limit} in magnitude")
 
 
 def check_unit_norm(amplitudes: np.ndarray) -> None:

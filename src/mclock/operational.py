@@ -28,7 +28,7 @@ import numpy as np
 
 from .dynamics import _propagator
 from .errors import InvalidParameter, NumericalError
-from .hilbert import BLOCK_BYTES, ValueRecord, _check_scalars, _freeze
+from .hilbert import BLOCK_BYTES, ValueRecord, _check_lengths, _check_scalars, _freeze
 from .measurement import MeasurementModel
 from .tolerances import TOL
 
@@ -104,7 +104,9 @@ def sample_trials(
     identical counts.
     """
     _check_scalars("an integer", n_trials=n_trials, seed=seed)
+    _check_lengths(n_trials=n_trials)
     _check_scalars("a real number", t=t)
+    t = float(t)  # an int t beyond 2**64 would make an object array
     if n_trials < 1 or seed < 0:
         raise InvalidParameter(f"need n_trials >= 1 and seed >= 0, got {n_trials} and {seed}")
     _, propagate = _propagator(model.branch_spectra, model.on_blocks(branches))

@@ -3,6 +3,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     basis_state,
@@ -23,11 +25,12 @@ from mclock import (
     StateVector,
     TimeGrid,
     TimingTrajectory,
+    build_imperfect_model,
     build_rotation_model,
     expectation,
     spectral,
 )
-from mclock.operational import EstimateReport
+from mclock.operational import EstimateReport, sample_trials
 from mclock.scenario_io import SamplingSpec, ScenarioSpec, _LongInt
 from mclock.hilbert import (
     BLOCK_BYTES,
@@ -148,6 +151,57 @@ class TestCheckHermitian:
             check_hermitian(stack)
         assert str(info.value) == one_shot_hermitian_message(stack)
         assert f"(> {TOL.hermiticity * np.max(np.abs(stack[3])):.3e})" in str(info.value)
+
+
+def _scalar_entries():
+    """Each library entry's one scalar field, as a call of the value and a field name."""
+    model = build_rotation_model(2, 1.0)
+    rows = np.zeros((2, 3), dtype=complex)
+    rows[:, 0] = SQ2
+    return {
+        "g": lambda x: build_imperfect_model(2, x, 0.1),
+        "epsilon": lambda x: build_imperfect_model(2, 1.0, x),
+        "t_start": lambda x: TimeGrid(x, 1.0, 5),
+        "t_end": lambda x: TimeGrid(0.0, x, 5),
+        "t": lambda x: sample_trials(model, rows, x, 10, 1),
+        "n": lambda x: build_imperfect_model(x, 1.0, 0.1),
+        "n_points": lambda x: TimeGrid(0.0, 1.0, x),
+        "n_trials": lambda x: sample_trials(model, rows, 0.5, x, 1),
+    }
+
+
+# An int beyond the float range has no float; one beyond intp cannot size an array.
+BEYOND_FLOAT = st.integers(2**1024, 10**400) | st.integers(-(10**400), -(2**1024))
+BEYOND_INTP = st.integers(2**63, 10**400) | st.integers(-(10**400), -(2**63))
+REALS = ("g", "epsilon", "t_start", "t_end", "t")
+
+
+class TestScalarRule:
+    """Every library entry refuses a scalar it cannot compute with, naming its field."""
+
+    @pytest.mark.parametrize("field, value", [("g", 10**400), ("t_end", 10**400), ("n", 10**20),
+                                              ("n_trials", 10**5000), ("n", -(10**5000))],
+                             ids=["g", "t_end", "n", "n_trials-5001-digits", "n-5001-digits"])
+    def test_refuses_the_overflowing_cases(self, field, value):
+        # The first three leaked OverflowError, OverflowError and numpy's
+        # ValueError; the message names no value that has no str (> 4300 digits).
+        with pytest.raises(InvalidParameter, match=f"^{field} must be"):
+            _scalar_entries()[field](value)
+
+    @pytest.mark.parametrize("field", list(_scalar_entries()))
+    @settings(derandomize=True, database=None, deadline=None, max_examples=25)
+    @given(data=st.data())
+    def test_refuses_any_value_out_of_range(self, field, data):
+        value = data.draw(BEYOND_FLOAT if field in REALS else BEYOND_INTP)
+        with pytest.raises(InvalidParameter, match=f"^{field} must be"):
+            _scalar_entries()[field](value)
+
+    def test_an_int_time_beyond_uint64_is_its_float(self):
+        # np.array([10**20]) is an object array, which leaked TypeError.
+        call = _scalar_entries()["t"]
+        counts, report = call(10**20)
+        assert np.array_equal(counts, call(1e20)[0]) and report == call(1e20)[1]
+        assert report.t == 1e20 and type(report.t) is float
 
 
 class TestTensorState:

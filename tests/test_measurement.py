@@ -464,6 +464,20 @@ class TestRateOperator:
                 rate = rate_operator(model, HermitianOperator(model.joint_dims, h)).matrix
                 assert np.max(np.abs(rate - 1j * (h @ m - m @ h))) < tol
 
+    @pytest.mark.parametrize("hamiltonian", ["canonical", "random"])
+    def test_slabs_equal_one_call_products(self, hamiltonian):
+        # At n = 20 (D = 420) each product takes 23 slabs of 19 rows. A slab's
+        # entries are summed as in one call, so on OpenBLAS 0.3.31 the bits agree.
+        model = build_imperfect_model(20, 1.0, 0.1)
+        h = model.interaction_hamiltonian
+        if hamiltonian == "random":
+            h = HermitianOperator(h.dims, random_hermitian(np.random.default_rng(37), 420))
+        v = measurement._pair_columns(model)
+        y = h.matrix @ v
+        np.testing.assert_array_equal(happened_projector(model).matrix, v @ v.conj().T)
+        np.testing.assert_array_equal(rate_operator(model, h).matrix,
+                                      np.hstack((1j * y, -1j * v)) @ np.hstack((v, y)).conj().T)
+
 
 def traced_peak(call):
     tracemalloc.start()
@@ -479,15 +493,24 @@ class TestDenseMemory:
 
     def test_hermiticity_check_holds_row_blocks_only(self):
         h = build_imperfect_model(20, 1.0, 0.1).interaction_hamiltonian.matrix
-        # Measured 0.38 MB; the whole-matrix check held 5.8 MB.
+        # Measured 0.49 MB; the whole-matrix check held 5.8 MB.
         assert traced_peak(lambda: check_hermitian(h)) < 2**20
 
     def test_rate_operator_allocates_about_its_result(self):
         model = build_imperfect_model(20, 1.0, 0.1)
         h = model.interaction_hamiltonian  # cached before tracing
         side = h.matrix.shape[0]
-        # Measured 1.29 x 16 D^2 (3.6 MB); X, X^H, the copy and the check held 4.1 x.
-        assert traced_peak(lambda: rate_operator(model, h)) < 3 * 16 * side**2
+        # Measured 1.200 x 16 D^2: the result, [V | Y]^H, V and Y while the
+        # last slabs are formed. Whole products, with the factors kept through
+        # the check, held 1.29 x; X, X^H, the copy and the check held 4.1 x.
+        assert traced_peak(lambda: rate_operator(model, h)) < 1.22 * 16 * side**2
+
+    def test_happened_projector_allocates_about_its_result(self):
+        model = build_imperfect_model(20, 1.0, 0.1)
+        side = model.system_dim * model.apparatus_dim
+        # Measured 1.173 x 16 D^2: the result and the Hermiticity check's
+        # blocks. V V^H in one call, with V kept through the check, held 1.22 x.
+        assert traced_peak(lambda: happened_projector(model)) < 1.19 * 16 * side**2
 
 
 class TestHappenedProbability:
