@@ -36,9 +36,9 @@ from .scenario_io import (
     ScenarioSpec,
     build_model,
     emit_sampling_csv,
-    emit_trajectory_csv,
     initial_state,
     parse_scenario,
+    trajectory_csv_pieces,
 )
 
 EXIT_OK = 0
@@ -59,9 +59,11 @@ _CLAUSES = {
 }
 
 
-def _atomic_write(path: str, text: str) -> None:
-    # Leave the mode open(path, "w") would: an existing file keeps its own,
-    # a new one gets 0o666 less the umask (mkstemp alone would give 0o600).
+def _atomic_write(path: str, pieces) -> None:
+    # The str pieces are written in turn, so a source that makes each as it
+    # is drawn never holds the whole text. Leave the mode open(path, "w")
+    # would: an existing file keeps its own, a new one gets 0o666 less the
+    # umask (mkstemp alone would give 0o600).
     try:
         st_mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -71,12 +73,13 @@ def _atomic_write(path: str, text: str) -> None:
     else:
         if not stat.S_ISREG(st_mode):
             # A FIFO, pipe or device is written in place, as open(path, "w")
-            # would; a rename would swap the node itself for a regular file.
-            # The path is opened as given: /dev/stdout or /dev/fd/N onto a
-            # pipe resolve to no name that can be opened. A directory fails
-            # here, naming the path.
+            # and a loop over the pieces would, formatting each while the
+            # node is being written; a rename would swap the node itself for
+            # a regular file. The path is opened as given: /dev/stdout or
+            # /dev/fd/N onto a pipe resolve to no name that can be opened. A
+            # directory fails here, naming the path.
             with open(path, "w") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
             return
         mode = stat.S_IMODE(st_mode)
     # Write where open(path, "w") would: through a symlink, to its target.
@@ -86,7 +89,7 @@ def _atomic_write(path: str, text: str) -> None:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".mclock-", suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             os.fchmod(handle.fileno(), mode)
-            handle.write(text)
+            handle.writelines(pieces)
         os.replace(tmp, target)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -113,7 +116,7 @@ def _prepare(spec: ScenarioSpec):
 def cmd_run(spec: ScenarioSpec, out_path: str) -> int:
     model, branches = _prepare(spec)
     traj = trajectory(model, branches, spec.grid)
-    _atomic_write(out_path, emit_trajectory_csv(traj))
+    _atomic_write(out_path, trajectory_csv_pieces(traj))
 
     times = traj.grid.times
     peak = int(np.argmax(traj.rate))
@@ -134,7 +137,7 @@ def cmd_sample(spec: ScenarioSpec, out_path: str) -> int:
     model, branches = _prepare(spec)
     sampling = spec.sampling
     _, report = sample_trials(model, branches, sampling.t, sampling.n_trials, sampling.seed)
-    _atomic_write(out_path, emit_sampling_csv(report))
+    _atomic_write(out_path, (emit_sampling_csv(report),))
     print(
         f"estimate = {report.estimate:.6g} +/- {report.std_error:.3g} "
         f"(exact P = {report.exact_prob:.12g}, {report.n_trials} trials, "

@@ -4,7 +4,9 @@ Seventeen digits round-trip every double, but they are more than the fast
 path of CPython's float formatting allows, so ``%`` takes ~1 us a value.
 Here blocks of rows, as many as fill ``hilbert.BLOCK_BYTES`` with their
 fields, are formatted as arrays of bytes instead; at any block size the
-output is byte for byte what ``%`` prints.
+output is byte for byte what ``%`` prints. ``format_csv`` returns the text of
+the rows it is given, so a caller that passes one block's rows at a time,
+as ``run`` does, holds one block's text and never the whole.
 
 A finite x with 1e-4 <= |x| < 1e16 prints in fixed notation, and its 17
 significant digits D = round-half-even(|x| 10^(16 - E)), E = floor(log10|x|),
@@ -157,10 +159,20 @@ def _format_rows(block: np.ndarray) -> tuple[str, list[int], list[int]]:
     return text, slow.tolist(), ends.tolist()
 
 
-def format_csv(header: str, columns) -> str:
-    """The header line, then one row per index of the equal-length float columns."""
+def block_rows(n_columns: int) -> int:
+    """Rows in a formatting block of n_columns values: their fields fill ``BLOCK_BYTES``."""
+    return BLOCK_BYTES // (_FIELD * n_columns)
+
+
+def format_csv(header: str, columns, end: str = "\n") -> str:
+    """``header``, one line per index of the equal-length float columns, then ``end``.
+
+    Each line opens with its newline, so the texts of consecutive row ranges,
+    the first with the header line and the last with the closing newline,
+    join into the text of all rows.
+    """
     row_format = "\n" + ",".join(["%.17g"] * len(columns))
-    rows = BLOCK_BYTES // (_FIELD * len(columns))  # a block's field bytes
+    rows = block_rows(len(columns))
     pieces = [header]
     for start in range(0, len(columns[0]), rows):
         block = np.stack([c[start : start + rows] for c in columns], axis=1)
@@ -171,5 +183,5 @@ def format_csv(header: str, columns) -> str:
             pieces.append(row_format % tuple(block[row].tolist()))
             done = ends[row]
         pieces.append(text[done:])
-    pieces.append("\n")
+    pieces.append(end)
     return "".join(pieces)

@@ -57,7 +57,19 @@ class TimeGrid(ValueRecord):
 
     @property
     def times(self) -> np.ndarray:
-        return np.linspace(self.t_start, self.t_end, self.n_points)
+        return self.times_slice(0, self.n_points)
+
+    def times_slice(self, start: int, stop: int) -> np.ndarray:
+        """times[start:stop] for 0 <= start <= stop <= n_points, formed alone.
+
+        As np.linspace computes them: t_start + k step, and t_end as the last.
+        """
+        times = np.arange(start, stop, dtype=np.float64)
+        times *= self.step
+        times += self.t_start
+        if stop == self.n_points and times.size:
+            times[-1] = self.t_end
+        return times
 
     @property
     def step(self) -> float:

@@ -54,10 +54,10 @@ COEFF_NORM_SLACK = 1e-3
 #     100   0.13 s 32 MB  0.12 s 31 MB  0.12 s 33 MB  0.30 s 33 MB
 #     200   0.16 s 36 MB  0.15 s 37 MB  0.13 s 37 MB  0.63 s 37 MB
 # n stops at 100, where it was set when ``sample`` at 200 took 1.2 s. At the
-# grid limit ``run`` takes ~1.1-1.3 s and peaks near 170 MB (n = 2), most of
-# it the CSV text, held as one string and encoded once to be written; trials
-# are tallied in fixed-size blocks, so ``sample``'s peak does not grow with
-# the trial count.
+# grid limit ``run`` takes ~0.7-0.8 s and peaks near 70 MB (n = 2), most of
+# it the grid's arrays: the CSV is written a formatting block at a time, so
+# its text is never held whole. Trials are tallied in fixed-size blocks, so
+# ``sample``'s peak does not grow with the trial count.
 MAX_OUTCOMES = 100
 MAX_GRID_POINTS = 1_000_000
 MAX_TRIALS = 10_000_000
@@ -244,16 +244,32 @@ def initial_state(spec: ScenarioSpec, model: MeasurementModel) -> np.ndarray:
     return _freeze(np.multiply.outer(c, model.pointer_frame[:, 0]))
 
 
-def emit_trajectory_csv(traj: TimingTrajectory) -> str:
+def emit_trajectory_csv(traj: TimingTrajectory, start: int = 0, stop: int | None = None) -> str:
     """CSV of the timing curves: header ``t,P,p``, one row per grid point.
 
-    Each value reads as ``"%.17g" % value``.
+    Each value reads as ``"%.17g" % value``. Only rows [start, stop), read
+    as a slice, are written: the header when start is 0, the closing newline
+    when stop reaches the last point.
     """
     # Imported here, on the one command that writes a trajectory: check and
     # sample then do not compile it.
     from .csv17 import format_csv
 
-    return format_csv("t,P,p", (traj.grid.times, traj.prob_happened, traj.rate))
+    n = traj.grid.n_points
+    start, stop, _ = slice(start, stop).indices(n)
+    columns = (traj.grid.times_slice(start, stop), traj.prob_happened[start:stop],
+               traj.rate[start:stop])
+    return format_csv("t,P,p" if start == 0 else "", columns, "\n" if stop == n else "")
+
+
+def trajectory_csv_pieces(traj: TimingTrajectory):
+    """``emit_trajectory_csv(traj)`` as one piece per formatting block, made as it is read."""
+    from .csv17 import block_rows
+
+    rows = block_rows(3)
+    for start in range(0, traj.grid.n_points, rows):
+        # Through the module global, so a wrapper bound in its place sees each block.
+        yield emit_trajectory_csv(traj, start, start + rows)
 
 
 def emit_sampling_csv(report: EstimateReport) -> str:

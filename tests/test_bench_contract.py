@@ -12,6 +12,7 @@ by path and exercises what they bind.
 import importlib
 import importlib.util
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -76,9 +77,36 @@ def test_traced_pass_fills_the_counters(tmp_path):
         ("run", 0), ("check", 0), ("sample", 0)
     ]
     run, check, sample = (tracer.counters[inv["run_id"]] for inv in invocations)
-    assert run["emit_bytes"] > 0 and run["points"] == 201
+    assert run["emit_bytes"] == os.path.getsize(invocations[0]["output"]) > 0
+    assert run["points"] == 201
     assert check["points"] == 201
     assert sample["emit_bytes"] > 0 and sample["trials"] == 1000
+
+
+def test_a_run_of_several_blocks_counts_every_byte_written(tmp_path):
+    # run writes the CSV a formatting block at a time, each through the
+    # traced emit_trajectory_csv, so the spans see every block.
+    spans = _load("bench_contract_spans", BENCH / "spans.py")
+    import mclock.cli as cli
+    import mclock.operational  # install() binds it; the bench imports it in a warm-up pass
+    import mclock.checks  # install() binds it; the bench imports it in a warm-up pass
+    from mclock.csv17 import block_rows
+
+    doc = json.loads((REPO_ROOT / "scenarios" / "imperfect.json").read_text())
+    doc["grid"]["points"] = 2 * block_rows(3) + 1
+    scenario = tmp_path / "imperfect.json"
+    scenario.write_text(json.dumps(doc))
+    out = tmp_path / "run.csv"
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["run", str(scenario), "--out", str(out)])
+    finally:
+        tracer.uninstall()
+
+    assert code == 0
+    assert tracer.summary()[tracer.run_id]["scenario_io.emit"]["calls"] == 3
+    assert tracer.counters[tracer.run_id]["emit_bytes"] == out.stat().st_size
 
 
 def test_a_rotation_run_records_one_model_build(tmp_path):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 from conftest import replace
 import mclock.cli as cli
 import mclock.measurement as measurement
-from mclock import NumericalError
-from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS
+from mclock import NumericalError, build_model, initial_state, parse_scenario, trajectory
+from mclock.hilbert import BLOCK_BYTES
+from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS, trajectory_csv_pieces
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = REPO_ROOT / "scenarios"
@@ -743,7 +745,7 @@ class TestScaleProperty:
 class TestAtomicWrite:
     def test_no_partial_file_on_success(self, tmp_path):
         target = tmp_path / "out.csv"
-        cli._atomic_write(str(target), "hello\n")
+        cli._atomic_write(str(target), ("hello\n",))
         assert target.read_text() == "hello\n"
         leftovers = [p for p in os.listdir(tmp_path) if p.startswith(".mclock-")]
         assert leftovers == []
@@ -751,7 +753,7 @@ class TestAtomicWrite:
     def test_overwrites_existing(self, tmp_path):
         target = tmp_path / "out.csv"
         target.write_text("old")
-        cli._atomic_write(str(target), "new")
+        cli._atomic_write(str(target), ("new",))
         assert target.read_text() == "new"
 
     @pytest.fixture
@@ -762,14 +764,14 @@ class TestAtomicWrite:
 
     def test_new_file_mode_follows_umask(self, tmp_path, umask_022):
         target = tmp_path / "out.csv"
-        cli._atomic_write(str(target), "new")
+        cli._atomic_write(str(target), ("new",))
         assert target.stat().st_mode & 0o777 == 0o644
 
     def test_existing_file_keeps_its_mode(self, tmp_path, umask_022):
         target = tmp_path / "out.csv"
         target.write_text("old")
         target.chmod(0o600)
-        cli._atomic_write(str(target), "new")
+        cli._atomic_write(str(target), ("new",))
         assert target.stat().st_mode & 0o777 == 0o600
 
     def test_writes_through_a_symlink(self, tmp_path, umask_022):
@@ -873,9 +875,47 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(os, "replace", interrupted)
         with pytest.raises(Interrupt) as caught:
-            cli._atomic_write(str(target), "new")
+            cli._atomic_write(str(target), ("new",))
         assert caught.value is interrupt
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failing_source_leaves_the_target_and_no_temp_file(self, tmp_path, existing):
+        target = tmp_path / "out.csv"
+        if existing:
+            target.write_text("old")
+
+        def pieces():
+            yield "t,P,p\n0,0,0"
+            raise NumericalError("source failed")
+
+        with pytest.raises(NumericalError, match="source failed"):
+            cli._atomic_write(str(target), pieces())
+        assert os.listdir(tmp_path) == (["out.csv"] if existing else [])
+        if existing:
+            assert target.read_text() == "old"
+
+    def test_traced_peak_does_not_grow_with_the_trajectory(self, tmp_path):
+        # Each formatting block is written before the next is made, so the
+        # peak is a few blocks' worth (4.6 x BLOCK_BYTES measured) whatever
+        # the length; the whole text held at once took 19 x at 20,001 points.
+        def write_traced(points):
+            spec = parse_scenario(json.dumps({
+                "model": "imperfect", "n": 2, "g": 1.0, "epsilon": 0.1,
+                "c": [[0.6, 0.0], [0.8, 0.0]], "grid": {"t0": 0, "t1": 30.0, "points": points}}))
+            model = build_model(spec)
+            traj = trajectory(model, initial_state(spec, model), spec.grid)
+            tracemalloc.start()
+            try:
+                cli._atomic_write(str(tmp_path / "out.csv"), trajectory_csv_pieces(traj))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        write_traced(3)  # builds the formatter's tables
+        peak = write_traced(20_001)
+        assert peak < 6 * BLOCK_BYTES
+        assert write_traced(200_001) < peak + BLOCK_BYTES // 4
 
     def test_directory_is_an_input_error_naming_it(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path / "s.json")

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import mclock.cli as cli
 import mclock.dynamics as dynamics
@@ -44,6 +46,19 @@ class TestTimeGrid:
         grid = TimeGrid(0.0, 2.0, 5)
         assert np.allclose(grid.times, [0.0, 0.5, 1.0, 1.5, 2.0])
         assert grid.step == pytest.approx(0.5)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(t_start=st.floats(-1e12, 1e12), span=st.floats(1e-9, 1e12),
+           n_points=st.integers(2, 500), data=st.data())
+    def test_times_and_their_slices_are_linspace_bit_for_bit(self, t_start, span, n_points,
+                                                             data):
+        assume(t_start + span > t_start)
+        grid = TimeGrid(t_start, t_start + span, n_points)
+        expected = np.linspace(grid.t_start, grid.t_end, n_points)
+        assert grid.times.tobytes() == expected.tobytes()
+        start = data.draw(st.integers(0, n_points))
+        stop = data.draw(st.integers(start, n_points))
+        assert grid.times_slice(start, stop).tobytes() == expected[start:stop].tobytes()
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(InvalidParameter):

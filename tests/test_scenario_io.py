@@ -23,7 +23,7 @@ from mclock import (
 )
 from mclock.csv17 import _FIELD
 from mclock.hilbert import BLOCK_BYTES
-from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS
+from mclock.scenario_io import MAX_GRID_POINTS, MAX_OUTCOMES, MAX_TRIALS, trajectory_csv_pieces
 
 MINIMAL = """
 {
@@ -243,6 +243,27 @@ class TestEmitTrajectoryCsv:
         rows = zip(traj.grid.times.tolist(), traj.prob_happened.tolist(), traj.rate.tolist())
         expected = "".join(["t,P,p\n"] + ["%.17g,%.17g,%.17g\n" % row for row in rows])
         assert emit_trajectory_csv(traj) == expected
+
+    @pytest.mark.parametrize("points", [2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1],
+                             ids=["2", "edge-1", "edge", "edge+1", "2edge+1"])
+    def test_pieces_join_into_the_text(self, points):
+        # t passes 0 at the last row of the first block, so the rows on both
+        # sides of that edge hold P < 1e-4 and are printed by "%".
+        h = 1e-3
+        t0 = -(self.ROWS - 1) * h
+        spec = parse_scenario(scenario_with(
+            model="imperfect", epsilon=0.1,
+            grid={"t0": t0, "t1": t0 + (points - 1) * h, "points": points}))
+        model = build_model(spec)
+        traj = trajectory(model, initial_state(spec, model), spec.grid)
+        if points > self.ROWS:
+            assert np.all(traj.prob_happened[self.ROWS - 2 : self.ROWS + 2] < 1e-4)
+        pieces = list(trajectory_csv_pieces(traj))
+        assert len(pieces) == -(-points // self.ROWS)
+        assert "".join(pieces) == emit_trajectory_csv(traj)
+        assert pieces[-1].endswith("\n") and not any(p.endswith("\n") for p in pieces[:-1])
+        # A range reads as a slice does: -1 is the last row, at its own time.
+        assert emit_trajectory_csv(traj, -1) == emit_trajectory_csv(traj, points - 1)
 
 
 class TestEmitSamplingCsv:
