@@ -29,7 +29,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
 from .hilbert import (BLOCK_BYTES, HermitianOperator, Record, SpectralDecomposition,
-                      StateVector, ValueRecord, _check_lengths, _check_scalars, _freeze, spectral)
+                      StateVector, ValueRecord, _adopt, _check_lengths, _check_scalars, _freeze,
+                      spectral)
 from .tolerances import TOL
 
 if TYPE_CHECKING:
@@ -80,17 +81,18 @@ class TimingTrajectory(Record):
     """Measurement-timing curves sampled on a time grid.
 
     prob_happened[k] is the probability that the measurement has happened
-    by times[k] of ``grid``; rate[k] is its time density.
+    by times[k] of ``grid``; rate[k] is its time density. Each curve is
+    adopted by ``hilbert._adopt``: a read-only float64 ndarray that owns its
+    data is kept as it is, and anything else is copied.
     """
 
     __slots__ = ("grid", "prob_happened", "rate")
 
     def __post_init__(self):
-        prob = np.array(self.prob_happened, dtype=np.float64).reshape(-1)
-        rate = np.array(self.rate, dtype=np.float64).reshape(-1)
+        prob, rate = (_adopt(curve, np.float64) for curve in (self.prob_happened, self.rate))
         n = self.grid.n_points
-        if not (prob.size == rate.size == n):
-            raise DimensionMismatch("prob_happened and rate must both have n_points entries")
+        if not (prob.shape == rate.shape == (n,)):
+            raise DimensionMismatch("prob_happened and rate must both be 1-D of n_points entries")
         slack = TOL.trajectory_prob
         if not np.all((prob >= -slack) & (prob <= 1.0 + slack)):  # NaN fails too
             raise NumericalError("probability curve leaves [0, 1] beyond tolerance")
@@ -179,4 +181,4 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
         a = (bras @ phis)[:, 0]
         prob[points] = (a.real**2 + a.imag**2).sum(axis=0)
         rate[points] = np.einsum("...ij,...ij->...j", phis.conj(), rate_ops @ phis).real.sum(axis=0)
-    return TimingTrajectory(grid, prob, rate)
+    return TimingTrajectory(grid, _freeze(prob), _freeze(rate))

@@ -104,6 +104,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _adopt(value, dtype: type) -> np.ndarray:
+    """``value`` itself if it is a read-only ``dtype`` ndarray that owns its data, else a copy.
+
+    A record keeps a frozen array it is handed, and a caller's writable
+    array, or a view of one, never aliases the record.
+    """
+    if (type(value) is np.ndarray and value.dtype == dtype
+            and not value.flags.writeable and value.base is None):
+        return value
+    return np.array(value, dtype=dtype)
+
+
 def _check_scalars(kind: str, **values) -> None:
     """Raise InvalidParameter unless every value is ``kind``: "an integer" or "a real number".
 
@@ -200,19 +212,15 @@ class StateVector(Record):
 class HermitianOperator(Record):
     """Square complex matrix, self-adjoint within tolerance, on a tensor-product space.
 
-    A complex128 ndarray that is read-only and owns its data is kept as it
-    is; anything else is copied, so a caller's writable array or a view of
-    one never aliases the record.
+    The matrix is adopted by ``_adopt``: a read-only complex128 ndarray that
+    owns its data is kept as it is, and anything else is copied.
     """
 
     __slots__ = ("dims", "matrix")
 
     def __post_init__(self):
         dims = _as_dims(self.dims)
-        mat = self.matrix
-        if not (type(mat) is np.ndarray and mat.dtype == np.complex128
-                and not mat.flags.writeable and mat.base is None):
-            mat = np.array(mat, dtype=np.complex128)
+        mat = _adopt(self.matrix, np.complex128)
         side = math.prod(dims)
         if mat.shape != (side, side):
             raise DimensionMismatch(

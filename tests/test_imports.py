@@ -1,7 +1,8 @@
 """Every import is used, every private helper is named, no tolerance check lets NaN pass,
-only ``hilbert._freeze`` sets an array's flags, only ``hilbert._check_scalars`` judges a
-scalar's type, ``hilbert.BLOCK_BYTES`` is the one block size, and only the process entry
-writes ``sys.modules``.
+only ``hilbert._freeze`` sets an array's flags, only ``hilbert._adopt`` decides whether a
+record keeps an array, only ``hilbert._check_scalars`` judges a scalar's type,
+``hilbert.BLOCK_BYTES`` is the one block size, and only the process entry writes
+``sys.modules``.
 
 Stand-ins for a linter's unused-import and dead-code rules, from the
 standard ``ast`` module alone. An import is used when its bound name appears
@@ -11,12 +12,14 @@ it: as a name, an attribute or an imported name. Tests do not count, so a
 helper only tests reach belongs in the tests. A check that raises when a
 value exceeds a ``TOL`` tolerance is written ``not value <= TOL.name``,
 because every comparison with NaN is False. A record or function freezes an
-array by calling ``_freeze``, not ``.setflags(`` itself, and judges an
-integer or real argument by calling ``_check_scalars``, not by naming a
-``numbers`` ABC itself. Every blocked loop derives its block from
-``BLOCK_BYTES``, so no other module-level constant sizes one. Only
-``__main__`` assigns to ``sys.modules`` or calls a method that writes it,
-so importing mclock never changes what its importer loads.
+array by calling ``_freeze``, not ``.setflags(`` itself, keeps or copies an
+array it is handed by calling ``_adopt``, not by reading ``.flags.writeable``
+or ``.base`` itself, and judges an integer or real argument by calling
+``_check_scalars``, not by naming a ``numbers`` ABC itself. Every blocked
+loop derives its block from ``BLOCK_BYTES``, so no other module-level
+constant sizes one. Only ``__main__`` assigns to ``sys.modules`` or calls a
+method that writes it, so importing mclock never changes what its importer
+loads.
 """
 
 import ast
@@ -156,6 +159,36 @@ def test_only_hilbert_freeze_sets_array_flags():
     calls = {f"{path.name}:{name}" for path in sorted(SOURCE.glob("*.py"))
              for _, name in setflags_calls(ast.parse(path.read_text(encoding="utf-8")))}
     assert calls == {"hilbert.py:_freeze"}
+
+
+def adoption_reads(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, enclosing module-level definition or "") of each adoption read, sorted.
+
+    An adoption read is ``.flags.writeable`` or ``.base``.
+    """
+    return sorted(
+        (node.lineno, getattr(stmt, "name", ""))
+        for stmt in tree.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute)
+        and (node.attr == "base" or node.attr == "writeable"
+             and isinstance(node.value, ast.Attribute) and node.value.attr == "flags")
+    )
+
+
+def test_finds_every_read_of_writeable_or_base_with_its_definition():
+    source = ("def _adopt(a):\n    return not a.flags.writeable and a.base is None\n"
+              "class R:\n    def f(self, a):\n        return a.base\n"
+              "ok = b.flags.writeable\n"
+              "def g(a):\n    return a.writeable, a.flags, a.based\n")
+    assert adoption_reads(ast.parse(source)) == [(2, "_adopt"), (2, "_adopt"), (5, "R"),
+                                                  (6, "")]
+
+
+def test_only_hilbert_adopt_decides_what_a_record_keeps():
+    reads = {f"{path.name}:{name}" for path in sorted(SOURCE.glob("*.py"))
+             for _, name in adoption_reads(ast.parse(path.read_text(encoding="utf-8")))}
+    assert reads == {"hilbert.py:_adopt"}
 
 
 def numbers_abc_uses(tree: ast.Module) -> list[tuple[int, str]]:

@@ -1,6 +1,10 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,7 +47,7 @@ from mclock import (
     schmidt_decompose,
     trajectory,
 )
-from mclock.hilbert import check_hermitian, expectations
+from mclock.hilbert import BLOCK_BYTES, check_hermitian, expectations
 from mclock.scenario_io import MAX_OUTCOMES
 from mclock.tolerances import TOL
 
@@ -150,6 +154,20 @@ class TestInteractionHamiltonian:
             assert h.dims == model.joint_dims
             assert np.max(np.abs(h.matrix - expected)) < 1e-15
             assert model.interaction_hamiltonian is h
+
+    def test_equals_a_fill_of_every_row(self):
+        # Writing only the rows that hold a nonzero entry changes no bit.
+        rng = np.random.default_rng(41)
+        models = [build_imperfect_model(n, 1.0, 0.1) for n in (2, 7, 20)]
+        models += [random_frame_model(rng, n, extra_apparatus=3) for n in (3, 6)]
+        for model in models:
+            frame, n, d = model.system_frame, model.system_dim, model.apparatus_dim
+            weights = frame[:, None, :] * frame.conj()[None, :, :]
+            reference = np.empty((n * d, n * d), dtype=np.complex128)
+            for a in range(n):
+                reference.reshape(n, d, n, d)[a] = np.tensordot(
+                    weights[a], model.branch_hamiltonians, axes=1).swapaxes(0, 1)
+            assert model.interaction_hamiltonian.matrix.tobytes() == reference.tobytes()
 
     def test_rejects_branch_on_wrong_space(self):
         model = build_rotation_model(2, 1.0)
@@ -466,17 +484,77 @@ class TestRateOperator:
 
     @pytest.mark.parametrize("hamiltonian", ["canonical", "random"])
     def test_slabs_equal_one_call_products(self, hamiltonian):
-        # At n = 20 (D = 420) each product takes 23 slabs of 19 rows. A slab's
-        # entries are summed as in one call, so on OpenBLAS 0.3.31 the bits agree.
-        model = build_imperfect_model(20, 1.0, 0.1)
-        h = model.interaction_hamiltonian
-        if hamiltonian == "random":
-            h = HermitianOperator(h.dims, random_hermitian(np.random.default_rng(37), 420))
-        v = measurement._pair_columns(model)
-        y = h.matrix @ v
-        np.testing.assert_array_equal(happened_projector(model).matrix, v @ v.conj().T)
-        np.testing.assert_array_equal(rate_operator(model, h).matrix,
-                                      np.hstack((1j * y, -1j * v)) @ np.hstack((v, y)).conj().T)
+        # At n = 20 (D = 420) each product takes 23 slabs of 19 rows; at n = 2
+        # and 7 one slab. A slab's entries, and a partly live slab's live rows,
+        # are summed as in one call, so on OpenBLAS 0.3.31 the bits agree.
+        for n in (2, 7, 20):
+            model = build_imperfect_model(n, 1.0, 0.1)
+            h = model.interaction_hamiltonian
+            if hamiltonian == "random":
+                h = HermitianOperator(h.dims, random_hermitian(np.random.default_rng(37),
+                                                               h.matrix.shape[0]))
+            v = measurement._pair_columns(model)
+            y = h.matrix @ v
+            np.testing.assert_array_equal(happened_projector(model).matrix, v @ v.conj().T)
+            np.testing.assert_array_equal(
+                rate_operator(model, h).matrix,
+                np.hstack((1j * y, -1j * v)) @ np.hstack((v, y)).conj().T)
+
+
+class TestProduct:
+    """``_product`` multiplies only a slab's live rows, and equals one call bit for bit."""
+
+    # b is 40 x 420, the shape of [V | Y]^H at n = 20, so a slab is
+    # BLOCK_BYTES // (16 * 420) = 19 rows. Inexact random entries: a sum taken
+    # in another order would show in the last bits.
+    SLAB = BLOCK_BYTES // (16 * 420)
+
+    @staticmethod
+    def _operands(live_rows, n_rows):
+        rng = np.random.default_rng(43)
+        a = np.zeros((n_rows, 40), dtype=np.complex128)
+        a[live_rows] = rng.normal(size=(len(live_rows), 40, 2)) @ [1, 1j]
+        b = rng.normal(size=(40, 420, 2)) @ [1, 1j]
+        return a, b
+
+    @staticmethod
+    def _product(a, b):
+        slabs = []
+
+        def rows_of(s):
+            slabs.append(s)
+            return a[s]
+
+        out = measurement._product(rows_of, len(a), b)
+        assert not out.flags.writeable
+        assert [s.start for s in slabs] == list(range(0, len(a), TestProduct.SLAB))
+        return out
+
+    @pytest.mark.parametrize("live_rows", [
+        [*range(SLAB)],  # a whole slab
+        [0], [9], [SLAB - 1],  # one live row: first, inner or last of the slab
+        [],  # no live row
+        [2, 3, 11, 17],  # some rows
+    ], ids=["whole", "first", "inner", "last", "none", "some"])
+    def test_a_slab_equals_one_call(self, live_rows):
+        # Four slabs and a remainder of three rows: the first slab is whole,
+        # the second holds ``live_rows``, the third and fourth none, and the
+        # remainder one live row between two zero rows.
+        n_rows = 4 * self.SLAB + 3
+        rows = [*range(self.SLAB)] + [self.SLAB + r for r in live_rows] + [n_rows - 2]
+        a, b = self._operands(rows, n_rows)
+        assert self._product(a, b).tobytes() == (a @ b).tobytes()
+
+    def test_a_row_holding_nan_is_live(self):
+        n_rows = 2 * self.SLAB
+        a, b = self._operands([3, 25, 30], n_rows)
+        a[7, 10] = np.nan  # alone in its row
+        a[25, 5] = np.nan
+        out, expected = self._product(a, b), a @ b
+        assert np.isnan(out[[7, 25]]).all()
+        np.testing.assert_array_equal(out, expected)
+        finite = ~np.isnan(expected)
+        assert out[finite].tobytes() == expected[finite].tobytes()
 
 
 def traced_peak(call):
@@ -511,6 +589,36 @@ class TestDenseMemory:
         # Measured 1.173 x 16 D^2: the result and the Hermiticity check's
         # blocks. V V^H in one call, with V kept through the check, held 1.22 x.
         assert traced_peak(lambda: happened_projector(model)) < 1.19 * 16 * side**2
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="needs Linux's VmHWM and lazily mapped zero pages")
+    def test_rows_never_written_stay_off_the_resident_set(self):
+        # A fresh process, warmed up on a small model, keeps M and i[H, M] of
+        # n = 20 (and the cached H) alive. Measured 1.8 MiB of peak RSS growth;
+        # writing every entry grew it 8.8 MiB. One D x D matrix is 2.7 MiB.
+        # VmHWM, not ru_maxrss: a process's ru_maxrss keeps, across exec, the
+        # peak of the process that started it, here the test runner.
+        script = (
+            "from mclock import build_imperfect_model, happened_projector, rate_operator\n"
+            "def chain(n):\n"
+            "    model = build_imperfect_model(n, 1.0, 0.1)\n"
+            "    return happened_projector(model), "
+            "rate_operator(model, model.interaction_hamiltonian)\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as status:\n"
+            "        return next(int(line.split()[1]) for line in status "
+            "if line.startswith('VmHWM:'))\n"
+            "kept = chain(3)\n"
+            "before = peak_kib()\n"
+            "kept = chain(20)\n"
+            "print(peak_kib() - before)\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, check=True)
+        assert int(proc.stdout) * 1024 < 16 * 420**2
 
 
 class TestHappenedProbability:
