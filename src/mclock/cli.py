@@ -118,11 +118,12 @@ def cmd_run(spec: ScenarioSpec, out_path: str) -> int:
     traj = trajectory(model, branches, spec.grid)
     _atomic_write(out_path, trajectory_csv_pieces(traj))
 
-    times = traj.grid.times
+    grid = traj.grid
     peak = int(np.argmax(traj.rate))
+    t_end, t_peak = (grid.times_slice(k, k + 1)[0] for k in (grid.n_points - 1, peak))
     print(f"nominal duration T = {model.nominal_duration:.12g}")
-    print(f"P({times[-1]:.12g}) = {traj.prob_happened[-1]:.12g}")
-    print(f"peak rate p = {traj.rate[peak]:.12g} at t = {times[peak]:.12g}")
+    print(f"P({t_end:.12g}) = {traj.prob_happened[-1]:.12g}")
+    print(f"peak rate p = {traj.rate[peak]:.12g} at t = {t_peak:.12g}")
     print(f"wrote {out_path}")
     return EXIT_OK
 

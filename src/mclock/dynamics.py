@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NumericalError
 from .hilbert import (BLOCK_BYTES, HermitianOperator, Record, SpectralDecomposition,
-                      StateVector, ValueRecord, _adopt, _check_lengths, _check_scalars, _freeze,
-                      spectral)
+                      StateVector, ValueRecord, _adopt, _check_lengths, _check_scalars,
+                      _check_small, _freeze, spectral)
 from .tolerances import TOL
 
 if TYPE_CHECKING:
@@ -116,9 +116,8 @@ def _propagator(dec: SpectralDecomposition, amplitudes: np.ndarray):
         with np.errstate(over="ignore", invalid="ignore"):
             phases = -1j * np.multiply.outer(dec.eigenvalues, times)
             np.exp(phases, out=phases)
-        dev = float(np.max(np.abs(np.abs(phases) - 1.0)))
-        if not dev <= TOL.norm:  # NaN fails too
-            raise NumericalError(f"phase exp(-i lambda t) deviates from modulus 1 by {dev:.3e}")
+        _check_small(np.max(np.abs(np.abs(phases) - 1.0)), 0.0, TOL.norm, NumericalError,
+                     "phase exp(-i lambda t) deviates from modulus 1 by")
         phases *= coeffs
         return dec.eigenvectors @ phases
 
@@ -166,18 +165,17 @@ def trajectory(model: MeasurementModel, branches: np.ndarray, grid: TimeGrid) ->
 
     coeffs, propagate = _propagator(model.branch_spectra, chi)
     off_blocks = np.sum(np.abs(branches) ** 2) - np.sum(np.abs(chi) ** 2)
-    weight = float(np.sum(np.abs(coeffs) ** 2) + off_blocks)
-    if not abs(weight - 1.0) <= TOL.norm:  # NaN fails too
-        raise NumericalError(f"eigenbasis coefficients have total weight {weight!r}, not 1")
+    weight = np.sum(np.abs(coeffs) ** 2) + off_blocks
+    _check_small(abs(weight - 1.0), 0.0, TOL.norm, NumericalError,
+                 "eigenbasis coefficients' total weight deviates from 1 by")
 
-    times = grid.times
-    prob = np.empty(times.size)
-    rate = np.empty(times.size)
+    prob = np.empty(grid.n_points)
+    rate = np.empty(grid.n_points)
     # A one-point block would take numpy's matrix-vector path, which rounds
     # otherwise; the last block takes the remainder, up to one point more.
-    edges = [*range(0, times.size - 1, max(2, BLOCK_BYTES // chi.nbytes)), times.size]
+    edges = [*range(0, grid.n_points - 1, max(2, BLOCK_BYTES // chi.nbytes)), grid.n_points]
     for points in map(slice, edges, edges[1:]):
-        phis = propagate(times[points])
+        phis = propagate(grid.times_slice(points.start, points.stop))
         a = (bras @ phis)[:, 0]
         prob[points] = (a.real**2 + a.imag**2).sum(axis=0)
         rate[points] = np.einsum("...ij,...ij->...j", phis.conj(), rate_ops @ phis).real.sum(axis=0)

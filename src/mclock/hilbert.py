@@ -142,34 +142,35 @@ def _check_lengths(**values: int) -> None:
             raise InvalidParameter(f"{name} must be at most {limit} in magnitude")
 
 
+def _check_small(dev, peak, rel: float, error: type[MClockError], what: str) -> None:
+    """Raise ``error`` unless every residual dev <= rel x max(1, peak), its scale; NaN fails.
+
+    ``dev`` and ``peak`` are arrays or scalars that broadcast together. An
+    absolute check passes a peak of 0. The message names the worst residual
+    against its tolerance.
+    """
+    tol = rel * np.maximum(1.0, peak)
+    if not (dev <= tol).all():
+        dev, tol = (np.ravel(x) for x in np.broadcast_arrays(dev, tol))
+        k = int(np.argmax(dev / tol))
+        raise error(f"{what} {dev[k]:.3e} (> {tol[k]:.3e})")
+
+
 def check_unit_norm(amplitudes: np.ndarray) -> None:
     """Raise NumericalError unless the state vector, or every state column, has norm 1."""
-    dev = float(np.max(np.abs(np.linalg.norm(amplitudes, axis=0) - 1.0)))
-    if not dev <= TOL.norm:  # NaN fails too
-        raise NumericalError(f"state norm deviates from 1 by {dev:.3e} (> {TOL.norm})")
-
-
-def check_orthonormal(columns: np.ndarray, error: type[MClockError], what: str) -> None:
-    """Raise ``error`` unless the columns, of every matrix in a stack, are orthonormal."""
-    gram = columns.conj().swapaxes(-1, -2) @ columns
-    dev = float(np.max(np.abs(gram - np.eye(columns.shape[-1]))))
-    if not dev <= TOL.orthonormality:  # NaN fails too
-        raise error(f"{what} not orthonormal (Gram deviation {dev:.3e})")
+    _check_small(np.abs(np.linalg.norm(amplitudes, axis=0) - 1.0), 0.0, TOL.norm,
+                 NumericalError, "state norm deviates from 1 by")
 
 
 def _max_abs(matrices: np.ndarray) -> np.ndarray:
     return np.max(np.abs(matrices), axis=(-2, -1))
 
 
-def _check_small(
-    dev: np.ndarray, peak: np.ndarray, rel: float, error: type[MClockError], what: str
-) -> None:
-    """Raise ``error`` unless each matrix's deviation (dev) <= rel x max(1, max|A| (peak))."""
-    dev = np.ravel(dev)
-    tol = rel * np.maximum(1.0, np.ravel(peak))
-    if not np.all(dev <= tol):  # NaN fails too
-        k = int(np.argmax(dev / tol))
-        raise error(f"{what} {dev[k]:.3e} (> {tol[k]:.3e})")
+def check_orthonormal(columns: np.ndarray, error: type[MClockError], what: str) -> None:
+    """Raise ``error`` unless the columns, of every matrix in a stack, are orthonormal."""
+    gram = columns.conj().swapaxes(-1, -2) @ columns
+    _check_small(_max_abs(gram - np.eye(columns.shape[-1])), 0.0, TOL.orthonormality, error,
+                 f"{what} not orthonormal, Gram deviation")
 
 
 def check_hermitian(matrices: np.ndarray) -> None:
@@ -260,8 +261,8 @@ def expectations(matrix: np.ndarray, columns: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"operator {matrix.shape} cannot act on columns {columns.shape}")
     vals = np.einsum("...ij,...ij->...j", columns.conj(), matrix @ columns)
     imag = np.max(np.abs(vals.imag), axis=-1, initial=0.0)
-    _check_small(imag, np.broadcast_to(_max_abs(matrix), imag.shape), TOL.expectation_imag,
-                 NumericalError, "expectation has imaginary part")
+    _check_small(imag, _max_abs(matrix), TOL.expectation_imag, NumericalError,
+                 "expectation has imaginary part")
     return vals.real
 
 

@@ -28,7 +28,8 @@ import numpy as np
 
 from .dynamics import _propagator
 from .errors import InvalidParameter, NumericalError
-from .hilbert import BLOCK_BYTES, ValueRecord, _check_lengths, _check_scalars, _freeze
+from .hilbert import (BLOCK_BYTES, ValueRecord, _check_lengths, _check_scalars, _check_small,
+                      _freeze)
 from .measurement import MeasurementModel
 from .tolerances import TOL
 
@@ -60,9 +61,8 @@ def joint_distribution(model: MeasurementModel, branches: np.ndarray) -> np.ndar
     row_totals = np.sum(np.abs(branches) ** 2, axis=1)
     residual = np.clip(row_totals - frame_probs.sum(axis=1), 0.0, None)
     probs = np.column_stack([frame_probs, residual])
-    total = float(np.sum(probs))
-    if not abs(total - 1.0) <= TOL.distribution_sum:
-        raise NumericalError(f"joint probabilities sum to {total!r}, not 1")
+    _check_small(abs(np.sum(probs) - 1.0), 0.0, TOL.distribution_sum, NumericalError,
+                 "joint probabilities do not sum to 1, off by")
     return _freeze(probs)
 
 

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch, NumericalError
-from .hilbert import Record, _as_dims, _freeze, check_unit_norm
+from .hilbert import Record, _as_dims, _check_small, _freeze, check_unit_norm
 from .tolerances import TOL
 
 
@@ -26,9 +26,8 @@ class SchmidtDecomposition(Record):
             raise DimensionMismatch("coefficients and vector rows must have equal length")
         if np.any(coeffs < 0) or np.any(np.diff(coeffs) > 0):
             raise NumericalError("coefficients must be nonnegative and descending")
-        total = float(np.sum(coeffs**2))
-        if not abs(total - 1.0) <= TOL.orthonormality:
-            raise NumericalError(f"squared coefficients sum to {total!r}, not 1")
+        _check_small(abs(np.sum(coeffs**2) - 1.0), 0.0, TOL.orthonormality, NumericalError,
+                     "squared coefficients do not sum to 1, off by")
         for name, arr in zip(self._fields, (coeffs, left, right)):
             object.__setattr__(self, name, _freeze(arr))
 
@@ -70,7 +69,6 @@ def schmidt_decompose(amplitudes: np.ndarray, dims, split: int) -> SchmidtDecomp
     dec = SchmidtDecomposition(s, u.T, vh)
 
     recon = ((u * s) @ vh).ravel()
-    err = float(np.linalg.norm(recon - amps))
-    if not err <= TOL.schmidt_reconstruction:
-        raise NumericalError(f"Schmidt reconstruction off by {err:.3e}")
+    _check_small(np.linalg.norm(recon - amps), 0.0, TOL.schmidt_reconstruction, NumericalError,
+                 "Schmidt reconstruction off by")
     return dec

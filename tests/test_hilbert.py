@@ -61,6 +61,12 @@ class TestStateVector:
         with pytest.raises(NumericalError):
             check_unit_norm(np.array([np.nan, 0.0]))
 
+    def test_names_the_worst_column_against_its_tolerance(self):
+        columns = np.array([[1.0, 1.001, 0.0], [0.0, 0.0, 1.0 + 1e-5]])
+        with pytest.raises(NumericalError) as info:
+            check_unit_norm(columns)
+        assert str(info.value) == "state norm deviates from 1 by 1.000e-03 (> 1.000e-10)"
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(DimensionMismatch):
             StateVector((2, 2), [1.0, 0.0])
@@ -228,6 +234,12 @@ class TestProjector:
         with pytest.raises(NumericalError):
             check_orthonormal(np.array([[np.nan], [0.0]]), NumericalError, "columns")
 
+    def test_gram_check_names_the_worst_matrix_of_a_stack(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, 1.5]), np.diag([1.1, 1.0])])
+        with pytest.raises(DimensionMismatch) as info:
+            check_orthonormal(stack, DimensionMismatch, "columns")
+        assert str(info.value) == "columns not orthonormal, Gram deviation 1.250e+00 (> 1.000e-10)"
+
     def test_projector_expectation_in_unit_interval(self):
         rng = np.random.default_rng(29)
         for _ in range(20):
@@ -276,6 +288,14 @@ class TestExpectation:
         column = np.array([[1.0], [complex(0.0, np.nan)]])
         with pytest.raises(NumericalError):
             expectations(SZ, column)
+
+    def test_one_operator_judges_a_stack_of_columns_at_its_own_scale(self):
+        # <psi|A|psi> = 2 conj(x) y for this A, so the second state's is i.
+        a = np.array([[0.0, 2.0], [0.0, 0.0]])
+        columns = np.array([[[1.0], [0.0]], [[SQ2], [1j * SQ2]]])
+        with pytest.raises(NumericalError) as info:
+            expectations(a, columns)
+        assert str(info.value) == "expectation has imaginary part 1.000e+00 (> 2.000e-10)"
 
 
 class TestSpectral:

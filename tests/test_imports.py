@@ -1,4 +1,5 @@
 """Every import is used, every private helper is named, no tolerance check lets NaN pass,
+only ``hilbert._check_small`` and two range checks raise on a tolerance,
 only ``hilbert._freeze`` sets an array's flags, only ``hilbert._adopt`` decides whether a
 record keeps an array, only ``hilbert._check_scalars`` judges a scalar's type,
 ``hilbert.BLOCK_BYTES`` is the one block size, and only the process entry writes
@@ -11,13 +12,16 @@ as a name anywhere in the module, annotations included. A module-level
 it: as a name, an attribute or an imported name. Tests do not count, so a
 helper only tests reach belongs in the tests. A check that raises when a
 value exceeds a ``TOL`` tolerance is written ``not value <= TOL.name``,
-because every comparison with NaN is False. A record or function freezes an
-array by calling ``_freeze``, not ``.setflags(`` itself, keeps or copies an
-array it is handed by calling ``_adopt``, not by reading ``.flags.writeable``
-or ``.base`` itself, and judges an integer or real argument by calling
-``_check_scalars``, not by naming a ``numbers`` ABC itself. Every blocked
-loop derives its block from ``BLOCK_BYTES``, so no other module-level
-constant sizes one. Only ``__main__`` assigns to ``sys.modules`` or calls a
+because every comparison with NaN is False. Apart from the range checks
+on a declared fidelity and on a probability curve, no ``if`` raises on a
+comparison with a ``TOL`` value: each residual goes to ``_check_small``,
+the one place that scales a tolerance by max(1, scale). A record or
+function freezes an array by calling ``_freeze``, not ``.setflags(``
+itself, keeps or copies an array it is handed by calling ``_adopt``, not by
+reading ``.flags.writeable`` or ``.base`` itself, and judges an integer or
+real argument by calling ``_check_scalars``, not by naming a ``numbers``
+ABC itself. Every blocked loop derives its block from ``BLOCK_BYTES``, so
+no other module-level constant sizes one. Only ``__main__`` assigns to ``sys.modules`` or calls a
 method that writes it, so importing mclock never changes what its importer
 loads.
 """
@@ -94,6 +98,60 @@ def test_flags_only_raising_checks_that_nan_passes():
 @pytest.mark.parametrize("path", sorted(SOURCE.glob("*.py")), ids=lambda path: path.name)
 def test_tolerance_checks_reject_nan(path):
     assert nan_blind_tolerance_checks(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+# The two checks that judge a value against a range, not a residual against
+# zero: a model's declared fidelity and a trajectory's probability curve.
+RANGE_CHECKS = {"measurement.py:MeasurementModel", "dynamics.py:TimingTrajectory"}
+
+
+def raising_tolerance_comparisons(tree: ast.Module) -> list[tuple[int, str]]:
+    """(line, enclosing module-level definition or "") of each ``if`` that raises on a
+    comparison with a tolerance, sorted.
+
+    A tolerance is ``TOL.<name>``, or a name that the same definition binds
+    from an expression mentioning ``TOL``.
+    """
+    found = []
+    for stmt in tree.body:
+        bound = {target.id for node in ast.walk(stmt) if isinstance(node, ast.Assign)
+                 and _mentions_tol(node.value)
+                 for target in node.targets if isinstance(target, ast.Name)}
+
+        def mentions(node: ast.AST) -> bool:
+            return _mentions_tol(node) or any(isinstance(sub, ast.Name) and sub.id in bound
+                                              for sub in ast.walk(node))
+
+        found.extend(
+            (node.lineno, getattr(stmt, "name", ""))
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.If)
+            and any(isinstance(body, ast.Raise) for body in node.body)
+            and any(isinstance(cmp, ast.Compare)
+                    and any(map(mentions, [cmp.left, *cmp.comparators]))
+                    for cmp in ast.walk(node.test))
+        )
+    return sorted(found)
+
+
+def test_finds_every_raising_comparison_with_a_tolerance():
+    source = ("def _check_small(dev, tol):\n    if not dev <= tol:\n        raise E\n"
+              "class R:\n    def f(self, p):\n        slack = 2 * TOL.a\n"
+              "        if not np.all(p <= 1 + slack):\n            raise E\n"
+              "def g(x):\n    if abs(x) <= TOL.b:\n        return x\n"
+              "    _check_small(abs(x), TOL.b)\n"
+              "if not x < TOL.c:\n    raise E\n"
+              "def h(x, slack):\n    if x > slack:\n        raise E\n")
+    assert raising_tolerance_comparisons(ast.parse(source)) == [(7, "R"), (13, "")]
+
+
+def test_only_check_small_and_the_range_checks_raise_on_a_tolerance():
+    # Every residual check passes its TOL value to hilbert._check_small,
+    # which alone applies residual <= tolerance x max(1, scale).
+    found = {f"{path.name}:{name}" for path in sorted(SOURCE.glob("*.py"))
+             for _, name in raising_tolerance_comparisons(
+                 ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == RANGE_CHECKS
 
 
 def dead_private_definitions(trees: dict[str, ast.Module]) -> list[str]:

@@ -213,7 +213,7 @@ class TestModelContract:
         for index, error, match in (
             ([[0, 1]], DimensionMismatch, "block index"),
             ([[0, 1], [0, 3]], DimensionMismatch, "outside"),
-            ([[0, 1], [2, 2]], DimensionMismatch, "block index coordinates not orthonormal"),
+            ([[0, 1], [2, 2]], DimensionMismatch, "block index repeats a coordinate"),
             ([[0, 1], [2, -1]], DimensionMismatch, "outside"),
             ([[0, 1], [1, 2]], InvalidParameter, "off the block"),
             ([[0, 1], [0, 1]], InvalidParameter, "off the block"),
